@@ -17,7 +17,7 @@ from .bundles import (Covector, TangentVector, TensorCovector, operator_to_tenso
                       transition_cotangent, transition_tangent)
 from .errors import (BadProfile, ChartDomainViolation, ChartMismatch, ConfigError,
                      DimensionMismatch, FactorMismatch, GrassAtlasError,
-                     LabelMismatch, LadderMismatch, PredualUnavailable, SplitFailure)
+                     LadderMismatch, PairingMismatch, PredualUnavailable, SplitFailure)
 from .operators import (DEFAULT_TOL_SPLIT, DecayProfile, Operator, OperatorLadder,
                         SchattenReport, SingularTail, compactness_tail,
                         decay_operator, haar_frame, oblique_projections,
@@ -38,8 +38,8 @@ __all__ = [
     "BadProfile", "ChartDomainViolation", "ChartId", "ChartMismatch", "ChartPoint",
     "CheckResult", "ConfigError", "Covector", "DEFAULT_TOL_DOMAIN", "DEFAULT_TOL_EQ",
     "DEFAULT_TOL_SPLIT", "DecayProfile", "DimensionMismatch", "DomainCheck",
-    "FactorMismatch", "GrassAtlasError", "LabelMismatch", "LadderMismatch",
-    "Operator", "OperatorLadder", "PolarizedModel", "PredualUnavailable",
+    "FactorMismatch", "GrassAtlasError", "LadderMismatch", "Operator",
+    "OperatorLadder", "PairingMismatch", "PolarizedModel", "PredualUnavailable",
     "PreservationReport", "RestrictedPoint", "SchattenReport", "SingularTail",
     "SplitFailure", "Subspace", "SuiteConfig", "TangentVector", "TensorCovector",
     "TruncationLadder", "build_truncation_ladder", "chart_forward",

@@ -30,7 +30,7 @@ class Subspace:
     their orthogonal projectors are close in operator norm.
     """
 
-    def __init__(self, basis, label: str | None = None):
+    def __init__(self, basis):
         mat = as_matrix(basis)
         n, k = mat.shape
         if k > n:
@@ -38,12 +38,11 @@ class Subspace:
         gram = mat.conj().T @ mat
         if k and np.linalg.norm(gram - np.eye(k)) > _ORTHO_TOL:
             raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
-        self.basis = Operator(mat, codomain_label=label)
-        self.label = label
+        self.basis = Operator(mat)
         self._projector: Operator | None = None
 
     @classmethod
-    def from_span(cls, spanning, label: str | None = None) -> "Subspace":
+    def from_span(cls, spanning) -> "Subspace":
         """Orthonormalize a spanning matrix; rejects rank-deficient input."""
         mat = as_matrix(spanning)
         q, r = np.linalg.qr(mat)
@@ -51,7 +50,7 @@ class Subspace:
         if mat.shape[1] and (diag.size < mat.shape[1]
                              or np.any(diag <= mat.shape[0] * np.finfo(float).eps * diag.max(initial=0.0))):
             raise ValueError("spanning matrix is numerically rank deficient")
-        return cls(q, label=label)
+        return cls(q)
 
     @property
     def ambient_dim(self) -> int:
@@ -68,13 +67,13 @@ class Subspace:
             mat = self.basis.matrix
             proj = mat @ mat.conj().T
             proj = (proj + proj.conj().T) / 2.0
-            self._projector = Operator(proj, self.label, self.label)
+            self._projector = Operator(proj)
         return self._projector
 
-    def complement(self, label: str | None = None) -> "Subspace":
+    def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
         full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
-        return Subspace(full[:, self.dim:], label=label)
+        return Subspace(full[:, self.dim:])
 
     def distance_to(self, other: "Subspace") -> float:
         """Operator-norm distance between the orthogonal projectors."""
@@ -86,8 +85,7 @@ class Subspace:
         return self.dim == other.dim and self.distance_to(other) <= tol
 
     def __repr__(self) -> str:
-        tag = f", label={self.label!r}" if self.label is not None else ""
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}{tag})"
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +109,9 @@ class ChartId:
         # materializes the oblique projections and raises SplitFailure if singular
         self._projections
         if self.flavor == "hilbert":
-            ident = np.eye(self.f.ambient_dim)
-            gap = np.linalg.norm(self.g.projector.matrix - (ident - self.f.projector.matrix), 2)
+            # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine
+            # of the largest principal angle between G and F-perp
+            gap = np.linalg.norm(self.f.basis.matrix.conj().T @ self.g.basis.matrix, 2)
             if gap > DEFAULT_TOL_EQ:
                 raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
 
@@ -151,14 +150,42 @@ class ChartPoint:
         if coord.shape != expected:
             raise DimensionMismatch(
                 f"chart coordinate must have shape {expected}, got {coord.shape}")
-        if coord.domain_label is None and coord.codomain_label is None:
-            coord = coord.with_labels(self.chart.f.label, self.chart.g.label)
         object.__setattr__(self, "coord", coord)
 
 
 class DomainCheck(NamedTuple):
     contains: bool
     conditioning: float
+
+
+def _domain_tol(tol_domain: float | None) -> float:
+    return DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
+
+
+def _domain_conditioning(block: np.ndarray) -> float:
+    """Smallest singular value of a square domain block; an empty block counts as 1.0."""
+    if block.size == 0:
+        return 1.0
+    return float(np.linalg.svd(block, compute_uv=False)[-1])
+
+
+def _require_domain(cond: float, tol_domain: float | None, what: str) -> None:
+    """Raise :class:`ChartDomainViolation` when ``cond`` is at or below the domain tolerance."""
+    tol = _domain_tol(tol_domain)
+    if cond <= tol:
+        raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})")
+
+
+def _graph_conditioning(chart: ChartId, coord: np.ndarray, denom: np.ndarray) -> float:
+    """Domain conditioning of a transition's solve matrix in the orthonormal gauge.
+
+    ``denom`` acts on the chart's F-basis coefficients of the graph of ``coord``;
+    re-expressing it against an orthonormal basis of that graph makes the
+    value agree with :func:`in_chart_domain`.
+    """
+    graph = chart.f.basis.matrix + chart.g.basis.matrix @ coord
+    r = np.linalg.qr(graph, mode="r")
+    return _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
 
 
 def _restricted_projection(h: Subspace, chart: ChartId) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +213,9 @@ def in_chart_domain(h: Subspace, chart: ChartId,
     The conditioning is the smallest singular value of that restriction in
     orthonormal bases; the domain boundary is decided against ``tol_domain``.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
     c, _ = _restricted_projection(h, chart)
-    if c.shape[0] == 0:
-        return DomainCheck(True, 1.0)
-    cond = float(np.linalg.svd(c, compute_uv=False)[-1])
-    return DomainCheck(cond > tol, cond)
+    cond = _domain_conditioning(c)
+    return DomainCheck(cond > _domain_tol(tol_domain), cond)
 
 
 def chart_forward(h: Subspace, chart: ChartId,
@@ -201,16 +225,11 @@ def chart_forward(h: Subspace, chart: ChartId,
     Realizes A = (projection onto G)|_H composed with the inverse of
     (projection onto F)|_H, expressed in the chart's coordinate bases.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
     c, d = _restricted_projection(h, chart)
     if c.shape[0] == 0:
-        return ChartPoint(chart, Operator(np.zeros((chart.g.dim, 0))))
-    cond = float(np.linalg.svd(c, compute_uv=False)[-1])
-    if cond <= tol:
-        raise ChartDomainViolation(
-            f"subspace is outside the chart domain (conditioning {cond:.3e} <= {tol:.1e})")
-    coord = np.linalg.solve(c.T, d.T).T
-    return ChartPoint(chart, Operator(coord, chart.f.label, chart.g.label))
+        return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
+    _require_domain(_domain_conditioning(c), tol_domain, "subspace is outside the chart domain")
+    return ChartPoint(chart, np.linalg.solve(c.T, d.T).T)
 
 
 def chart_forward_projector(h: Subspace, chart: ChartId,
@@ -225,21 +244,17 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
         raise ValueError("projector-formula chart requires the hilbert flavor")
     if h.ambient_dim != chart.ambient_dim or h.dim != chart.f.dim:
         raise DimensionMismatch("subspace does not match the chart dimensions")
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
     proj = h.projector.matrix
     bv = chart.f.basis.matrix
     bvp = chart.g.basis.matrix
     compressed = bv.conj().T @ proj @ bv
     crossed = bvp.conj().T @ proj @ bv
     if compressed.shape[0] == 0:
-        return ChartPoint(chart, Operator(np.zeros((chart.g.dim, 0))))
-    smallest = float(np.linalg.svd(compressed, compute_uv=False)[-1])
-    cond = float(np.sqrt(max(smallest, 0.0)))
-    if cond <= tol:
-        raise ChartDomainViolation(
-            f"subspace is outside the chart domain (conditioning {cond:.3e} <= {tol:.1e})")
-    coord = np.linalg.solve(compressed.T, crossed.T).T
-    return ChartPoint(chart, Operator(coord, chart.f.label, chart.g.label))
+        return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
+    # the compression's singular values are the squared cosines of the principal angles
+    cond = float(np.sqrt(_domain_conditioning(compressed)))
+    _require_domain(cond, tol_domain, "subspace is outside the chart domain")
+    return ChartPoint(chart, np.linalg.solve(compressed.T, crossed.T).T)
 
 
 def chart_inverse(pt: ChartPoint) -> Subspace:
@@ -260,13 +275,11 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
             bgd @ onto_g @ bf, bgd @ onto_g @ bg)
 
 
-def _forward_transition(pt: ChartPoint, target: ChartId, tol: float):
+def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None):
     """Shared core of the base/tangent transitions.
 
     Returns (A', denom, blocks, conditioning) where A' is the target chart
     coordinate and denom = a + b A is the solve matrix of the transition.
-    The conditioning is measured in the orthonormal gauge of the graph, so the
-    domain boundary agrees with :func:`in_chart_domain`.
     """
     src = pt.chart
     if src.ambient_dim != target.ambient_dim:
@@ -279,13 +292,8 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol: float):
     denom = a + b @ coord
     if denom.shape[0] == 0:
         return np.zeros((target.g.dim, 0)), denom, (a, b, c, d), 1.0
-    graph = src.f.basis.matrix + src.g.basis.matrix @ coord
-    r = np.linalg.qr(graph, mode="r")
-    gauge = np.linalg.solve(r.T, denom.T).T
-    cond = float(np.linalg.svd(gauge, compute_uv=False)[-1])
-    if cond <= tol:
-        raise ChartDomainViolation(
-            f"graph leaves the target chart domain (conditioning {cond:.3e} <= {tol:.1e})")
+    cond = _graph_conditioning(src, coord, denom)
+    _require_domain(cond, tol_domain, "graph leaves the target chart domain")
     numer = c + d @ coord
     aprime = np.linalg.solve(denom.T, numer.T).T
     return aprime, denom, (a, b, c, d), cond
@@ -300,6 +308,5 @@ def transition_base(pt: ChartPoint, target: ChartId,
     bases.  Agrees with the graph route
     ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
-    aprime, _, _, _ = _forward_transition(pt, target, tol)
-    return ChartPoint(target, Operator(aprime, target.f.label, target.g.label))
+    aprime, _, _, _ = _forward_transition(pt, target, tol_domain)
+    return ChartPoint(target, aprime)

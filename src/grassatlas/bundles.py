@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import atlas
-from .atlas import DEFAULT_TOL_DOMAIN, ChartId, ChartPoint
-from .errors import ChartDomainViolation, ChartMismatch, DimensionMismatch, FactorMismatch
+from .atlas import ChartId, ChartPoint
+from .errors import ChartMismatch, DimensionMismatch, FactorMismatch, PairingMismatch
 from .operators import Operator, as_matrix
 
 CLASS_TAGS = ("unrestricted", "trace_class_emulated")
@@ -105,32 +105,24 @@ def transition_tangent(v: TangentVector, target: ChartId,
     in closed form from the product-rule expansion of the solve:
     ``X -> (d - A' b) X (a + b A)^{-1}``.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
-    aprime, denom, (a, b, c, d), _ = atlas._forward_transition(v.at, target, tol)
+    aprime, denom, (a, b, c, d), _ = atlas._forward_transition(v.at, target, tol_domain)
     left = d - aprime @ b
     pushed = np.linalg.solve(denom.T, (left @ v.direction.matrix).T).T
-    new_point = ChartPoint(target, Operator(aprime, target.f.label, target.g.label))
-    return TangentVector(new_point, Operator(pushed, target.f.label, target.g.label))
+    return TangentVector(ChartPoint(target, aprime), pushed)
 
 
-def _reverse_fiber(pt: ChartPoint, target: ChartId, tol: float):
+def _reverse_fiber(pt: ChartPoint, target: ChartId, tol_domain: float | None):
     """Data of the inverse-direction tangent fiber map, evaluated at the image point.
 
     Returns (A', M_r, L_r, b_r, d_r): the reverse fiber map sends a
     target-chart tangent X' to ``L_r X' M_r^{-1}`` back in the source chart;
     b_r and d_r are the raw blocks its two-term factorization is built from.
     """
-    aprime, _, _, _ = atlas._forward_transition(pt, target, tol)
-    src = pt.chart
-    a_r, b_r, _, d_r = atlas._transition_blocks(target, src)
+    aprime, _, _, _ = atlas._forward_transition(pt, target, tol_domain)
+    a_r, b_r, _, d_r = atlas._transition_blocks(target, pt.chart)
     m_r = a_r + b_r @ aprime
-    graph = target.f.basis.matrix + target.g.basis.matrix @ aprime
-    r = np.linalg.qr(graph, mode="r")
-    gauge = np.linalg.solve(r.T, m_r.T).T
-    cond = float(np.linalg.svd(gauge, compute_uv=False)[-1]) if m_r.size else 1.0
-    if cond <= tol:
-        raise ChartDomainViolation(
-            f"reverse transition leaves the chart domain (conditioning {cond:.3e})")
+    atlas._require_domain(atlas._graph_conditioning(target, aprime, m_r), tol_domain,
+                          "reverse transition leaves the chart domain")
     l_r = d_r - pt.coord.matrix @ b_r
     return aprime, m_r, l_r, b_r, d_r
 
@@ -142,11 +134,9 @@ def transition_cotangent(c: Covector, target: ChartId,
     With the reverse fiber map ``X' -> L_r X' M_r^{-1}``, the trace pairing
     forces ``mu' = M_r^{-1} mu L_r``; the class tag travels unchanged.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
-    aprime, m_r, l_r, _, _ = _reverse_fiber(c.at, target, tol)
+    aprime, m_r, l_r, _, _ = _reverse_fiber(c.at, target, tol_domain)
     pushed = np.linalg.solve(m_r, c.form.matrix) @ l_r
-    new_point = ChartPoint(target, Operator(aprime, target.f.label, target.g.label))
-    return Covector(new_point, Operator(pushed, target.g.label, target.f.label),
+    return Covector(ChartPoint(target, aprime), pushed,
                     class_tag=c.class_tag, metadata=c.metadata)
 
 
@@ -159,17 +149,9 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     the product rule: T_1 is the G'-to-G block, T_2 = -A b_r, and both share
     S = M_r^{-1}.  These are the factors consumed by :func:`pushforward_tensor`.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
-    _, m_r, _, b_r, d_r = _reverse_fiber(pt, target, tol)
-    src = pt.chart
-    s = np.linalg.solve(m_r, np.eye(m_r.shape[0]))
-    t2 = -(pt.coord.matrix @ b_r)
-    return (
-        (Operator(s, src.f.label, target.f.label),
-         Operator(d_r, target.g.label, src.g.label)),
-        (Operator(s, src.f.label, target.f.label),
-         Operator(t2, target.g.label, src.g.label)),
-    )
+    _, m_r, _, b_r, d_r = _reverse_fiber(pt, target, tol_domain)
+    s = Operator(np.linalg.solve(m_r, np.eye(m_r.shape[0])))
+    return ((s, Operator(d_r)), (s, Operator(-(pt.coord.matrix @ b_r))))
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -193,13 +175,11 @@ def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Ope
     they are checked against it on a probe basis and rejected with
     :class:`FactorMismatch` otherwise.
     """
-    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
-    aprime, m_r, l_r, _, _ = _reverse_fiber(tc.at, target, tol)
+    aprime, m_r, l_r, _, _ = _reverse_fiber(tc.at, target, tol_domain)
     s_r = np.linalg.solve(m_r, np.eye(m_r.shape[0]))
     pairs = [(as_matrix(s), as_matrix(t)) for s, t in factors]
     _check_factors(pairs, l_r, s_r, factor_tol)
-    new_point = ChartPoint(target, Operator(aprime, target.f.label, target.g.label))
-    return TensorCovector(new_point, tensor_pushforward_terms(tc.terms, pairs))
+    return TensorCovector(ChartPoint(target, aprime), tensor_pushforward_terms(tc.terms, pairs))
 
 
 def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray, tol: float) -> None:
@@ -232,7 +212,7 @@ def trace_pairing(c: Covector, v: TangentVector) -> complex:
     over_f = complex(np.trace(mu @ x))
     over_g = complex(np.trace(x @ mu))
     if abs(over_f - over_g) > 1e-10 * (1.0 + abs(over_f)):
-        raise ArithmeticError("trace pairing differs between the two coordinate routes")
+        raise PairingMismatch("trace pairing differs between the two coordinate routes")
     return over_f
 
 
@@ -252,8 +232,7 @@ def tensor_to_operator(tc: TensorCovector) -> Covector:
     mu = np.zeros((kf, kg), dtype=complex)
     for x, y in tc.terms:
         mu += np.outer(x, y)
-    chart = tc.at.chart
-    return Covector(tc.at, Operator(mu, chart.g.label, chart.f.label))
+    return Covector(tc.at, mu)
 
 
 def operator_to_tensor(c: Covector, rank_tol: float | None = None) -> TensorCovector:

@@ -9,8 +9,8 @@ class DimensionMismatch(GrassAtlasError):
     """Operands live in incompatible coordinate spaces."""
 
 
-class LabelMismatch(GrassAtlasError):
-    """Composition of operators whose space labels disagree."""
+class PairingMismatch(GrassAtlasError, ArithmeticError):
+    """The two trace orders of a duality pairing disagree beyond roundoff."""
 
 
 class SplitFailure(GrassAtlasError):

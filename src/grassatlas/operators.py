@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProfile, DimensionMismatch, LabelMismatch, LadderMismatch, SplitFailure
+from .errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
 
 DEFAULT_TOL_SPLIT = 1e-8
 
@@ -19,21 +19,14 @@ _EPS = np.finfo(float).eps
 
 
 class Operator:
-    """Immutable dense complex matrix between two optionally labeled spaces.
+    """Immutable dense complex matrix."""
 
-    When both a domain and a codomain label are present, compositions check
-    that the labels match; unlabeled sides compose freely.
-    """
-
-    def __init__(self, matrix, domain_label: str | None = None,
-                 codomain_label: str | None = None):
+    def __init__(self, matrix):
         mat = np.array(matrix, dtype=complex, order="C")
         if mat.ndim != 2:
             raise ValueError(f"operator entries must form a 2-D array, got shape {mat.shape}")
         mat.setflags(write=False)
         self.matrix = mat
-        self.domain_label = domain_label
-        self.codomain_label = codomain_label
 
     @property
     def rows(self) -> int:
@@ -47,39 +40,16 @@ class Operator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def compose(self, other: "Operator") -> "Operator":
-        """Return ``self @ other`` with label compatibility checked."""
-        other_mat = as_matrix(other)
-        if self.cols != other_mat.shape[0]:
-            raise DimensionMismatch(
-                f"cannot compose {self.shape} with {other_mat.shape}")
-        other_dom = getattr(other, "domain_label", None)
-        other_cod = getattr(other, "codomain_label", None)
-        if self.domain_label is not None and other_cod is not None \
-                and self.domain_label != other_cod:
-            raise LabelMismatch(
-                f"composition joins space {other_cod!r} to space {self.domain_label!r}")
-        return Operator(self.matrix @ other_mat, other_dom, self.codomain_label)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def adjoint(self) -> "Operator":
         """Hermitian adjoint (conjugate transpose); used for orthogonal projectors."""
-        return Operator(self.matrix.conj().T, self.codomain_label, self.domain_label)
+        return Operator(self.matrix.conj().T)
 
     def transpose(self) -> "Operator":
         """Bilinear dual with respect to the trace pairing (plain transpose)."""
-        return Operator(self.matrix.T, self.codomain_label, self.domain_label)
-
-    def with_labels(self, domain_label: str | None, codomain_label: str | None) -> "Operator":
-        return Operator(self.matrix, domain_label, codomain_label)
+        return Operator(self.matrix.T)
 
     def __repr__(self) -> str:
-        labels = ""
-        if self.domain_label is not None or self.codomain_label is not None:
-            labels = f", {self.domain_label!r}->{self.codomain_label!r}"
-        return f"Operator({self.rows}x{self.cols}{labels})"
+        return f"Operator({self.rows}x{self.cols})"
 
 
 def as_matrix(value) -> np.ndarray:

@@ -22,7 +22,8 @@ from .atlas import ChartId, ChartPoint, Subspace, chart_forward
 from .bundles import Covector, transition_cotangent
 from .errors import (ChartDomainViolation, DimensionMismatch, LadderMismatch,
                      PredualUnavailable)
-from .operators import DecayProfile, Operator, schatten_norm, singular_values
+from .operators import (DecayProfile, Operator, OperatorLadder, schatten_norm,
+                        singular_values)
 
 _RANK_TOL = 1e-10
 
@@ -61,12 +62,12 @@ class PolarizedModel:
     @cached_property
     def h_minus(self) -> Subspace:
         eye = np.eye(self.ambient_dim)
-        return Subspace(eye[:, : self.n_minus], label="H-")
+        return Subspace(eye[:, : self.n_minus])
 
     @cached_property
     def h_plus(self) -> Subspace:
         eye = np.eye(self.ambient_dim)
-        return Subspace(eye[:, self.n_minus:], label="H+")
+        return Subspace(eye[:, self.n_minus:])
 
     @cached_property
     def p_minus(self) -> Operator:
@@ -161,20 +162,21 @@ def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
         phases = np.random.default_rng(np.random.SeedSequence(seed)).uniform(
             0.0, 2.0 * math.pi, pairs)
         weights = sigma * np.exp(1j * phases)
+    kept = model.n_plus - drop
+    # columns: e_{-1}..e_{-lead}, then e_{+(drop+1)}..e_{+n_plus}, the first
+    # ``pairs`` of them tilted toward e_{-(lead+1)}.. and renormalized
+    basis = np.zeros((model.ambient_dim, lead + kept), dtype=complex)
+    basis[np.arange(lead), np.arange(lead)] = 1.0
+    basis[model.n_minus + drop + np.arange(kept), lead + np.arange(kept)] = 1.0
+    t = np.arange(pairs)
+    # hypot (not the vectorized complex abs) and += (which turns -0 weights into +0)
+    # keep every entry bit-identical to normalizing each column on its own
+    scale = 1.0 / np.sqrt(1.0 + np.hypot(weights.real, weights.imag) ** 2)
+    basis[model.n_minus + drop + t, lead + t] = scale
+    basis[lead + t, lead + t] += weights * scale
     graph = np.zeros((model.n_minus, model.n_plus), dtype=complex)
-    columns = []
-    for j in range(lead):
-        columns.append(model.basis_vector(-(j + 1)))
-    for t in range(model.n_plus - drop):
-        column = model.basis_vector(drop + t + 1)
-        if t < pairs:
-            w = weights[t]
-            column = column + w * model.basis_vector(-(lead + t + 1))
-            column = column / math.sqrt(1.0 + abs(w) ** 2)
-            graph[lead + t, drop + t] = w
-        columns.append(column)
-    basis = np.column_stack(columns) if columns else np.zeros((model.ambient_dim, 0))
-    return Subspace(basis), Operator(graph, domain_label="H+", codomain_label="H-")
+    graph[lead + t, drop + t] = weights
+    return Subspace(basis), Operator(graph)
 
 
 def generate_restricted_point(model: PolarizedModel, p: float, profile: DecayProfile,
@@ -220,13 +222,11 @@ def build_truncation_ladder(dims, p: float, profile: DecayProfile,
         w, graph = _graph_point(model, profile, virtual_dim, seed)
         points.append(membership_report(w, model, p))
         graphs.append(graph)
-    for small, large in zip(graphs, graphs[1:]):
-        block = large.matrix[: small.rows, : small.cols]
-        if not np.array_equal(small.matrix, block):
-            raise LadderMismatch("ladder rungs are not exact top-left embeddings")
+    # raises LadderMismatch unless each graph is the exact top-left block of the next
+    nested = OperatorLadder(tuple(graphs))
     return TruncationLadder(dims=dims, p=float(p), profile=profile,
                             virtual_dim=int(virtual_dim), seed=int(seed),
-                            models=models, points=tuple(points), graph_maps=tuple(graphs))
+                            models=models, points=tuple(points), graph_maps=nested.operators)
 
 
 # ---------------------------------------------------------------------------

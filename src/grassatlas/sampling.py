@@ -19,9 +19,8 @@ def derive_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
-def random_subspace(n: int, k: int, rng: np.random.Generator,
-                    label: str | None = None) -> Subspace:
-    return Subspace(haar_frame(n, k, rng), label=label)
+def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
+    return Subspace(haar_frame(n, k, rng))
 
 
 def random_chart(n: int, k: int, rng: np.random.Generator, flavor: str = "split",

@@ -518,15 +518,11 @@ def _membership_envelope(ctx: CheckContext, trials: int):
 
 @_check("ladder_embedding_exact", "restricted", 0.0, trials=1)
 def _ladder_embedding(ctx: CheckContext, trials: int):
-    violations = 0
+    # build_truncation_ladder raises LadderMismatch unless the rungs nest bit for bit
     dims = [(d, d) for d in ctx.cfg.ladder]
     try:
-        ladder = build_truncation_ladder(dims, 1.0, DecayProfile.geometric(0.5),
-                                         virtual_dim=0, seed=ctx.cfg.seed)
+        build_truncation_ladder(dims, 1.0, DecayProfile.geometric(0.5),
+                                virtual_dim=0, seed=ctx.cfg.seed)
     except LadderMismatch:
         return 1.0, ctx.seed_tag(0)
-    for small, large in zip(ladder.graph_maps, ladder.graph_maps[1:]):
-        block = large.matrix[: small.rows, : small.cols]
-        if not np.array_equal(small.matrix, block):
-            violations += 1
-    return float(violations), ctx.seed_tag(0) if violations else None
+    return 0.0, None

@@ -31,8 +31,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def read_config_file(path: Path) -> dict:
     """Key-value config: ``key = value`` lines, ``tol.<check>`` for overrides."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     options: dict = {"tolerances": {}}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -40,16 +44,19 @@ def read_config_file(path: Path) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = key.strip(), value.strip()
-        if key.startswith("tol."):
-            options["tolerances"][key[4:]] = float(value)
-        elif key in ("dims", "ladder"):
-            options[key] = _parse_int_list(value)
-        elif key in ("trials", "seed"):
-            options[key] = int(value)
-        elif key in ("suite", "format", "out"):
-            options[key] = value
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            if key.startswith("tol."):
+                options["tolerances"][key[4:]] = float(value)
+            elif key in ("dims", "ladder"):
+                options[key] = _parse_int_list(value)
+            elif key in ("trials", "seed"):
+                options[key] = int(value)
+            elif key in ("suite", "format", "out"):
+                options[key] = value
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: invalid value {value!r} for {key!r}") from exc
     return options
 
 

@@ -71,6 +71,15 @@ def test_chart_id_hilbert_flavor_enforces_complement():
     with pytest.raises(SplitFailure):
         ga.ChartId(v, not_perp, flavor="hilbert")
 
+    def tilted(theta):
+        # V-perp with its last vector rotated toward V: the gap is sin(theta)
+        return ga.Subspace(np.array([[0.0, math.sin(theta)], [1.0, 0.0],
+                                     [0.0, math.cos(theta)]]))
+
+    with pytest.raises(SplitFailure):
+        ga.ChartId(v, tilted(1e-9), flavor="hilbert")
+    ga.ChartId(v, tilted(1e-12), flavor="hilbert")  # below the 1e-10 threshold
+
 
 # ---------------------------------------------------------------------------
 # chart domain

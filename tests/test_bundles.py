@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas.errors import ChartMismatch, DimensionMismatch, FactorMismatch
+from grassatlas.errors import (ChartMismatch, DimensionMismatch, FactorMismatch,
+                               GrassAtlasError, PairingMismatch)
 from grassatlas.sampling import (random_chart, random_chart_containing,
                                  random_chart_point, random_fiber_matrix)
 from grassatlas.verify.oracles import complex_step_tangent, finite_difference_tangent
@@ -182,6 +183,20 @@ def test_trace_pairing_against_double_sum_oracle():
     got = ga.trace_pairing(ga.Covector(pt, ga.Operator(mu_mat)),
                            ga.TangentVector(pt, ga.Operator(x_mat)))
     assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_trace_pairing_rejects_disagreeing_trace_orders():
+    rng = _rng(12)
+    chart = ga.ChartId(ga.Subspace(np.eye(8)[:, :4]), ga.Subspace(np.eye(8)[:, 4:]))
+    pt = ga.ChartPoint(chart, np.zeros((4, 4)))
+    mu = 1e9 * random_fiber_matrix(4, 4, rng)
+    x = 1e9 * random_fiber_matrix(4, 4, rng)
+    # cancel Tr(mu X) to ~0: the roundoff of the two trace orders then dominates
+    x[0, 0] -= np.trace(mu @ x) / mu[0, 0]
+    with pytest.raises(PairingMismatch) as info:
+        ga.trace_pairing(ga.Covector(pt, mu), ga.TangentVector(pt, x))
+    assert isinstance(info.value, GrassAtlasError)
+    assert isinstance(info.value, ArithmeticError)
 
 
 def test_trace_pairing_rejects_different_points():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas.errors import (BadProfile, DimensionMismatch, LabelMismatch,
-                               LadderMismatch, SplitFailure)
+from grassatlas.errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
 
 
 def _rng(seed):
@@ -224,20 +223,8 @@ def test_operator_is_immutable():
         op.matrix[0, 0] = 5.0
 
 
-def test_operator_label_checked_composition():
-    a = ga.Operator(np.eye(2), domain_label="F", codomain_label="G")
-    b = ga.Operator(np.eye(2), domain_label="E", codomain_label="F")
-    composed = a @ b
-    assert composed.domain_label == "E" and composed.codomain_label == "G"
-    bad = ga.Operator(np.eye(2), domain_label="E", codomain_label="H")
-    with pytest.raises(LabelMismatch):
-        a @ bad
-
-
 def test_operator_adjoint_and_transpose():
     mat = np.array([[1 + 2j, 3.0], [0.0, 4 - 1j]])
-    op = ga.Operator(mat, "F", "G")
+    op = ga.Operator(mat)
     assert_allclose(op.adjoint().matrix, mat.conj().T)
     assert_allclose(op.transpose().matrix, mat.T)
-    assert op.adjoint().domain_label == "G"
-    assert op.transpose().codomain_label == "F"

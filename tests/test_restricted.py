@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import grassatlas as ga
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
+from grassatlas.restricted import _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
 
 
@@ -150,6 +151,34 @@ def test_ladder_embedding_is_bit_exact():
                                         ga.DecayProfile.geometric(0.5), 1, seed=4)
     for small, large in zip(ladder.graph_maps, ladder.graph_maps[1:]):
         assert np.array_equal(small.matrix, large.matrix[: small.rows, : small.cols])
+
+
+def _graph_basis_by_columns(model, weights, lead, drop):
+    """Per-column reference for the graph basis built by _graph_point."""
+    columns = [model.basis_vector(-(j + 1)) for j in range(lead)]
+    for t in range(model.n_plus - drop):
+        column = model.basis_vector(drop + t + 1)
+        if t < weights.size:
+            w = weights[t]
+            column = column + w * model.basis_vector(-(lead + t + 1))
+            column = column / math.sqrt(1.0 + abs(w) ** 2)
+        columns.append(column)
+    return np.column_stack(columns) if columns else np.zeros((model.ambient_dim, 0))
+
+
+@pytest.mark.parametrize("profile", [ga.DecayProfile.geometric(0.93),
+                                     ga.DecayProfile.power(1.5), ga.DecayProfile.zero()])
+def test_graph_point_basis_matches_column_reference(profile):
+    for n_minus, n_plus in ((1, 1), (3, 5), (6, 2), (40, 40)):
+        model = ga.PolarizedModel(n_minus, n_plus)
+        for shift in range(-min(n_plus, 3), min(n_minus, 3) + 1):
+            w, graph = _graph_point(model, profile, shift, seed=5)
+            lead, drop = max(0, shift), max(0, -shift)
+            pairs = min(n_plus - drop, n_minus - lead)
+            weights = graph.matrix[lead + np.arange(pairs), drop + np.arange(pairs)]
+            expected = _graph_basis_by_columns(model, weights, lead, drop)
+            # bytes, so signed zeros count too
+            assert w.basis.matrix.tobytes() == expected.tobytes()
 
 
 def test_ladder_rejects_bad_dims():

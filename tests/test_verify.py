@@ -140,7 +140,15 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
     assert code == 1  # now the forced roundtrip failure applies
 
 
-def test_cli_rejects_unknown_config_key(tmp_path):
+@pytest.mark.parametrize("content", [
+    "wibble = 3\n",
+    "trials = ten\n",
+    "seed = x\n",
+    "tol.duality_invariance = abc\n",
+    None,  # the config file does not exist
+], ids=["unknown-key", "trials", "seed", "tolerance", "missing-file"])
+def test_cli_rejects_unknown_config_key(tmp_path, content):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("wibble = 3\n", encoding="utf-8")
+    if content is not None:
+        cfg_path.write_text(content, encoding="utf-8")
     assert main(["--config", str(cfg_path)]) == 2
