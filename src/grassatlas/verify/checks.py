@@ -1,8 +1,12 @@
 """Named invariant checks executed by the verification suites.
 
 Every invariant declared by the library modules appears here exactly once,
-keyed by a stable name.  Checks report their worst error over seeded trials;
-exact-integer checks report a violation count with tolerance zero.
+keyed by a stable name.  A check is the body of one seeded trial,
+``fn(cfg, trial, rng, n)``: ``cfg`` is the suite configuration, ``trial`` the
+trial index, ``rng`` the trial's generator and ``n`` its ambient dimension.
+An error check returns the trial's error; an exact check (tolerance zero)
+returns whether the trial violated the invariant.  The trial loop, the worst
+case and its seed tag live in :func:`grassatlas.verify.runner.run_suite`.
 """
 
 from __future__ import annotations
@@ -19,16 +23,16 @@ from ..bundles import (Covector, TangentVector, TensorCovector,
                        pushforward_factors, pushforward_tensor, tensor_pairing,
                        tensor_to_operator, trace_pairing, transition_cotangent,
                        transition_tangent)
-from ..errors import ChartDomainViolation, LadderMismatch, SplitFailure
+from ..errors import ChartDomainViolation, SplitFailure
 from ..operators import (DecayProfile, Operator, haar_frame, operator_norm,
                          schatten_norm)
 from ..restricted import (PolarizedModel, _graph_point, build_truncation_ladder,
                           generate_restricted_point, membership_report,
                           virtual_dimension, virtual_dimension_by_rank)
-from ..sampling import (derive_rng, near_boundary_subspace,
-                        polarization_preserving_unitary, random_chart,
-                        random_chart_containing, random_chart_point,
+from ..sampling import (near_boundary_subspace, polarization_preserving_unitary,
+                        random_chart, random_chart_containing, random_chart_point,
                         random_fiber_matrix, random_subspace)
+from .oracles import complex_step_tangent, finite_difference_tangent
 
 
 @dataclass(frozen=True)
@@ -54,55 +58,12 @@ def registry() -> tuple[CheckDef, ...]:
     return tuple(_REGISTRY)
 
 
-class CheckContext:
-    def __init__(self, cfg, index: int):
-        self.cfg = cfg
-        self.index = index
-
-    def rng(self, trial: int) -> np.random.Generator:
-        return derive_rng(self.cfg.seed, self.index, trial)
-
-    def dim(self, trial: int) -> int:
-        return self.cfg.dims[trial % len(self.cfg.dims)]
-
-    def seed_tag(self, trial: int) -> str:
-        return f"{self.cfg.seed}.{self.index}.{trial}"
-
-
-class _Worst:
-    """Tracks the largest error and the trial seed that produced it."""
-
-    def __init__(self):
-        self.error = 0.0
-        self.tag = None
-
-    def update(self, error: float, tag: str) -> None:
-        if error > self.error:
-            self.error = float(error)
-            self.tag = tag
-
-    def result(self) -> tuple[float, str | None]:
-        return self.error, self.tag
-
-
 def _subspace_dim(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, n))
 
 
-def _transition_instance(rng, n, k, scale=0.5, tries=60):
-    """Source chart + point + a second chart containing the graph, all well conditioned."""
-    for _ in range(tries):
-        src = random_chart(n, k, rng, min_conditioning=1e-2)
-        pt = random_chart_point(src, rng, scale=scale)
-        h = chart_inverse(pt)
-        if in_chart_domain(h, src).conditioning < 5e-2:
-            continue
-        try:
-            dst = random_chart_containing(h, rng, min_domain=5e-2)
-        except SplitFailure:
-            continue
-        return src, pt, h, dst
-    raise SplitFailure("no well-conditioned transition instance found")
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _chart_chain(rng, n, k, count=3, scale=0.4, tries=60):
@@ -126,321 +87,224 @@ def _chart_chain(rng, n, k, count=3, scale=0.4, tries=60):
 # operator foundation (runs with the atlas suite)
 
 @_check("projection_identities", "atlas", 1e-12)
-def _projection_identities(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-3)
-        onto_f, onto_g = chart._projections
-        scale = 1.0 + np.linalg.norm(onto_f, 2)
-        err = max(
-            np.linalg.norm(onto_f @ onto_f - onto_f, 2),
-            np.linalg.norm(onto_f + onto_g - np.eye(n), 2),
-        ) / scale
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+def _projection_identities(cfg, trial, rng, n):
+    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-3)
+    onto_f, onto_g = chart._projections
+    scale = 1.0 + np.linalg.norm(onto_f, 2)
+    return max(
+        np.linalg.norm(onto_f @ onto_f - onto_f, 2),
+        np.linalg.norm(onto_f + onto_g - np.eye(n), 2),
+    ) / scale
 
 
 @_check("schatten_ideal", "atlas", 1e-10, trials=200)
-def _schatten_ideal(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = 8
-        p = (1.0, 2.0, 3.0)[trial % 3]
-        t = random_fiber_matrix(n, n, rng)
-        x = random_fiber_matrix(n, n, rng)
-        s = random_fiber_matrix(n, n, rng)
-        lhs = schatten_norm(t @ x @ s, p).value
-        rhs = operator_norm(t) * schatten_norm(x, p).value * operator_norm(s)
-        worst.update(max(0.0, (lhs - rhs) / (rhs + 1e-300)), ctx.seed_tag(trial))
-    return worst.result()
+def _schatten_ideal(cfg, trial, rng, n):
+    n = 8
+    p = (1.0, 2.0, 3.0)[trial % 3]
+    t = random_fiber_matrix(n, n, rng)
+    x = random_fiber_matrix(n, n, rng)
+    s = random_fiber_matrix(n, n, rng)
+    lhs = schatten_norm(t @ x @ s, p).value
+    rhs = operator_norm(t) * schatten_norm(x, p).value * operator_norm(s)
+    return (lhs - rhs) / (rhs + 1e-300)
 
 
 @_check("schatten_unitary_invariance", "atlas", 1e-10)
-def _schatten_unitary(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        cols = n if trial % 2 == 0 else max(1, n - 2)
-        p = (1.0, 2.0, 3.0)[trial % 3]
-        t = random_fiber_matrix(n, cols, rng)
-        u = haar_frame(n, n, rng)
-        v = haar_frame(cols, cols, rng)
-        base = schatten_norm(t, p).value
-        rotated = schatten_norm(u @ t @ v, p).value
-        worst.update(abs(rotated - base) / (base + 1e-300), ctx.seed_tag(trial))
-    return worst.result()
+def _schatten_unitary(cfg, trial, rng, n):
+    cols = n if trial % 2 == 0 else max(1, n - 2)
+    p = (1.0, 2.0, 3.0)[trial % 3]
+    t = random_fiber_matrix(n, cols, rng)
+    u = haar_frame(n, n, rng)
+    v = haar_frame(cols, cols, rng)
+    base = schatten_norm(t, p).value
+    rotated = schatten_norm(u @ t @ v, p).value
+    return abs(rotated - base) / (base + 1e-300)
 
 
 @_check("schatten_monotonicity", "atlas", 1e-12)
-def _schatten_monotonicity(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        t = random_fiber_matrix(n, n, rng)
-        v1 = schatten_norm(t, 1.0).value
-        v2 = schatten_norm(t, 2.0).value
-        v3 = schatten_norm(t, 3.0).value
-        top = operator_norm(t)
-        slack = max(v2 - v1, v3 - v2, top - v3) / (1.0 + v1)
-        worst.update(max(0.0, slack), ctx.seed_tag(trial))
-    return worst.result()
+def _schatten_monotonicity(cfg, trial, rng, n):
+    t = random_fiber_matrix(n, n, rng)
+    v1 = schatten_norm(t, 1.0).value
+    v2 = schatten_norm(t, 2.0).value
+    v3 = schatten_norm(t, 3.0).value
+    top = operator_norm(t)
+    return max(v2 - v1, v3 - v2, top - v3) / (1.0 + v1)
 
 
 # ---------------------------------------------------------------------------
 # atlas
 
 @_check("chart_roundtrip_fiber", "atlas", 1e-10)
-def _roundtrip_fiber(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
-        pt = random_chart_point(chart, rng)
-        back = chart_forward(chart_inverse(pt), chart)
-        err = float(np.abs(back.coord.matrix - pt.coord.matrix).max(initial=0.0))
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+def _roundtrip_fiber(cfg, trial, rng, n):
+    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
+    pt = random_chart_point(chart, rng)
+    back = chart_forward(chart_inverse(pt), chart)
+    return _max_abs(back.coord.matrix - pt.coord.matrix)
 
 
 @_check("chart_roundtrip_subspace", "atlas", 1e-10)
-def _roundtrip_subspace(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        h = random_subspace(n, _subspace_dim(rng, n), rng)
-        chart = random_chart_containing(h, rng)
-        again = chart_inverse(chart_forward(h, chart))
-        worst.update(h.distance_to(again), ctx.seed_tag(trial))
-    return worst.result()
+def _roundtrip_subspace(cfg, trial, rng, n):
+    h = random_subspace(n, _subspace_dim(rng, n), rng)
+    chart = random_chart_containing(h, rng)
+    return h.distance_to(chart_inverse(chart_forward(h, chart)))
 
 
 @_check("transition_consistency", "atlas", 1e-10)
-def _transition_consistency(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        src, pt, h, dst = _transition_instance(rng, n, _subspace_dim(rng, n))
-        direct = transition_base(pt, dst)
-        oracle = chart_forward(chart_inverse(pt), dst)
-        err = float(np.abs(direct.coord.matrix - oracle.coord.matrix).max(initial=0.0))
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+def _transition_consistency(cfg, trial, rng, n):
+    pt, (_, dst) = _chart_chain(rng, n, _subspace_dim(rng, n), count=2, scale=0.5)
+    direct = transition_base(pt, dst)
+    oracle = chart_forward(chart_inverse(pt), dst)
+    return _max_abs(direct.coord.matrix - oracle.coord.matrix)
 
 
 @_check("transition_cocycle", "atlas", 1e-9)
-def _transition_cocycle(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        pt, (c1, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
-        through = transition_base(transition_base(pt, c2), c3)
-        direct = transition_base(pt, c3)
-        scale = 1.0 + float(np.abs(direct.coord.matrix).max(initial=0.0))
-        err = float(np.abs(through.coord.matrix - direct.coord.matrix).max(initial=0.0))
-        worst.update(err / scale, ctx.seed_tag(trial))
-    return worst.result()
+def _transition_cocycle(cfg, trial, rng, n):
+    pt, (_, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
+    through = transition_base(transition_base(pt, c2), c3)
+    direct = transition_base(pt, c3)
+    scale = 1.0 + _max_abs(direct.coord.matrix)
+    return _max_abs(through.coord.matrix - direct.coord.matrix) / scale
 
 
 @_check("chart_covering", "atlas", 0.0)
-def _chart_covering(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    violations = 0
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        h = random_subspace(n, _subspace_dim(rng, n), rng)
-        pool = [random_chart(n, h.dim, rng, min_conditioning=1e-3) for _ in range(8)]
-        if not any(in_chart_domain(h, chart).conditioning > DEFAULT_TOL_DOMAIN
-                   for chart in pool):
-            violations += 1
-            worst.update(float(violations), ctx.seed_tag(trial))
-    return float(violations), worst.tag
+def _chart_covering(cfg, trial, rng, n):
+    h = random_subspace(n, _subspace_dim(rng, n), rng)
+    pool = [random_chart(n, h.dim, rng, min_conditioning=1e-3) for _ in range(8)]
+    return not any(in_chart_domain(h, chart).conditioning > DEFAULT_TOL_DOMAIN
+                   for chart in pool)
 
 
 @_check("hilbert_specialization", "atlas", 1e-11)
-def _hilbert_specialization(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        k = _subspace_dim(rng, n)
-        chart = ChartId.hilbert(random_subspace(n, k, rng))
+def _hilbert_specialization(cfg, trial, rng, n):
+    k = _subspace_dim(rng, n)
+    chart = ChartId.hilbert(random_subspace(n, k, rng))
+    # the projector route squares the domain conditioning; stay off the boundary
+    for _ in range(200):
         w = random_subspace(n, k, rng)
-        # the projector route squares the domain conditioning; stay off the boundary
-        while in_chart_domain(w, chart).conditioning < 5e-2:
-            w = random_subspace(n, k, rng)
-        general = chart_forward(w, chart)
-        projector_route = chart_forward_projector(w, chart)
-        err = float(np.abs(general.coord.matrix
-                           - projector_route.coord.matrix).max(initial=0.0))
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+        if in_chart_domain(w, chart).conditioning >= 5e-2:
+            break
+    else:
+        raise SplitFailure("no subspace at domain margin 5e-2 found in 200 draws")
+    general = chart_forward(w, chart)
+    projector_route = chart_forward_projector(w, chart)
+    return _max_abs(general.coord.matrix - projector_route.coord.matrix)
 
 
 @_check("near_boundary_errors", "atlas", 0.0)
-def _near_boundary(ctx: CheckContext, trials: int):
-    violations = 0
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = max(4, ctx.dim(trial))
-        k = _subspace_dim(rng, n)
-        chart = ChartId.hilbert(random_subspace(n, k, rng))
-        target = 10.0 ** rng.uniform(-7.0, -5.0)
-        h = near_boundary_subspace(chart, rng, target)
-        ok = True
-        dc = in_chart_domain(h, chart)
-        ok &= dc.contains and abs(dc.conditioning - target) <= 0.25 * target
-        try:
-            chart_forward(h, chart)  # default threshold sits below the band
-        except ChartDomainViolation:
-            ok = False
-        try:
-            chart_forward(h, chart, tol_domain=1e-4)
-            ok = False  # must refuse once the threshold is raised above the band
-        except ChartDomainViolation:
-            pass
-        if not ok:
-            violations += 1
-            worst.update(float(violations), ctx.seed_tag(trial))
-    return float(violations), worst.tag
+def _near_boundary(cfg, trial, rng, n):
+    n = max(4, n)
+    k = _subspace_dim(rng, n)
+    chart = ChartId.hilbert(random_subspace(n, k, rng))
+    target = 10.0 ** rng.uniform(-7.0, -5.0)
+    h = near_boundary_subspace(chart, rng, target)
+    dc = in_chart_domain(h, chart)
+    ok = dc.contains and abs(dc.conditioning - target) <= 0.25 * target
+    try:
+        chart_forward(h, chart)  # default threshold sits below the band
+    except ChartDomainViolation:
+        ok = False
+    try:
+        chart_forward(h, chart, tol_domain=1e-4)
+        ok = False  # must refuse once the threshold is raised above the band
+    except ChartDomainViolation:
+        pass
+    return not ok
 
 
 # ---------------------------------------------------------------------------
 # bundles
 
 def _fiber_instance(rng, n, k):
-    src, pt, h, dst = _transition_instance(rng, n, k)
+    pt, (src, dst) = _chart_chain(rng, n, k, count=2, scale=0.5)
     x = random_fiber_matrix(src.g.dim, src.f.dim, rng)
     mu = random_fiber_matrix(src.f.dim, src.g.dim, rng)
     return src, pt, dst, x, mu
 
 
+def _jacobian_error(rng, n, oracle):
+    """Relative gap between the closed-form tangent map and a derivative oracle."""
+    n = min(16, n)
+    _, pt, dst, x, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    closed = transition_tangent(TangentVector(pt, Operator(x)), dst).direction.matrix
+    scale = 1.0 + np.linalg.norm(closed)
+    return float(np.linalg.norm(closed - oracle(pt, dst, x))) / scale
+
+
 @_check("tangent_jacobian_fd", "bundles", 1e-6)
-def _jacobian_fd(ctx: CheckContext, trials: int):
-    from .oracles import finite_difference_tangent
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = min(16, ctx.dim(trial))
-        src, pt, dst, x, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
-        closed = transition_tangent(TangentVector(pt, Operator(x)), dst).direction.matrix
-        approx = finite_difference_tangent(pt, dst, x)
-        scale = 1.0 + np.linalg.norm(closed)
-        worst.update(float(np.linalg.norm(closed - approx)) / scale, ctx.seed_tag(trial))
-    return worst.result()
+def _jacobian_fd(cfg, trial, rng, n):
+    return _jacobian_error(rng, n, finite_difference_tangent)
 
 
 @_check("tangent_jacobian_complex_step", "bundles", 1e-10)
-def _jacobian_complex_step(ctx: CheckContext, trials: int):
-    from .oracles import complex_step_tangent
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = min(16, ctx.dim(trial))
-        src, pt, dst, x, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
-        closed = transition_tangent(TangentVector(pt, Operator(x)), dst).direction.matrix
-        exact = complex_step_tangent(pt, dst, x)
-        scale = 1.0 + np.linalg.norm(closed)
-        worst.update(float(np.linalg.norm(closed - exact)) / scale, ctx.seed_tag(trial))
-    return worst.result()
+def _jacobian_complex_step(cfg, trial, rng, n):
+    return _jacobian_error(rng, n, complex_step_tangent)
 
 
 @_check("duality_invariance", "bundles", 1e-9)
-def _duality_invariance(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = min(16, ctx.dim(trial))
-        src, pt, dst, x, mu = _fiber_instance(rng, n, _subspace_dim(rng, n))
-        tangent = TangentVector(pt, Operator(x))
-        covector = Covector(pt, Operator(mu))
-        before = trace_pairing(covector, tangent)
-        after = trace_pairing(transition_cotangent(covector, dst),
-                              transition_tangent(tangent, dst))
-        worst.update(abs(after - before) / (1.0 + abs(before)), ctx.seed_tag(trial))
-    return worst.result()
+def _duality_invariance(cfg, trial, rng, n):
+    n = min(16, n)
+    _, pt, dst, x, mu = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    tangent = TangentVector(pt, Operator(x))
+    covector = Covector(pt, Operator(mu))
+    before = trace_pairing(covector, tangent)
+    after = trace_pairing(transition_cotangent(covector, dst),
+                          transition_tangent(tangent, dst))
+    return abs(after - before) / (1.0 + abs(before))
 
 
 @_check("cotangent_contravariance", "bundles", 1e-9)
-def _cotangent_contravariance(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = min(16, ctx.dim(trial))
-        pt, (c1, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
-        mu = Covector(pt, Operator(random_fiber_matrix(c1.f.dim, c1.g.dim, rng)))
-        through = transition_cotangent(transition_cotangent(mu, c2), c3)
-        direct = transition_cotangent(mu, c3)
-        scale = 1.0 + float(np.abs(direct.form.matrix).max(initial=0.0))
-        err = float(np.abs(through.form.matrix - direct.form.matrix).max(initial=0.0))
-        worst.update(err / scale, ctx.seed_tag(trial))
-    return worst.result()
+def _cotangent_contravariance(cfg, trial, rng, n):
+    n = min(16, n)
+    pt, (c1, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
+    mu = Covector(pt, Operator(random_fiber_matrix(c1.f.dim, c1.g.dim, rng)))
+    through = transition_cotangent(transition_cotangent(mu, c2), c3)
+    direct = transition_cotangent(mu, c3)
+    scale = 1.0 + _max_abs(direct.form.matrix)
+    return _max_abs(through.form.matrix - direct.form.matrix) / scale
 
 
 @_check("tensor_commuting_square", "bundles", 1e-10)
-def _tensor_commuting_square(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = min(16, ctx.dim(trial))
-        src, pt, dst, _, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
-        terms = tuple(
-            (random_fiber_matrix(src.f.dim, 1, rng)[:, 0],
-             random_fiber_matrix(src.g.dim, 1, rng)[:, 0])
-            for _ in range(3))
-        tc = TensorCovector(pt, terms)
-        factors = pushforward_factors(pt, dst)
-        tensor_route = tensor_to_operator(pushforward_tensor(tc, factors, dst))
-        operator_route = transition_cotangent(tensor_to_operator(tc), dst)
-        scale = 1.0 + float(np.abs(operator_route.form.matrix).max(initial=0.0))
-        err = float(np.abs(tensor_route.form.matrix
-                           - operator_route.form.matrix).max(initial=0.0))
-        worst.update(err / scale, ctx.seed_tag(trial))
-    return worst.result()
+def _tensor_commuting_square(cfg, trial, rng, n):
+    n = min(16, n)
+    src, pt, dst, _, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    terms = tuple(
+        (random_fiber_matrix(src.f.dim, 1, rng)[:, 0],
+         random_fiber_matrix(src.g.dim, 1, rng)[:, 0])
+        for _ in range(3))
+    tc = TensorCovector(pt, terms)
+    factors = pushforward_factors(pt, dst)
+    tensor_route = tensor_to_operator(pushforward_tensor(tc, factors, dst))
+    operator_route = transition_cotangent(tensor_to_operator(tc), dst)
+    scale = 1.0 + _max_abs(operator_route.form.matrix)
+    return _max_abs(tensor_route.form.matrix - operator_route.form.matrix) / scale
 
 
 @_check("pairing_bilinearity", "bundles", 1e-12)
-def _pairing_bilinearity(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        n = ctx.dim(trial)
-        chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
-        pt = random_chart_point(chart, rng)
-        kf, kg = chart.f.dim, chart.g.dim
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        beta = complex(rng.standard_normal(), rng.standard_normal())
-        x = TangentVector(pt, Operator(random_fiber_matrix(kg, kf, rng)))
-        y = TangentVector(pt, Operator(random_fiber_matrix(kg, kf, rng)))
-        mu = Covector(pt, Operator(random_fiber_matrix(kf, kg, rng)))
-        nu = Covector(pt, Operator(random_fiber_matrix(kf, kg, rng)))
-        combo = TangentVector(pt, Operator(alpha * x.direction.matrix
-                                           + beta * y.direction.matrix))
-        mixed = Covector(pt, Operator(alpha * mu.form.matrix + beta * nu.form.matrix))
-        tc = TensorCovector(pt, tuple(
-            (random_fiber_matrix(kf, 1, rng)[:, 0], random_fiber_matrix(kg, 1, rng)[:, 0])
-            for _ in range(2)))
-        lhs = trace_pairing(mu, combo)
-        rhs = alpha * trace_pairing(mu, x) + beta * trace_pairing(mu, y)
-        err = abs(lhs - rhs) / (1.0 + abs(rhs))
-        lhs2 = trace_pairing(mixed, x)
-        rhs2 = alpha * trace_pairing(mu, x) + beta * trace_pairing(nu, x)
-        err = max(err, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
-        lhs3 = tensor_pairing(combo, tc)
-        rhs3 = alpha * tensor_pairing(x, tc) + beta * tensor_pairing(y, tc)
-        err = max(err, abs(lhs3 - rhs3) / (1.0 + abs(rhs3)))
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+def _pairing_bilinearity(cfg, trial, rng, n):
+    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
+    pt = random_chart_point(chart, rng)
+    kf, kg = chart.f.dim, chart.g.dim
+    alpha = complex(rng.standard_normal(), rng.standard_normal())
+    beta = complex(rng.standard_normal(), rng.standard_normal())
+    x = TangentVector(pt, Operator(random_fiber_matrix(kg, kf, rng)))
+    y = TangentVector(pt, Operator(random_fiber_matrix(kg, kf, rng)))
+    mu = Covector(pt, Operator(random_fiber_matrix(kf, kg, rng)))
+    nu = Covector(pt, Operator(random_fiber_matrix(kf, kg, rng)))
+    combo = TangentVector(pt, Operator(alpha * x.direction.matrix
+                                       + beta * y.direction.matrix))
+    mixed = Covector(pt, Operator(alpha * mu.form.matrix + beta * nu.form.matrix))
+    tc = TensorCovector(pt, tuple(
+        (random_fiber_matrix(kf, 1, rng)[:, 0], random_fiber_matrix(kg, 1, rng)[:, 0])
+        for _ in range(2)))
+    lhs = trace_pairing(mu, combo)
+    rhs = alpha * trace_pairing(mu, x) + beta * trace_pairing(mu, y)
+    err = abs(lhs - rhs) / (1.0 + abs(rhs))
+    lhs2 = trace_pairing(mixed, x)
+    rhs2 = alpha * trace_pairing(mu, x) + beta * trace_pairing(nu, x)
+    err = max(err, abs(lhs2 - rhs2) / (1.0 + abs(rhs2)))
+    lhs3 = tensor_pairing(combo, tc)
+    rhs3 = alpha * tensor_pairing(x, tc) + beta * tensor_pairing(y, tc)
+    return max(err, abs(lhs3 - rhs3) / (1.0 + abs(rhs3)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,74 +319,51 @@ def _matched_charts(model, vd, rng):
 
 
 @_check("virtual_dim_invariance", "restricted", 0.0)
-def _virtual_dim_invariance(ctx: CheckContext, trials: int):
-    violations = 0
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        side = max(4, ctx.dim(trial) // 2)
-        model = PolarizedModel(side, side)
-        vd = (-2, -1, 0, 1, 2)[trial % 5]
-        point = generate_restricted_point(model, 1.0, DecayProfile.geometric(0.55),
-                                          virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
-        chart0, chart1 = _matched_charts(model, vd, rng)
-        pt = chart_forward(point.w, chart0)
-        moved = chart_inverse(transition_base(pt, chart1))
-        if (virtual_dimension(moved, model) != vd
-                or virtual_dimension_by_rank(moved, model) != vd):
-            violations += 1
-            worst.update(float(violations), ctx.seed_tag(trial))
-    return float(violations), worst.tag
+def _virtual_dim_invariance(cfg, trial, rng, n):
+    side = max(4, n // 2)
+    model = PolarizedModel(side, side)
+    vd = (-2, -1, 0, 1, 2)[trial % 5]
+    point = generate_restricted_point(model, 1.0, DecayProfile.geometric(0.55),
+                                      virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
+    chart0, chart1 = _matched_charts(model, vd, rng)
+    pt = chart_forward(point.w, chart0)
+    moved = chart_inverse(transition_base(pt, chart1))
+    return (virtual_dimension(moved, model) != vd
+            or virtual_dimension_by_rank(moved, model) != vd)
 
 
 @_check("diff_norm_unitary_invariance", "restricted", 1e-10)
-def _diff_norm_unitary(ctx: CheckContext, trials: int):
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        side = max(4, ctx.dim(trial) // 2)
-        model = PolarizedModel(side, side)
-        p = (1.0, 2.0)[trial % 2]
-        vd = (-1, 0, 1)[trial % 3]
-        point = generate_restricted_point(model, p, DecayProfile.geometric(0.6),
-                                          virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
-        u = polarization_preserving_unitary(side, side, rng)
-        rotated = membership_report(Subspace(u @ point.w.basis.matrix), model, p)
-        err = abs(rotated.diff_norm - point.diff_norm) / (1.0 + point.diff_norm)
-        worst.update(err, ctx.seed_tag(trial))
-    return worst.result()
+def _diff_norm_unitary(cfg, trial, rng, n):
+    side = max(4, n // 2)
+    model = PolarizedModel(side, side)
+    p = (1.0, 2.0)[trial % 2]
+    vd = (-1, 0, 1)[trial % 3]
+    point = generate_restricted_point(model, p, DecayProfile.geometric(0.6),
+                                      virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
+    u = polarization_preserving_unitary(side, side, rng)
+    rotated = membership_report(Subspace(u @ point.w.basis.matrix), model, p)
+    return abs(rotated.diff_norm - point.diff_norm) / (1.0 + point.diff_norm)
 
 
 @_check("membership_envelope", "restricted", 0.0)
-def _membership_envelope(ctx: CheckContext, trials: int):
-    violations = 0
-    worst = _Worst()
-    for trial in range(trials):
-        rng = ctx.rng(trial)
-        side = max(4, ctx.dim(trial) // 2)
-        model = PolarizedModel(side, side)
-        rate = float(rng.uniform(0.6, 0.8))
-        vd = (-2, -1, 0, 1, 2)[trial % 5]
-        point = generate_restricted_point(model, 1.0, DecayProfile.geometric(rate),
-                                          virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
-        ok = point.plus_conditioning > 0.05
-        a, b = point.minus_norm, point.diff_norm
-        if a > 1e-15 or b > 1e-15:
-            factor = max(a, b) / max(min(a, b), 1e-300)
-            ok &= factor <= 2.0 + point.diff_norm + 1e-9
-        if not ok:
-            violations += 1
-            worst.update(float(violations), ctx.seed_tag(trial))
-    return float(violations), worst.tag
+def _membership_envelope(cfg, trial, rng, n):
+    side = max(4, n // 2)
+    model = PolarizedModel(side, side)
+    rate = float(rng.uniform(0.6, 0.8))
+    vd = (-2, -1, 0, 1, 2)[trial % 5]
+    point = generate_restricted_point(model, 1.0, DecayProfile.geometric(rate),
+                                      virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
+    ok = point.plus_conditioning > 0.05
+    a, b = point.minus_norm, point.diff_norm
+    if a > 1e-15 or b > 1e-15:
+        factor = max(a, b) / max(min(a, b), 1e-300)
+        ok &= factor <= 2.0 + point.diff_norm + 1e-9
+    return not ok
 
 
 @_check("ladder_embedding_exact", "restricted", 0.0, trials=1)
-def _ladder_embedding(ctx: CheckContext, trials: int):
+def _ladder_embedding(cfg, trial, rng, n):
     # build_truncation_ladder raises LadderMismatch unless the rungs nest bit for bit
-    dims = [(d, d) for d in ctx.cfg.ladder]
-    try:
-        build_truncation_ladder(dims, 1.0, DecayProfile.geometric(0.5),
-                                virtual_dim=0, seed=ctx.cfg.seed)
-    except LadderMismatch:
-        return 1.0, ctx.seed_tag(0)
-    return 0.0, None
+    build_truncation_ladder([(d, d) for d in cfg.ladder], 1.0, DecayProfile.geometric(0.5),
+                            virtual_dim=0, seed=cfg.seed)
+    return False

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError
+import numpy as np
+
+from ..errors import ConfigError, GrassAtlasError
+from ..sampling import derive_rng
 from ..serialize import canonical_json
 from . import checks as _checks
 
@@ -48,11 +52,45 @@ class CheckResult:
     tolerance: float
     passed: bool
     worst_seed: str | None = None
+    raised: str | None = None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "trials": self.trials,
-                "max_abs_error": self.max_abs_error, "tolerance": self.tolerance,
-                "pass": self.passed, "worst_seed": self.worst_seed}
+        entry = {"name": self.name, "trials": self.trials,
+                 "max_abs_error": self.max_abs_error, "tolerance": self.tolerance,
+                 "pass": self.passed, "worst_seed": self.worst_seed}
+        if self.raised is not None:
+            entry["raised"] = self.raised
+        return entry
+
+
+def _run_trials(cfg: SuiteConfig, index: int, check: _checks.CheckDef,
+                trials: int) -> tuple[float, str | None, str | None]:
+    """Worst error, its seed tag and any raised exception over a check's trials.
+
+    An error check keeps the first trial that reaches the maximum, counting a
+    NaN error as +inf.  An exact check (registry tolerance zero) counts the
+    trials that violated the invariant and keeps the last one.  A trial that
+    raises ends the check with error +inf at that trial.
+    """
+    exact = check.tolerance == 0.0
+    error, worst = 0.0, None
+    for trial in range(trials):
+        tag = f"{cfg.seed}.{index}.{trial}"
+        rng = derive_rng(cfg.seed, index, trial)
+        try:
+            outcome = check.fn(cfg, trial, rng, cfg.dims[trial % len(cfg.dims)])
+        except (GrassAtlasError, np.linalg.LinAlgError) as exc:
+            return math.inf, tag, f"{type(exc).__name__}: {exc}"
+        if exact:
+            if outcome:
+                error, worst = error + 1.0, tag
+            continue
+        value = float(outcome)
+        if math.isnan(value):
+            value = math.inf
+        if value > error:
+            error, worst = value, tag
+    return error, worst, None
 
 
 def run_suite(cfg: SuiteConfig) -> list[CheckResult]:
@@ -61,12 +99,11 @@ def run_suite(cfg: SuiteConfig) -> list[CheckResult]:
     for index, check in enumerate(_checks.registry()):
         if cfg.suite != "all" and check.suite != cfg.suite:
             continue
-        ctx = _checks.CheckContext(cfg, index)
         trials = check.pinned_trials if check.pinned_trials else cfg.trials
-        error, worst = check.fn(ctx, trials)
-        tolerance = cfg.tolerances.get(check.name, check.tolerance)
-        results.append(CheckResult(check.name, trials, float(error), float(tolerance),
-                                   float(error) <= float(tolerance), worst))
+        error, worst, raised = _run_trials(cfg, index, check, trials)
+        tolerance = float(cfg.tolerances.get(check.name, check.tolerance))
+        results.append(CheckResult(check.name, trials, error, tolerance,
+                                   error <= tolerance, worst, raised))
     return results
 
 
@@ -81,8 +118,11 @@ def emit_report(cfg: SuiteConfig, results: list[CheckResult],
         lines = []
         for r in results:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status} {r.name}: max_abs_error={r.max_abs_error:.6e} "
-                         f"tolerance={r.tolerance:.1e} trials={r.trials}")
+            line = (f"{status} {r.name}: max_abs_error={r.max_abs_error:.6e} "
+                    f"tolerance={r.tolerance:.1e} trials={r.trials}")
+            if r.raised is not None:
+                line += f" raised={r.raised} at {r.worst_seed}"
+            lines.append(line)
         passed = sum(r.passed for r in results)
         lines.append(f"{passed}/{len(results)} checks passed")
         return "\n".join(lines)

@@ -1,10 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from grassatlas.errors import ConfigError
-from grassatlas.verify import SuiteConfig, emit_report, run_suite
-from grassatlas.verify.checks import registry
+from grassatlas.atlas import ChartPoint, DomainCheck
+from grassatlas.errors import ConfigError, SplitFailure
+from grassatlas.operators import Operator
+from grassatlas.verify import SuiteConfig, checks, emit_report, run_suite
+from grassatlas.verify.checks import CheckDef, registry
 from grassatlas.verify.cli import main, read_config_file
 
 EXPECTED_CHECKS = {
@@ -152,3 +156,76 @@ def test_cli_rejects_unknown_config_key(tmp_path, content):
     if content is not None:
         cfg_path.write_text(content, encoding="utf-8")
     assert main(["--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("tolerance, outcomes, pinned, expected, worst", [
+    (1e-2, [1e-3, 2e-3, 2e-3], None, 2e-3, "9.0.1"),
+    (1e-2, [0.1, math.nan, 0.5], None, math.inf, "9.0.1"),
+    (0.0, [False, True, False, True], None, 2.0, "9.0.3"),
+    (1e-2, [5e-3], 1, 5e-3, "9.0.0"),
+], ids=["first-strict-max", "nan-is-inf", "exact-counts", "pinned-once"])
+def test_trial_loop_semantics(monkeypatch, tolerance, outcomes, pinned, expected, worst):
+    calls = []
+
+    def body(cfg, trial, rng, n):
+        calls.append((trial, n))
+        return outcomes[trial]
+
+    fake = CheckDef("fake", "atlas", tolerance, body, pinned)
+    monkeypatch.setattr(checks, "registry", lambda: (fake,))
+    trials = 5 if pinned else len(outcomes)
+    (result,) = run_suite(SuiteConfig(suite="atlas", dims=(4, 6), trials=trials, seed=9))
+    assert result.max_abs_error == expected
+    assert result.worst_seed == worst
+    assert result.trials == len(outcomes) == len(calls)
+    assert calls == [(t, (4, 6)[t % 2]) for t in range(len(outcomes))]
+    assert result.passed == (expected <= tolerance)
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    def nan_transition(pt, target, *args, **kwargs):
+        shape = (target.g.dim, target.f.dim)
+        return ChartPoint(target, Operator(np.full(shape, np.nan)))
+
+    monkeypatch.setattr(checks, "transition_base", nan_transition)
+    cfg = SuiteConfig(suite="atlas", dims=(6,), trials=3, seed=42)
+    result = next(r for r in run_suite(cfg) if r.name == "transition_consistency")
+    assert not result.passed
+    assert result.max_abs_error == math.inf
+    assert result.worst_seed == "42.6.0"
+    entry = json.loads(emit_report(cfg, [result], format="json"))["checks"][0]
+    assert entry["max_abs_error"] is None and "raised" not in entry
+
+
+@pytest.mark.parametrize("exc", [SplitFailure("no chart"), np.linalg.LinAlgError("singular")],
+                         ids=["SplitFailure", "LinAlgError"])
+def test_raising_trial_fails_its_check_only(monkeypatch, tmp_path, exc):
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(checks, "random_chart_containing", raising)
+    out = tmp_path / "report.json"
+    code = main(["--suite", "atlas", "--dim", "6", "--trials", "3", "--seed", "42",
+                 "--format", "json", "--out", str(out)])
+    assert code == 1
+    entries = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert set(entries) == EXPECTED_CHECKS["atlas"]
+    failed = {name for name, c in entries.items() if not c["pass"]}
+    assert failed == {"chart_roundtrip_subspace", "transition_consistency",
+                      "transition_cocycle"}
+    subspace = entries["chart_roundtrip_subspace"]
+    assert subspace["max_abs_error"] is None
+    assert subspace["worst_seed"] == "42.5.0"
+    assert subspace["raised"] == f"{type(exc).__name__}: {exc}"
+    assert all("raised" not in c for c in entries.values() if c["pass"])
+
+    cfg = SuiteConfig(suite="atlas", dims=(6,), trials=1, seed=42)
+    text = emit_report(cfg, run_suite(cfg), format="text")
+    assert f"raised={type(exc).__name__}: {exc} at 42.5.0" in text
+
+
+def test_hilbert_specialization_redraw_is_bounded(monkeypatch):
+    monkeypatch.setattr(checks, "in_chart_domain", lambda h, chart: DomainCheck(True, 0.0))
+    (hilbert,) = [d for d in registry() if d.name == "hilbert_specialization"]
+    with pytest.raises(SplitFailure):
+        hilbert.fn(SuiteConfig(), 0, np.random.default_rng(0), 4)
