@@ -3,13 +3,14 @@
 A chart is indexed by an ordered complementary pair (F, G).  The chart sends a
 subspace H complementary to G to the coordinate matrix of the operator F -> G
 whose graph is H.  Two flavors exist: the general split pair, and the Hilbert
-flavor where G is pinned to the orthogonal complement of F.
+flavor where G is pinned to the orthogonal complement of F.  A chart caches its
+coordinate rows, the row blocks of M^{-1} for M = [B_F | B_G], not projectors:
+every chart coordinate and transition block is a product against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +80,8 @@ class Subspace:
         """Operator-norm distance between the orthogonal projectors."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
+        if other is self:
+            return 0.0
         return float(np.linalg.norm(self.projector.matrix - other.projector.matrix, 2))
 
     def is_same(self, other: "Subspace", tol: float = DEFAULT_TOL_EQ) -> bool:
@@ -90,7 +93,7 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class ChartId:
-    """Ordered complementary pair (F, G) indexing a chart."""
+    """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors."""
 
     f: Subspace
     g: Subspace
@@ -106,23 +109,23 @@ class ChartId:
             raise SplitFailure(
                 f"chart pair dims {self.f.dim} + {self.g.dim} do not fill ambient "
                 f"{self.f.ambient_dim}")
-        # materializes the oblique projections and raises SplitFailure if singular
-        self._projections
+        rows_f, rows_g = self.f.basis.matrix.conj().T, self.g.basis.matrix.conj().T
         if self.flavor == "hilbert":
             # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine
-            # of the largest principal angle between G and F-perp
-            gap = np.linalg.norm(self.f.basis.matrix.conj().T @ self.g.basis.matrix, 2)
+            # of the largest principal angle between G and F-perp; past the check M
+            # is unitary and its inverse rows are the adjoint bases
+            gap = np.linalg.norm(rows_f @ self.g.basis.matrix, 2)
             if gap > DEFAULT_TOL_EQ:
                 raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
+        else:
+            # raises SplitFailure when the pair is numerically singular
+            onto_f, onto_g = oblique_projections(self.f, self.g, tol_split=self.tol_split)
+            rows_f, rows_g = rows_f @ onto_f.matrix, rows_g @ onto_g.matrix
+        object.__setattr__(self, "_rows", (rows_f, rows_g))
 
     @classmethod
     def hilbert(cls, v: Subspace) -> "ChartId":
         return cls(v, v.complement(), flavor="hilbert")
-
-    @cached_property
-    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
-        onto_f, onto_g = oblique_projections(self.f, self.g, tol_split=self.tol_split)
-        return onto_f.matrix, onto_g.matrix
 
     @property
     def ambient_dim(self) -> int:
@@ -173,7 +176,8 @@ def _require_domain(cond: float, tol_domain: float | None, what: str) -> None:
     """Raise :class:`ChartDomainViolation` when ``cond`` is at or below the domain tolerance."""
     tol = _domain_tol(tol_domain)
     if cond <= tol:
-        raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})")
+        raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})",
+                                   conditioning=cond, tol=tol)
 
 
 def _graph_conditioning(chart: ChartId, coord: np.ndarray, denom: np.ndarray) -> float:
@@ -199,11 +203,9 @@ def _restricted_projection(h: Subspace, chart: ChartId) -> tuple[np.ndarray, np.
     if h.dim != chart.f.dim:
         raise DimensionMismatch(
             f"subspace dim {h.dim} differs from chart dim {chart.f.dim}")
-    onto_f, onto_g = chart._projections
+    rows_f, rows_g = chart._rows
     bh = h.basis.matrix
-    c = chart.f.basis.matrix.conj().T @ (onto_f @ bh)
-    d = chart.g.basis.matrix.conj().T @ (onto_g @ bh)
-    return c, d
+    return rows_f @ bh, rows_g @ bh
 
 
 def in_chart_domain(h: Subspace, chart: ChartId,
@@ -267,12 +269,9 @@ def chart_inverse(pt: ChartPoint) -> Subspace:
 
 def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
     """Coordinate blocks of the destination projections against source bases."""
-    onto_f, onto_g = dst._projections
+    rows_f, rows_g = dst._rows
     bf, bg = src.f.basis.matrix, src.g.basis.matrix
-    bfd = dst.f.basis.matrix.conj().T
-    bgd = dst.g.basis.matrix.conj().T
-    return (bfd @ onto_f @ bf, bfd @ onto_f @ bg,
-            bgd @ onto_g @ bf, bgd @ onto_g @ bg)
+    return rows_f @ bf, rows_f @ bg, rows_g @ bf, rows_g @ bg
 
 
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None):
@@ -304,7 +303,7 @@ def transition_base(pt: ChartPoint, target: ChartId,
     """Base-manifold transition: re-express a chart point in the target chart.
 
     Closed form in block coordinates: A' = (c + d A)(a + b A)^{-1} with the
-    blocks built from the target chart's projections applied to the source
+    blocks built from the target chart's coordinate rows applied to the source
     bases.  Agrees with the graph route
     ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
     """

@@ -186,20 +186,19 @@ def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray, tol: float) -> None:
     kg_t = pairs[0][1].shape[1] if pairs else l_r.shape[1]
     kf_t = pairs[0][0].shape[0] if pairs else s_r.shape[0]
     scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
+    # rank-one probes u v^T cost matrix-vector work: T (u v^T) S = (T u)(v^T S)
     if kg_t * kf_t <= 256:
-        probes = [np.zeros((kg_t, kf_t), complex) for _ in range(kg_t * kf_t)]
-        for idx, probe in enumerate(probes):
-            probe[idx // kf_t, idx % kf_t] = 1.0
+        probes = [(u, v) for u in np.eye(kg_t) for v in np.eye(kf_t)]
     else:
         # fibers too large for the elementary basis: seeded random probes
         rng = np.random.default_rng(0)
-        probes = [rng.standard_normal((kg_t, kf_t)) + 1j * rng.standard_normal((kg_t, kf_t))
-                  for _ in range(16)]
+        gauss = rng.standard_normal((16, kg_t + kf_t)) + 1j * rng.standard_normal((16, kg_t + kf_t))
+        probes = [(row[:kg_t], row[kg_t:]) for row in gauss]
     worst = 0.0
-    for probe in probes:
-        expected = l_r @ probe @ s_r
-        provided = sum(t @ probe @ s for s, t in pairs) if pairs else np.zeros_like(expected)
-        worst = max(worst, float(np.abs(provided - expected).max(initial=0.0)))
+    for u, v in probes:
+        provided = sum(np.outer(t @ u, v @ s) for s, t in pairs)
+        deviation = np.abs(provided - np.outer(l_r @ u, v @ s_r))
+        worst = max(worst, float(deviation.max(initial=0.0)))
     if worst > tol * scale:
         raise FactorMismatch(
             f"factors deviate from the tangent fiber map by {worst:.3e} on probes")

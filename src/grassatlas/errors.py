@@ -13,11 +13,25 @@ class PairingMismatch(GrassAtlasError, ArithmeticError):
     """The two trace orders of a duality pairing disagree beyond roundoff."""
 
 
-class SplitFailure(GrassAtlasError):
+class _ConditioningError(GrassAtlasError):
+    """An error raised on a conditioning measurement, which it carries as fields.
+
+    ``conditioning`` is the measured value and ``tol`` the threshold it failed;
+    both are ``None`` where the raising site measured no conditioning.
+    """
+
+    def __init__(self, message: str, conditioning: float | None = None,
+                 tol: float | None = None):
+        super().__init__(message)
+        self.conditioning = conditioning
+        self.tol = tol
+
+
+class SplitFailure(_ConditioningError):
     """A pair of subspaces is not (numerically) complementary."""
 
 
-class ChartDomainViolation(GrassAtlasError):
+class ChartDomainViolation(_ConditioningError):
     """A subspace lies outside a chart domain, or too close to its boundary."""
 
 

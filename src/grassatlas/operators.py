@@ -241,8 +241,9 @@ def oblique_projections(f, g, tol_split: float | None = None) -> tuple[Operator,
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
     sv = np.linalg.svd(block, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
-        raise SplitFailure(
-            f"subspaces are not complementary: conditioning {sv[-1] / max(sv[0], _EPS):.3e}")
+        cond = float(sv[-1] / max(sv[0], _EPS))
+        raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
+                           conditioning=cond, tol=tol)
     bf, bg = as_matrix(f), as_matrix(g)
     kf = bf.shape[1]
     inv = np.linalg.solve(block, np.eye(n))

@@ -24,8 +24,8 @@ from ..bundles import (Covector, TangentVector, TensorCovector,
                        tensor_to_operator, trace_pairing, transition_cotangent,
                        transition_tangent)
 from ..errors import ChartDomainViolation, SplitFailure
-from ..operators import (DecayProfile, Operator, haar_frame, operator_norm,
-                         schatten_norm)
+from ..operators import (DecayProfile, Operator, haar_frame, oblique_projections,
+                         operator_norm, schatten_norm)
 from ..restricted import (PolarizedModel, _graph_point, build_truncation_ladder,
                           generate_restricted_point, membership_report,
                           virtual_dimension, virtual_dimension_by_rank)
@@ -89,7 +89,8 @@ def _chart_chain(rng, n, k, count=3, scale=0.4, tries=60):
 @_check("projection_identities", "atlas", 1e-12)
 def _projection_identities(cfg, trial, rng, n):
     chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-3)
-    onto_f, onto_g = chart._projections
+    onto_f, onto_g = (p.matrix for p in oblique_projections(chart.f, chart.g,
+                                                             tol_split=chart.tol_split))
     scale = 1.0 + np.linalg.norm(onto_f, 2)
     return max(
         np.linalg.norm(onto_f @ onto_f - onto_f, 2),

@@ -296,3 +296,77 @@ def test_roundtrip_property(seed, n):
     pt = random_chart_point(chart, rng)
     back = ga.chart_forward(ga.chart_inverse(pt), chart)
     assert float(np.abs(back.coord.matrix - pt.coord.matrix).max()) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# coordinate rows against the projector formulas
+
+def _projector_blocks(src, dst):
+    """Transition blocks B_dst^H P B_src through the dense oblique projectors."""
+    onto_f, onto_g = (p.matrix for p in ga.oblique_projections(dst.f, dst.g))
+    bfd, bgd = dst.f.basis.matrix.conj().T, dst.g.basis.matrix.conj().T
+    bf, bg = src.f.basis.matrix, src.g.basis.matrix
+    return (bfd @ onto_f @ bf, bfd @ onto_f @ bg, bgd @ onto_g @ bf, bgd @ onto_g @ bg)
+
+
+def _projector_coordinates(h, chart):
+    """Restricted projection (C, D) = (B_F^H (P_F B_H), B_G^H (P_G B_H))."""
+    onto_f, onto_g = (p.matrix for p in ga.oblique_projections(chart.f, chart.g))
+    bh = h.basis.matrix
+    return (chart.f.basis.matrix.conj().T @ (onto_f @ bh),
+            chart.g.basis.matrix.conj().T @ (onto_g @ bh))
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("flavors", [("split", "split"), ("hilbert", "split"),
+                                     ("split", "hilbert")])
+def test_coordinate_rows_match_projector_formulas(n, flavors):
+    from grassatlas.atlas import _restricted_projection, _transition_blocks
+    rng = _rng(7000 + n)
+    k = n // 2 - 1
+    src, dst = (random_chart(n, k, rng, flavor=flavor, min_conditioning=1e-2)
+                for flavor in flavors)
+    for got, want in zip(_transition_blocks(src, dst), _projector_blocks(src, dst)):
+        assert np.abs(got - want).max() <= 1e-12
+        # split rows are B^H P, so both routes multiply in the same order
+        assert dst.flavor == "hilbert" or np.array_equal(got, want)
+    h = random_subspace(n, k, rng)
+    for got, want in zip(_restricted_projection(h, dst), _projector_coordinates(h, dst)):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_hilbert_rows_match_split_chart_within_gap():
+    # G is F-perp with one vector tilted by 1e-12 toward F: the hilbert flavor
+    # accepts it and uses the adjoint bases as rows, the split flavor inverts M
+    rng = _rng(7100)
+    n, k, theta = 8, 3, 1e-12
+    f = random_subspace(n, k, rng)
+    perp = f.complement().basis.matrix.copy()
+    perp[:, 0] = math.cos(theta) * perp[:, 0] + math.sin(theta) * f.basis.matrix[:, 0]
+    g = ga.Subspace(perp)
+    hilbert, split = ga.ChartId(f, g, flavor="hilbert"), ga.ChartId(f, g)
+    h = ga.chart_inverse(random_chart_point(split, rng, scale=0.3))
+    assert_allclose(ga.chart_forward(h, hilbert).coord.matrix,
+                    ga.chart_forward(h, split).coord.matrix, rtol=0, atol=1e-10)
+    pt = ga.chart_forward(h, random_chart_containing(h, rng))
+    assert_allclose(ga.transition_base(pt, hilbert).coord.matrix,
+                    ga.transition_base(pt, split).coord.matrix, rtol=0, atol=1e-10)
+
+
+def test_conditioning_errors_carry_their_numbers():
+    chart = _coordinate_chart()
+    with pytest.raises(ChartDomainViolation) as domain:
+        ga.chart_forward(chart.g, chart)
+    assert domain.value.tol == ga.DEFAULT_TOL_DOMAIN
+    assert domain.value.conditioning <= domain.value.tol
+    assert str(domain.value) == ("subspace is outside the chart domain "
+                                 f"(conditioning {domain.value.conditioning:.3e} <= 1.0e-08)")
+    e1 = ga.Subspace(np.eye(2)[:, :1])
+    with pytest.raises(SplitFailure) as split:
+        ga.oblique_projections(e1, e1, tol_split=1e-6)
+    assert split.value.tol == 1e-6 and split.value.conditioning <= split.value.tol
+    assert str(split.value) == ("subspaces are not complementary: "
+                                f"conditioning {split.value.conditioning:.3e}")
+    with pytest.raises(SplitFailure) as dims:
+        ga.ChartId(e1, ga.Subspace(np.eye(2)))
+    assert dims.value.conditioning is None and dims.value.tol is None

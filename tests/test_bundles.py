@@ -332,3 +332,33 @@ def test_cotangent_contravariant_composition():
         worst = max(worst, float(np.abs(through.form.matrix
                                         - direct.form.matrix).max()) / scale)
     assert worst <= 1e-9
+
+
+def _near_chart_pair(n, k, seed):
+    """A hilbert source chart and a split target, both perturbations of one pair."""
+    rng = _rng(seed)
+    base = ga.haar_frame(n, k, rng)
+    perp = ga.Subspace(base).complement().basis.matrix
+
+    def perturbed(b):
+        return ga.Subspace.from_span(b + 0.05 * random_fiber_matrix(*b.shape, rng) / np.sqrt(n))
+
+    src = ga.ChartId.hilbert(perturbed(base))
+    dst = ga.ChartId(perturbed(base), perturbed(perp))
+    pt = ga.ChartPoint(src, ga.Operator(random_fiber_matrix(n - k, k, rng, 0.2 / np.sqrt(n))))
+    return pt, dst
+
+
+# n = 8 probes the 16 elementary directions; n = 40 has 400 > 256 and uses random
+# rank-one probes, which amplify a deviation by the probe entries
+@pytest.mark.parametrize("n, k, eps", [(8, 4, 3e-8), (40, 20, 3e-9)])
+def test_factor_check_rejects_perturbed_factors(n, k, eps):
+    pt, dst = _near_chart_pair(n, k, 800 + n)
+    tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, _rng(n))[:, 0],
+                                 random_fiber_matrix(n - k, 1, _rng(n + 1))[:, 0]),))
+    factors = ga.pushforward_factors(pt, dst)
+    ga.pushforward_tensor(tc, factors, dst)
+    (s, t), second = factors
+    perturbed = ((s, ga.Operator(t.matrix + eps * np.eye(*t.shape))), second)
+    with pytest.raises(FactorMismatch):
+        ga.pushforward_tensor(tc, perturbed, dst)
