@@ -180,18 +180,6 @@ def _require_domain(cond: float, tol_domain: float | None, what: str) -> None:
                                    conditioning=cond, tol=tol)
 
 
-def _graph_conditioning(chart: ChartId, coord: np.ndarray, denom: np.ndarray) -> float:
-    """Domain conditioning of a transition's solve matrix in the orthonormal gauge.
-
-    ``denom`` acts on the chart's F-basis coefficients of the graph of ``coord``;
-    re-expressing it against an orthonormal basis of that graph makes the
-    value agree with :func:`in_chart_domain`.
-    """
-    graph = chart.f.basis.matrix + chart.g.basis.matrix @ coord
-    r = np.linalg.qr(graph, mode="r")
-    return _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
-
-
 def _restricted_projection(h: Subspace, chart: ChartId) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate matrices of the chart projections restricted to H.
 
@@ -274,12 +262,24 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
     return rows_f @ bf, rows_f @ bg, rows_g @ bf, rows_g @ bg
 
 
-def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None):
-    """Shared core of the base/tangent transitions.
+class _Forward(NamedTuple):
+    """Forward transition data: A', denom = a + b A, (a, b, c, d), conditioning, source-graph R."""
 
-    Returns (A', denom, blocks, conditioning) where A' is the target chart
-    coordinate and denom = a + b A is the solve matrix of the transition.
-    """
+    coord: np.ndarray
+    denom: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    conditioning: float
+    r: np.ndarray
+
+    @property
+    def left(self) -> np.ndarray:
+        """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}."""
+        _, b, _, d = self.blocks
+        return d - self.coord @ b
+
+
+def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
+    """The one transition every base and bundle map evaluates."""
     src = pt.chart
     if src.ambient_dim != target.ambient_dim:
         raise DimensionMismatch("charts live in different ambient spaces")
@@ -290,12 +290,13 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     coord = pt.coord.matrix
     denom = a + b @ coord
     if denom.shape[0] == 0:
-        return np.zeros((target.g.dim, 0)), denom, (a, b, c, d), 1.0
-    cond = _graph_conditioning(src, coord, denom)
+        return _Forward(np.zeros((target.g.dim, 0)), denom, (a, b, c, d), 1.0, np.zeros((0, 0)))
+    # against the graph's QR basis, denom's conditioning agrees with in_chart_domain
+    r = np.linalg.qr(src.f.basis.matrix + src.g.basis.matrix @ coord, mode="r")
+    cond = _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
     _require_domain(cond, tol_domain, "graph leaves the target chart domain")
-    numer = c + d @ coord
-    aprime = np.linalg.solve(denom.T, numer.T).T
-    return aprime, denom, (a, b, c, d), cond
+    aprime = np.linalg.solve(denom.T, (c + d @ coord).T).T
+    return _Forward(aprime, denom, (a, b, c, d), cond, r)
 
 
 def transition_base(pt: ChartPoint, target: ChartId,
@@ -307,5 +308,4 @@ def transition_base(pt: ChartPoint, target: ChartId,
     bases.  Agrees with the graph route
     ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
     """
-    aprime, _, _, _ = _forward_transition(pt, target, tol_domain)
-    return ChartPoint(target, aprime)
+    return ChartPoint(target, _forward_transition(pt, target, tol_domain).coord)

@@ -1,16 +1,17 @@
 """Per-layer timer over the public API: charts, coordinates, transitions, pushforward.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        python -m grassatlas.bench --n 8,64,256,512 --out BENCH_5.json --label change
+        python -m grassatlas.bench --n 8,64,256,512 --out BENCH_6.json --label change
 
 At each n, with k = n/2, the timer builds charts near one seeded base pair and
 times chart construction (``ChartId.hilbert`` and a split ``ChartId``) and, with
 source and target charts of each flavor, ``chart_forward``, ``transition_base``,
-``transition_cotangent`` and ``pushforward_tensor``.  Each layer runs once
-untimed, then ``REPEATS`` timed calls; the median and interquartile range in
-milliseconds go under ``columns[LABEL]`` of the output file, next to the numpy
-and BLAS versions, the CPU count and the thread pins.  Columns already in the
-file are kept, so one file holds the timings of several checkouts.
+``transition_tangent``, ``transition_cotangent``, ``pushforward_factors`` and
+``pushforward_tensor``.  Each layer runs once untimed, then ``REPEATS`` timed
+calls; the median and interquartile range in milliseconds go under
+``columns[LABEL]`` of the output file, next to the numpy and BLAS versions, the
+CPU count and the thread pins.  Columns already in the file are kept, so one
+file holds the timings of several checkouts.
 
 The thread pins are recorded, not set: BLAS reads them when numpy is first
 imported, which happens before this module runs.
@@ -67,14 +68,20 @@ def _layers(n: int) -> dict:
         pt = ga.ChartPoint(src, ga.Operator(coord))
         h = ga.chart_inverse(pt)
         covector = ga.Covector(pt, ga.Operator(_cgauss(rng, (k, n - k))))
+        # the covector's entries, transposed: a fresh draw would shift every later instance
+        tangent = ga.TangentVector(pt, covector.form.transpose())
         tensor = ga.TensorCovector(pt, tuple((_cgauss(rng, k), _cgauss(rng, n - k))
                                              for _ in range(3)))
         factors = ga.pushforward_factors(pt, dst)
         calls.update({
             f"chart_forward[{flavor}]": lambda h=h, dst=dst: ga.chart_forward(h, dst),
             f"transition_base[{flavor}]": lambda pt=pt, dst=dst: ga.transition_base(pt, dst),
+            f"transition_tangent[{flavor}]":
+                lambda v=tangent, dst=dst: ga.transition_tangent(v, dst),
             f"transition_cotangent[{flavor}]":
                 lambda c=covector, dst=dst: ga.transition_cotangent(c, dst),
+            f"pushforward_factors[{flavor}]":
+                lambda pt=pt, dst=dst: ga.pushforward_factors(pt, dst),
             f"pushforward_tensor[{flavor}]":
                 lambda tc=tensor, fs=factors, dst=dst: ga.pushforward_tensor(tc, fs, dst),
         })

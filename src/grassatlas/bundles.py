@@ -8,8 +8,8 @@ Fiber conventions at a chart point over the pair (F, G):
   F-coordinates and y identified with G-coordinates through the chosen basis.
 
 Dual maps are bilinear transposes for the trace pairing, never Hermitian
-adjoints: the cotangent transition is the plain transpose of the
-reverse-direction tangent fiber map.
+adjoints: the cotangent transition is the plain transpose of the inverse of
+the forward tangent fiber map, derived from it rather than re-evaluated.
 """
 
 from __future__ import annotations
@@ -105,38 +105,36 @@ def transition_tangent(v: TangentVector, target: ChartId,
     in closed form from the product-rule expansion of the solve:
     ``X -> (d - A' b) X (a + b A)^{-1}``.
     """
-    aprime, denom, (a, b, c, d), _ = atlas._forward_transition(v.at, target, tol_domain)
-    left = d - aprime @ b
-    pushed = np.linalg.solve(denom.T, (left @ v.direction.matrix).T).T
-    return TangentVector(ChartPoint(target, aprime), pushed)
+    fwd = atlas._forward_transition(v.at, target, tol_domain)
+    pushed = np.linalg.solve(fwd.denom.T, (fwd.left @ v.direction.matrix).T).T
+    return TangentVector(ChartPoint(target, fwd.coord), pushed)
 
 
-def _reverse_fiber(pt: ChartPoint, target: ChartId, tol_domain: float | None):
-    """Data of the inverse-direction tangent fiber map, evaluated at the image point.
+def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None):
+    """The forward transition, once the inverse map's domain is checked as well.
 
-    Returns (A', M_r, L_r, b_r, d_r): the reverse fiber map sends a
-    target-chart tangent X' to ``L_r X' M_r^{-1}`` back in the source chart;
-    b_r and d_r are the raw blocks its two-term factorization is built from.
+    With B_F + B_G A = Q R the source chart sees the graph through R^{-1}, so the
+    margin is 1/|R|_2; as |R|_2 <= |R|_F, a passing Frobenius bound needs no SVD.
     """
-    aprime, _, _, _ = atlas._forward_transition(pt, target, tol_domain)
-    a_r, b_r, _, d_r = atlas._transition_blocks(target, pt.chart)
-    m_r = a_r + b_r @ aprime
-    atlas._require_domain(atlas._graph_conditioning(target, aprime, m_r), tol_domain,
-                          "reverse transition leaves the chart domain")
-    l_r = d_r - pt.coord.matrix @ b_r
-    return aprime, m_r, l_r, b_r, d_r
+    fwd = atlas._forward_transition(pt, target, tol_domain)
+    if fwd.r.size and 1.0 / np.linalg.norm(fwd.r) <= atlas._domain_tol(tol_domain):
+        atlas._require_domain(1.0 / float(np.linalg.norm(fwd.r, 2)), tol_domain,
+                              "reverse transition leaves the chart domain")
+    return fwd
 
 
 def transition_cotangent(c: Covector, target: ChartId,
                          tol_domain: float | None = None) -> Covector:
     """Push a covector to another chart as the dual of the inverse tangent map.
 
-    With the reverse fiber map ``X' -> L_r X' M_r^{-1}``, the trace pairing
-    forces ``mu' = M_r^{-1} mu L_r``; the class tag travels unchanged.
+    The inverse fiber map is ``X' -> L_r X' S`` with S = a + b A, the forward
+    ``denom``, and L_r = (d - A' b)^{-1}, so the trace pairing forces
+    ``mu' = S mu L_r``; the class tag travels unchanged.  The inverse map's
+    domain check reads the forward QR (:func:`_invertible_transition`).
     """
-    aprime, m_r, l_r, _, _ = _reverse_fiber(c.at, target, tol_domain)
-    pushed = np.linalg.solve(m_r, c.form.matrix) @ l_r
-    return Covector(ChartPoint(target, aprime), pushed,
+    fwd = _invertible_transition(c.at, target, tol_domain)
+    pushed = np.linalg.solve(fwd.left.T, (fwd.denom @ c.form.matrix).T).T
+    return Covector(ChartPoint(target, fwd.coord), pushed,
                     class_tag=c.class_tag, metadata=c.metadata)
 
 
@@ -145,13 +143,15 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
                         ) -> tuple[tuple[Operator, Operator], ...]:
     """Left/right multiplier pairs (S_j, T_j) of the inverse tangent fiber map.
 
-    The reverse map factors as ``X' -> T_1 X' S_1 + T_2 X' S_2`` straight from
-    the product rule: T_1 is the G'-to-G block, T_2 = -A b_r, and both share
-    S = M_r^{-1}.  These are the factors consumed by :func:`pushforward_tensor`.
+    The inverse map factors as ``X' -> T_1 X' S + T_2 X' S`` by the product
+    rule: S = a + b A is the forward ``denom``, T_1 = d_r = R_G B_G' and
+    T_2 = -A b_r with b_r = R_F B_G', from the source chart's rows.  Domain
+    checks as in :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`.
     """
-    _, m_r, _, b_r, d_r = _reverse_fiber(pt, target, tol_domain)
-    s = Operator(np.linalg.solve(m_r, np.eye(m_r.shape[0])))
-    return ((s, Operator(d_r)), (s, Operator(-(pt.coord.matrix @ b_r))))
+    fwd = _invertible_transition(pt, target, tol_domain)
+    (rows_f, rows_g), bg = pt.chart._rows, target.g.basis.matrix
+    s = Operator(fwd.denom)
+    return ((s, Operator(rows_g @ bg)), (s, Operator(-(pt.coord.matrix @ (rows_f @ bg)))))
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -171,20 +171,19 @@ def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Ope
                        factor_tol: float = 1e-8) -> TensorCovector:
     """Push a tensor covector through a chart change in rank-one form.
 
-    The supplied factors must realize the inverse-direction tangent fiber map;
-    they are checked against it on a probe basis and rejected with
-    :class:`FactorMismatch` otherwise.
+    The supplied factors must realize the inverse tangent fiber map: probes check
+    them against L_r = (d - A' b)^{-1} and S = a + b A from the forward blocks, a
+    route independent of the reverse blocks they come from, and reject them with
+    :class:`FactorMismatch`.  Domain checks as in :func:`transition_cotangent`.
     """
-    aprime, m_r, l_r, _, _ = _reverse_fiber(tc.at, target, tol_domain)
-    s_r = np.linalg.solve(m_r, np.eye(m_r.shape[0]))
+    fwd = _invertible_transition(tc.at, target, tol_domain)
     pairs = [(as_matrix(s), as_matrix(t)) for s, t in factors]
-    _check_factors(pairs, l_r, s_r, factor_tol)
-    return TensorCovector(ChartPoint(target, aprime), tensor_pushforward_terms(tc.terms, pairs))
+    _check_factors(pairs, np.linalg.inv(fwd.left), fwd.denom, factor_tol)
+    return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, pairs))
 
 
 def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray, tol: float) -> None:
-    kg_t = pairs[0][1].shape[1] if pairs else l_r.shape[1]
-    kf_t = pairs[0][0].shape[0] if pairs else s_r.shape[0]
+    kg_t, kf_t = l_r.shape[1], s_r.shape[0]
     scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
     # rank-one probes u v^T cost matrix-vector work: T (u v^T) S = (T u)(v^T S)
     if kg_t * kf_t <= 256:

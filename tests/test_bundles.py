@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas.errors import (ChartMismatch, DimensionMismatch, FactorMismatch,
-                               GrassAtlasError, PairingMismatch)
+from grassatlas import atlas
+from grassatlas.errors import (ChartDomainViolation, ChartMismatch, DimensionMismatch,
+                               FactorMismatch, GrassAtlasError, PairingMismatch)
 from grassatlas.sampling import (random_chart, random_chart_containing,
                                  random_chart_point, random_fiber_matrix)
 from grassatlas.verify.oracles import complex_step_tangent, finite_difference_tangent
@@ -334,8 +335,8 @@ def test_cotangent_contravariant_composition():
     assert worst <= 1e-9
 
 
-def _near_chart_pair(n, k, seed):
-    """A hilbert source chart and a split target, both perturbations of one pair."""
+def _near_chart_pair(n, k, seed, flavors=("hilbert", "split")):
+    """Source and target charts of the given flavors, all perturbations of one pair."""
     rng = _rng(seed)
     base = ga.haar_frame(n, k, rng)
     perp = ga.Subspace(base).complement().basis.matrix
@@ -343,8 +344,12 @@ def _near_chart_pair(n, k, seed):
     def perturbed(b):
         return ga.Subspace.from_span(b + 0.05 * random_fiber_matrix(*b.shape, rng) / np.sqrt(n))
 
-    src = ga.ChartId.hilbert(perturbed(base))
-    dst = ga.ChartId(perturbed(base), perturbed(perp))
+    def chart(flavor):
+        if flavor == "hilbert":
+            return ga.ChartId.hilbert(perturbed(base))
+        return ga.ChartId(perturbed(base), perturbed(perp))
+
+    src, dst = chart(flavors[0]), chart(flavors[1])
     pt = ga.ChartPoint(src, ga.Operator(random_fiber_matrix(n - k, k, rng, 0.2 / np.sqrt(n))))
     return pt, dst
 
@@ -362,3 +367,117 @@ def test_factor_check_rejects_perturbed_factors(n, k, eps):
     perturbed = ((s, ga.Operator(t.matrix + eps * np.eye(*t.shape))), second)
     with pytest.raises(FactorMismatch):
         ga.pushforward_tensor(tc, perturbed, dst)
+
+
+# ---------------------------------------------------------------------------
+# inverse fiber data derived from the forward transition
+
+def _relative_gap(got, want):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    return float(np.abs(got - want).max(initial=0.0)) / scale
+
+
+@pytest.mark.parametrize("n, k, flavors", [
+    *((n, n // 2, flavors) for n in (8, 32)
+      for flavors in (("split", "split"), ("hilbert", "split"), ("split", "hilbert"))),
+    (8, 1, ("split", "split")), (8, 7, ("split", "split")),
+    (6, 0, ("split", "hilbert")), (6, 6, ("hilbert", "split")),
+])
+def test_derived_inverse_data_matches_reverse_blocks(n, k, flavors):
+    # the explicit route re-evaluates the transition from the target chart back
+    pt, dst = _near_chart_pair(n, k, 900 + n + k, flavors)
+    fwd = atlas._forward_transition(pt, dst, None)
+    a_r, b_r, _, d_r = atlas._transition_blocks(dst, pt.chart)
+    m_r = a_r + b_r @ fwd.coord
+    l_r = d_r - pt.coord.matrix @ b_r
+    assert _relative_gap(fwd.denom @ m_r, np.eye(k)) <= 1e-12
+    assert _relative_gap(fwd.left @ l_r, np.eye(n - k)) <= 1e-12
+    mu = random_fiber_matrix(k, n - k, _rng(n + k))
+    moved = ga.transition_cotangent(ga.Covector(pt, mu), dst)
+    assert moved.form.shape == (k, n - k)
+    assert _relative_gap(moved.form.matrix, np.linalg.solve(m_r, mu) @ l_r) <= 1e-12
+    tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, _rng(1))[:, 0],
+                                 random_fiber_matrix(n - k, 1, _rng(2))[:, 0]),))
+    pushed = ga.pushforward_tensor(tc, ga.pushforward_factors(pt, dst), dst)
+    via_cotangent = ga.transition_cotangent(ga.tensor_to_operator(tc), dst)
+    assert _relative_gap(ga.tensor_to_operator(pushed).form.matrix,
+                         via_cotangent.form.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_domain_conditioning_is_the_source_chart_margin(seed):
+    rng = _rng(950 + seed)
+    n = (4, 8, 16)[seed % 3]
+    src, pt, dst = _transition_instance(rng, n, int(rng.integers(1, n)))
+    r = atlas._forward_transition(pt, dst, None).r
+    want = ga.in_chart_domain(ga.chart_inverse(pt), src).conditioning
+    assert abs(1.0 / np.linalg.norm(r, 2) - want) <= 1e-12 * want
+
+
+def _far_point_swap(n=8, k=4, scale=1e9):
+    """Hilbert charts (F, F-perp) and (F-perp, F) and the point A = scale * I.
+
+    The transition lands at A' = I / scale, well inside the target chart, but
+    the graph of A sits at conditioning ~1 / scale in its own source chart.
+    """
+    f = ga.Subspace(ga.haar_frame(n, k, _rng(960)))
+    src = ga.ChartId.hilbert(f)
+    dst = ga.ChartId(src.g, f, flavor="hilbert")
+    return ga.ChartPoint(src, ga.Operator(scale * np.eye(n - k, k))), dst
+
+
+def _inverse_maps(pt, dst, tol_domain=None):
+    rng = _rng(961)
+    k, kg = pt.coord.cols, pt.coord.rows
+    tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, rng)[:, 0],
+                                 random_fiber_matrix(kg, 1, rng)[:, 0]),))
+    # any factors will do here: the domain checks run before the factor check
+    eye = ga.Operator(np.eye(k)), ga.Operator(np.eye(kg))
+    return {
+        "transition_cotangent": lambda: ga.transition_cotangent(
+            ga.Covector(pt, random_fiber_matrix(k, kg, rng)), dst, tol_domain),
+        "pushforward_factors": lambda: ga.pushforward_factors(pt, dst, tol_domain),
+        "pushforward_tensor": lambda: ga.pushforward_tensor(tc, (eye,), dst, tol_domain),
+    }
+
+
+def test_inverse_domain_check_rejects_far_source_point():
+    pt, dst = _far_point_swap()
+    ga.transition_base(pt, dst)
+    ga.transition_tangent(ga.TangentVector(pt, np.ones((4, 4))), dst)
+    for name, call in _inverse_maps(pt, dst).items():
+        with pytest.raises(ChartDomainViolation) as info:
+            call()
+        assert str(info.value).startswith("reverse transition leaves the chart domain"), name
+        assert info.value.tol == ga.DEFAULT_TOL_DOMAIN
+        assert info.value.conditioning == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_inverse_domain_check_decides_on_the_two_norm():
+    # 1/|R|_F = 5e-10 < tol < 1e-9 = 1/|R|_2: the Frobenius bound alone would raise
+    pt, dst = _far_point_swap()
+    r = atlas._forward_transition(pt, dst, None).r
+    assert 1.0 / np.linalg.norm(r) < 7e-10 < 1.0 / np.linalg.norm(r, 2)
+    maps = _inverse_maps(pt, dst, tol_domain=7e-10)
+    maps["transition_cotangent"]()
+    factors = maps["pushforward_factors"]()
+    tc = ga.TensorCovector(pt, ((np.ones(4), np.ones(4)),))
+    ga.pushforward_tensor(tc, factors, dst, tol_domain=7e-10)
+
+
+@pytest.mark.parametrize("name", ["transition_cotangent", "pushforward_factors",
+                                  "pushforward_tensor"])
+def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
+    pt, dst = _near_chart_pair(8, 3, 970)
+    calls = _inverse_maps(pt, dst)
+    factors = ga.pushforward_factors(pt, dst)
+    calls["pushforward_tensor"] = lambda: ga.pushforward_tensor(
+        ga.TensorCovector(pt, ()), factors, dst)
+    counts = {"_forward_transition": 0, "_transition_blocks": 0}
+    for fn in counts:
+        def counted(*args, _fn=fn, _orig=getattr(atlas, fn)):
+            counts[_fn] += 1
+            return _orig(*args)
+        monkeypatch.setattr(atlas, fn, counted)
+    calls[name]()
+    assert counts == {"_forward_transition": 1, "_transition_blocks": 1}

@@ -5,8 +5,9 @@ import pytest
 from grassatlas import bench
 
 LAYERS = {"ChartId.hilbert", "ChartId.split",
-          *(f"{layer}[{flavor}]" for layer in ("chart_forward", "transition_base",
-                                              "transition_cotangent", "pushforward_tensor")
+          *(f"{layer}[{flavor}]"
+            for layer in ("chart_forward", "transition_base", "transition_tangent",
+                          "transition_cotangent", "pushforward_factors", "pushforward_tensor")
             for flavor in ("hilbert", "split"))}
 
 
