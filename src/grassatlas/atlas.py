@@ -11,7 +11,7 @@ every chart coordinate and transition block is a product against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,7 +142,11 @@ class ChartId:
 
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """A subspace in chart coordinates: the F -> G operator whose graph it is."""
+    """A subspace in chart coordinates: the F -> G operator whose graph it is.
+
+    The point keeps its last forward transition, ``(target, tol, record)``, so
+    the bundle maps from one point to one target share one evaluation.
+    """
 
     chart: ChartId
     coord: Operator
@@ -154,6 +158,7 @@ class ChartPoint:
             raise DimensionMismatch(
                 f"chart coordinate must have shape {expected}, got {coord.shape}")
         object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "_forward", None)
 
 
 class DomainCheck(NamedTuple):
@@ -172,9 +177,24 @@ def _domain_conditioning(block: np.ndarray) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
-def _require_domain(cond: float, tol_domain: float | None, what: str) -> None:
-    """Raise :class:`ChartDomainViolation` when ``cond`` is at or below the domain tolerance."""
+def _require_domain(exact: Callable[[], float], tol_domain: float | None, what: str,
+                    inverse: Callable[[], np.ndarray] | None = None) -> None:
+    """Raise :class:`ChartDomainViolation` when the conditioning is at or below the tolerance.
+
+    ``exact()`` is the conditioning sigma_min(X) of a domain block X.  When
+    ``inverse()`` gives X^{-1} (or any matrix of equal Frobenius norm), the bound
+    sigma_min(X) >= 1/|X^{-1}|_F passes the block without ``exact()`` once it
+    clears 2 tol; otherwise, or when the inverse raises ``LinAlgError``, the
+    exact value decides, so every decision and every raised field is the exact one.
+    """
     tol = _domain_tol(tol_domain)
+    if inverse is not None:
+        try:
+            if 1.0 / np.linalg.norm(inverse()) > 2.0 * tol:
+                return
+        except np.linalg.LinAlgError:
+            pass
+    cond = exact()
     if cond <= tol:
         raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})",
                                    conditioning=cond, tol=tol)
@@ -218,7 +238,8 @@ def chart_forward(h: Subspace, chart: ChartId,
     c, d = _restricted_projection(h, chart)
     if c.shape[0] == 0:
         return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
-    _require_domain(_domain_conditioning(c), tol_domain, "subspace is outside the chart domain")
+    _require_domain(lambda: _domain_conditioning(c), tol_domain,
+                    "subspace is outside the chart domain", lambda: np.linalg.inv(c))
     return ChartPoint(chart, np.linalg.solve(c.T, d.T).T)
 
 
@@ -242,8 +263,8 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
     if compressed.shape[0] == 0:
         return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
     # the compression's singular values are the squared cosines of the principal angles
-    cond = float(np.sqrt(_domain_conditioning(compressed)))
-    _require_domain(cond, tol_domain, "subspace is outside the chart domain")
+    _require_domain(lambda: float(np.sqrt(_domain_conditioning(compressed))), tol_domain,
+                    "subspace is outside the chart domain")
     return ChartPoint(chart, np.linalg.solve(compressed.T, crossed.T).T)
 
 
@@ -263,23 +284,30 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
 
 
 class _Forward(NamedTuple):
-    """Forward transition data: A', denom = a + b A, (a, b, c, d), conditioning, source-graph R."""
+    """What the bundle maps read of a forward transition: A', denom = a + b A, b, d, source-graph R."""
 
     coord: np.ndarray
     denom: np.ndarray
-    blocks: tuple[np.ndarray, ...]
-    conditioning: float
+    b: np.ndarray
+    d: np.ndarray
     r: np.ndarray
 
     @property
     def left(self) -> np.ndarray:
         """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}."""
-        _, b, _, d = self.blocks
-        return d - self.coord @ b
+        return self.d - self.coord @ self.b
 
 
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
-    """The one transition every base and bundle map evaluates."""
+    """The one transition every base and bundle map evaluates, kept on the source point.
+
+    The point holds the record of its last (target, tolerance); every input is
+    frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
+    """
+    tol = _domain_tol(tol_domain)
+    memo = pt._forward
+    if memo is not None and memo[0] is target and memo[1] == tol:
+        return memo[2]
     src = pt.chart
     if src.ambient_dim != target.ambient_dim:
         raise DimensionMismatch("charts live in different ambient spaces")
@@ -290,13 +318,18 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     coord = pt.coord.matrix
     denom = a + b @ coord
     if denom.shape[0] == 0:
-        return _Forward(np.zeros((target.g.dim, 0)), denom, (a, b, c, d), 1.0, np.zeros((0, 0)))
-    # against the graph's QR basis, denom's conditioning agrees with in_chart_domain
-    r = np.linalg.qr(src.f.basis.matrix + src.g.basis.matrix @ coord, mode="r")
-    cond = _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
-    _require_domain(cond, tol_domain, "graph leaves the target chart domain")
-    aprime = np.linalg.solve(denom.T, (c + d @ coord).T).T
-    return _Forward(aprime, denom, (a, b, c, d), cond, r)
+        fwd = _Forward(np.zeros((target.g.dim, 0)), denom, b, d, np.zeros((0, 0)))
+    else:
+        # against the graph's QR basis X = denom R^{-1}, whose conditioning agrees with
+        # in_chart_domain; X^{-1} = R denom^{-1} costs one solve, the SVD only near the boundary
+        r = np.linalg.qr(src.f.basis.matrix + src.g.basis.matrix @ coord, mode="r")
+        _require_domain(lambda: _domain_conditioning(np.linalg.solve(r.T, denom.T).T), tol,
+                        "graph leaves the target chart domain",
+                        lambda: np.linalg.solve(denom.T, r.T))
+        aprime = np.linalg.solve(denom.T, (c + d @ coord).T).T
+        fwd = _Forward(aprime, denom, b, d, r)
+    object.__setattr__(pt, "_forward", (target, tol, fwd))
+    return fwd
 
 
 def transition_base(pt: ChartPoint, target: ChartId,

@@ -1,17 +1,20 @@
 """Per-layer timer over the public API: charts, coordinates, transitions, pushforward.
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \\
-        python -m grassatlas.bench --n 8,64,256,512 --out BENCH_6.json --label change
+        python -m grassatlas.bench --n 8,64,256,512 --out BENCH_7.json --label change
 
 At each n, with k = n/2, the timer builds charts near one seeded base pair and
 times chart construction (``ChartId.hilbert`` and a split ``ChartId``) and, with
 source and target charts of each flavor, ``chart_forward``, ``transition_base``,
-``transition_tangent``, ``transition_cotangent``, ``pushforward_factors`` and
-``pushforward_tensor``.  Each layer runs once untimed, then ``REPEATS`` timed
-calls; the median and interquartile range in milliseconds go under
-``columns[LABEL]`` of the output file, next to the numpy and BLAS versions, the
-CPU count and the thread pins.  Columns already in the file are kept, so one
-file holds the timings of several checkouts.
+``transition_tangent``, ``transition_cotangent``, ``pushforward_factors``,
+``pushforward_tensor`` and ``pushforward`` (factors, then the tensor map, on one
+point).  Every transition call starts from a fresh chart point, so none is
+served by the transition its point memoized on an earlier call.  Each layer
+runs once untimed, then ``REPEATS`` timed calls; the median, interquartile range
+and minimum in milliseconds go under ``columns[LABEL]`` of the output file,
+next to the numpy and BLAS versions, the CPU count and the thread pins.
+Columns already in the file are kept, so one file holds the timings of several
+checkouts.
 
 The thread pins are recorded, not set: BLAS reads them when numpy is first
 imported, which happens before this module runs.
@@ -26,6 +29,7 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +49,7 @@ def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _layers(n: int) -> dict:
-    """Zero-argument calls, one per timed layer, on charts near one base pair.
+    """Per timed layer, a zero-argument factory that returns the call to time.
 
     Every chart is a small perturbation of the base pair (F, F-perp), so each
     holds the base point and its neighbours with a wide domain margin at any n.
@@ -59,44 +63,64 @@ def _layers(n: int) -> dict:
         return ga.Subspace.from_span(b + PERTURBATION * _cgauss(rng, b.shape) / math.sqrt(n))
 
     f, g = perturbed(base), perturbed(perp)
-    calls = {"ChartId.hilbert": lambda: ga.ChartId.hilbert(f),
-             "ChartId.split": lambda: ga.ChartId(f, g)}
+    layers = {"ChartId.hilbert": lambda: partial(ga.ChartId.hilbert, f),
+              "ChartId.split": lambda: partial(ga.ChartId, f, g)}
     for flavor in FLAVORS:
         src, dst = (ga.ChartId.hilbert(perturbed(base)) if flavor == "hilbert"
                     else ga.ChartId(perturbed(base), perturbed(perp)) for _ in range(2))
-        coord = POINT_SCALE / math.sqrt(n) * _cgauss(rng, (n - k, k))
-        pt = ga.ChartPoint(src, ga.Operator(coord))
-        h = ga.chart_inverse(pt)
-        covector = ga.Covector(pt, ga.Operator(_cgauss(rng, (k, n - k))))
-        # the covector's entries, transposed: a fresh draw would shift every later instance
-        tangent = ga.TangentVector(pt, covector.form.transpose())
-        tensor = ga.TensorCovector(pt, tuple((_cgauss(rng, k), _cgauss(rng, n - k))
-                                             for _ in range(3)))
-        factors = ga.pushforward_factors(pt, dst)
-        calls.update({
-            f"chart_forward[{flavor}]": lambda h=h, dst=dst: ga.chart_forward(h, dst),
-            f"transition_base[{flavor}]": lambda pt=pt, dst=dst: ga.transition_base(pt, dst),
-            f"transition_tangent[{flavor}]":
-                lambda v=tangent, dst=dst: ga.transition_tangent(v, dst),
-            f"transition_cotangent[{flavor}]":
-                lambda c=covector, dst=dst: ga.transition_cotangent(c, dst),
-            f"pushforward_factors[{flavor}]":
-                lambda pt=pt, dst=dst: ga.pushforward_factors(pt, dst),
-            f"pushforward_tensor[{flavor}]":
-                lambda tc=tensor, fs=factors, dst=dst: ga.pushforward_tensor(tc, fs, dst),
-        })
-    return calls
+        layers.update(_transition_layers(flavor, src, dst, rng))
+    return layers
 
 
-def _time(call) -> dict:
-    call()
+def _transition_layers(flavor: str, src: ga.ChartId, dst: ga.ChartId,
+                       rng: np.random.Generator) -> dict:
+    """Transition factories from ``src`` to ``dst``.
+
+    Each call gets a fresh ``ChartPoint``: a point keeps its last forward
+    transition, so repeats on one point would time a memo hit.
+    """
+    n, k = src.ambient_dim, src.f.dim
+    coord = ga.Operator(POINT_SCALE / math.sqrt(n) * _cgauss(rng, (n - k, k)))
+
+    def fresh() -> ga.ChartPoint:
+        return ga.ChartPoint(src, coord)
+
+    h = ga.chart_inverse(fresh())
+    form = ga.Operator(_cgauss(rng, (k, n - k)))
+    # the covector's entries, transposed: a fresh draw would shift every later instance
+    direction = form.transpose()
+    terms = tuple((_cgauss(rng, k), _cgauss(rng, n - k)) for _ in range(3))
+    factors = ga.pushforward_factors(fresh(), dst)
+
+    def pushforward(tc: ga.TensorCovector) -> ga.TensorCovector:
+        # the transport op: factors, then the tensor map, on one point
+        return ga.pushforward_tensor(tc, ga.pushforward_factors(tc.at, dst), dst)
+
+    return {
+        f"chart_forward[{flavor}]": lambda: partial(ga.chart_forward, h, dst),
+        f"transition_base[{flavor}]": lambda: partial(ga.transition_base, fresh(), dst),
+        f"transition_tangent[{flavor}]":
+            lambda: partial(ga.transition_tangent, ga.TangentVector(fresh(), direction), dst),
+        f"transition_cotangent[{flavor}]":
+            lambda: partial(ga.transition_cotangent, ga.Covector(fresh(), form), dst),
+        f"pushforward_factors[{flavor}]": lambda: partial(ga.pushforward_factors, fresh(), dst),
+        f"pushforward_tensor[{flavor}]":
+            lambda: partial(ga.pushforward_tensor, ga.TensorCovector(fresh(), terms), factors, dst),
+        f"pushforward[{flavor}]": lambda: partial(pushforward, ga.TensorCovector(fresh(), terms)),
+    }
+
+
+def _time(prepare) -> dict:
+    """Time the calls ``prepare()`` returns: one untimed, then ``REPEATS`` timed."""
+    prepare()()
     samples = []
     for _ in range(REPEATS):
+        call = prepare()
         start = time.perf_counter()
         call()
         samples.append((time.perf_counter() - start) * 1e3)
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median_ms": float(median), "iqr_ms": float(q3 - q1)}
+    return {"median_ms": float(median), "iqr_ms": float(q3 - q1), "min_ms": float(min(samples))}
 
 
 def _environment() -> dict:
@@ -115,8 +139,8 @@ def run(sizes: list[int]) -> dict:
     """One column: the environment and ``layers[layer][n]`` timing statistics."""
     layers: dict[str, dict[str, dict]] = {}
     for n in sizes:
-        for layer, call in _layers(n).items():
-            layers.setdefault(layer, {})[str(n)] = _time(call)
+        for layer, prepare in _layers(n).items():
+            layers.setdefault(layer, {})[str(n)] = _time(prepare)
     return {"env": _environment(), "layers": layers}
 
 

@@ -10,6 +10,11 @@ Fiber conventions at a chart point over the pair (F, G):
 Dual maps are bilinear transposes for the trace pairing, never Hermitian
 adjoints: the cotangent transition is the plain transpose of the inverse of
 the forward tangent fiber map, derived from it rather than re-evaluated.
+
+Every map here reads one forward transition per (point, target chart, domain
+tolerance): the source point keeps the last one it evaluated, so a tangent and
+cotangent pair, or ``pushforward_factors`` followed by ``pushforward_tensor``,
+builds the transition blocks once.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def transition_tangent(v: TangentVector, target: ChartId,
 
     The fiber map is the derivative of the base transition at the base point,
     in closed form from the product-rule expansion of the solve:
-    ``X -> (d - A' b) X (a + b A)^{-1}``.
+    ``X -> (d - A' b) X (a + b A)^{-1}``, read from the point's forward transition.
     """
     fwd = atlas._forward_transition(v.at, target, tol_domain)
     pushed = np.linalg.solve(fwd.denom.T, (fwd.left @ v.direction.matrix).T).T
@@ -114,12 +119,12 @@ def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | 
     """The forward transition, once the inverse map's domain is checked as well.
 
     With B_F + B_G A = Q R the source chart sees the graph through R^{-1}, so the
-    margin is 1/|R|_2; as |R|_2 <= |R|_F, a passing Frobenius bound needs no SVD.
+    margin is 1/|R|_2, and R itself is the inverse whose Frobenius norm bounds it.
     """
     fwd = atlas._forward_transition(pt, target, tol_domain)
-    if fwd.r.size and 1.0 / np.linalg.norm(fwd.r) <= atlas._domain_tol(tol_domain):
-        atlas._require_domain(1.0 / float(np.linalg.norm(fwd.r, 2)), tol_domain,
-                              "reverse transition leaves the chart domain")
+    if fwd.r.size:
+        atlas._require_domain(lambda: 1.0 / float(np.linalg.norm(fwd.r, 2)), tol_domain,
+                              "reverse transition leaves the chart domain", lambda: fwd.r)
     return fwd
 
 
@@ -130,7 +135,8 @@ def transition_cotangent(c: Covector, target: ChartId,
     The inverse fiber map is ``X' -> L_r X' S`` with S = a + b A, the forward
     ``denom``, and L_r = (d - A' b)^{-1}, so the trace pairing forces
     ``mu' = S mu L_r``; the class tag travels unchanged.  The inverse map's
-    domain check reads the forward QR (:func:`_invertible_transition`).
+    domain check reads the forward QR (:func:`_invertible_transition`), and a
+    tangent pushed from the same point to the same chart shares the transition.
     """
     fwd = _invertible_transition(c.at, target, tol_domain)
     pushed = np.linalg.solve(fwd.left.T, (fwd.denom @ c.form.matrix).T).T
@@ -146,7 +152,8 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     The inverse map factors as ``X' -> T_1 X' S + T_2 X' S`` by the product
     rule: S = a + b A is the forward ``denom``, T_1 = d_r = R_G B_G' and
     T_2 = -A b_r with b_r = R_F B_G', from the source chart's rows.  Domain
-    checks as in :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`.
+    checks as in :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`,
+    which on the same point and chart reuses the transition evaluated here.
     """
     fwd = _invertible_transition(pt, target, tol_domain)
     (rows_f, rows_g), bg = pt.chart._rows, target.g.basis.matrix
@@ -174,7 +181,9 @@ def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Ope
     The supplied factors must realize the inverse tangent fiber map: probes check
     them against L_r = (d - A' b)^{-1} and S = a + b A from the forward blocks, a
     route independent of the reverse blocks they come from, and reject them with
-    :class:`FactorMismatch`.  Domain checks as in :func:`transition_cotangent`.
+    :class:`FactorMismatch`.  Domain checks as in :func:`transition_cotangent`;
+    after :func:`pushforward_factors` on the same point and chart, the forward
+    transition is not evaluated again.
     """
     fwd = _invertible_transition(tc.at, target, tol_domain)
     pairs = [(as_matrix(s), as_matrix(t)) for s, t in factors]

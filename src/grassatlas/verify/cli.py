@@ -107,15 +107,21 @@ def main(argv: list[str] | None = None) -> int:
         fmt = options.pop("format", "text")
         out = options.pop("out", None)
         cfg = SuiteConfig(**options)
+        # a missing directory is known before the suite runs, not after
+        if out is not None and not Path(out).parent.is_dir():
+            raise ConfigError(f"output directory {Path(out).parent} does not exist")
         results = run_suite(cfg)
         report = emit_report(cfg, results, format=fmt)
+        if out is not None:
+            try:
+                Path(out).write_text(report + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write report to {out}: {exc}") from exc
     except GrassAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if out is not None:
-        Path(out).write_text(report + "\n", encoding="utf-8")
-    else:
+    if out is None:
         print(report)
     return 0 if all(r.passed for r in results) else 1
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
+from grassatlas import atlas
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
 from grassatlas.sampling import (random_chart, random_chart_containing,
                                  random_chart_point, random_subspace)
@@ -370,3 +372,59 @@ def test_conditioning_errors_carry_their_numbers():
     with pytest.raises(SplitFailure) as dims:
         ga.ChartId(e1, ga.Subspace(np.eye(2)))
     assert dims.value.conditioning is None and dims.value.tol is None
+
+
+# ---------------------------------------------------------------------------
+# domain decisions: a Frobenius bound away from the boundary, the SVD near it
+
+def _tilted_charts(cosines):
+    """Hilbert charts on span(e_1..e_k) and its complement, and the subspace H
+    spanned by cos_i e_i + sin_i e_(k+i).  H's block in the first chart is
+    diag(cosines); in the second it is diag(sines), well inside."""
+    k = len(cosines)
+    eye = np.eye(2 * k)
+    f, g = ga.Subspace(eye[:, :k]), ga.Subspace(eye[:, k:])
+    basis = np.zeros((2 * k, k))
+    for i, cos in enumerate(cosines):
+        basis[i, i], basis[k + i, i] = cos, math.sqrt(1.0 - cos * cos)
+    return ga.ChartId(f, g, flavor="hilbert"), ga.ChartId(g, f, flavor="hilbert"), ga.Subspace(basis)
+
+
+def _transition_conditioning(pt, target):
+    """The exact conditioning the forward transition meets, by the SVD."""
+    a, b, _, _ = atlas._transition_blocks(pt.chart, target)
+    denom = a + b @ pt.coord.matrix
+    graph = pt.chart.f.basis.matrix + pt.chart.g.basis.matrix @ pt.coord.matrix
+    r = np.linalg.qr(graph, mode="r")
+    return float(np.linalg.svd(np.linalg.solve(r.T, denom.T).T, compute_uv=False)[-1])
+
+
+# inside: the bound decides alone; near: every singular value is 1.5e-8, so
+# 1/|X^-1|_F <= 2 tol < sigma_min and the SVD passes it; under: sigma_min is
+# just below tol; singular: the block has an exact zero singular value
+@pytest.mark.parametrize("case, cosines, svds", [
+    ("inside", (0.6, 0.8), 0), ("near", (1.5e-8, 1.5e-8), 1),
+    ("under", (0.99e-8, 0.6), 1), ("singular", (0.0, 0.6), 1),
+])
+@pytest.mark.parametrize("route", ["chart_forward", "forward_transition"])
+def test_domain_decision_bound_then_svd(monkeypatch, route, case, cosines, svds):
+    target, source, h = _tilted_charts(cosines)
+    if route == "chart_forward":
+        decide = functools.partial(ga.chart_forward, h, target)
+        exact = ga.in_chart_domain(h, target).conditioning
+    else:
+        pt = ga.chart_forward(h, source)
+        decide = functools.partial(atlas._forward_transition, pt, target, None)
+        exact = _transition_conditioning(pt, target)
+    assert exact == pytest.approx(min(cosines), rel=1e-6, abs=1e-300)
+    calls = []
+    svd = atlas._domain_conditioning
+    monkeypatch.setattr(atlas, "_domain_conditioning", lambda m: calls.append(1) or svd(m))
+    if exact > ga.DEFAULT_TOL_DOMAIN:
+        decide()
+    else:
+        with pytest.raises(ChartDomainViolation) as info:
+            decide()
+        assert info.value.conditioning == exact and info.value.tol == ga.DEFAULT_TOL_DOMAIN
+        assert str(info.value).endswith(f"(conditioning {exact:.3e} <= 1.0e-08)")
+    assert len(calls) == svds

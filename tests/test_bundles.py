@@ -469,10 +469,12 @@ def test_inverse_domain_check_decides_on_the_two_norm():
                                   "pushforward_tensor"])
 def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
     pt, dst = _near_chart_pair(8, 3, 970)
-    calls = _inverse_maps(pt, dst)
     factors = ga.pushforward_factors(pt, dst)
+    # a fresh point holds no memoized transition, so the map must build one itself
+    fresh = ga.ChartPoint(pt.chart, pt.coord)
+    calls = _inverse_maps(fresh, dst)
     calls["pushforward_tensor"] = lambda: ga.pushforward_tensor(
-        ga.TensorCovector(pt, ()), factors, dst)
+        ga.TensorCovector(fresh, ()), factors, dst)
     counts = {"_forward_transition": 0, "_transition_blocks": 0}
     for fn in counts:
         def counted(*args, _fn=fn, _orig=getattr(atlas, fn)):
@@ -481,3 +483,56 @@ def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
         monkeypatch.setattr(atlas, fn, counted)
     calls[name]()
     assert counts == {"_forward_transition": 1, "_transition_blocks": 1}
+
+
+# ---------------------------------------------------------------------------
+# the forward transition memoized on its source point
+
+def _count_block_builds(monkeypatch):
+    builds = []
+    build = atlas._transition_blocks
+    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: builds.append(1) or build(*args))
+    return builds
+
+
+def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
+    pt, dst = _near_chart_pair(8, 3, 980)
+    rng = _rng(981)
+    x, mu = random_fiber_matrix(5, 3, rng), random_fiber_matrix(3, 5, rng)
+    builds = _count_block_builds(monkeypatch)
+    tangent = ga.transition_tangent(ga.TangentVector(pt, x), dst)
+    covector = ga.transition_cotangent(ga.Covector(pt, mu), dst)
+    ga.pushforward_tensor(ga.TensorCovector(pt, ()), ga.pushforward_factors(pt, dst), dst)
+    ga.transition_base(pt, dst, tol_domain=ga.DEFAULT_TOL_DOMAIN)  # the default, spelled out
+    assert len(builds) == 1
+    # a hit returns what a fresh evaluation computes, bit for bit
+    fresh = ga.ChartPoint(pt.chart, pt.coord)
+    assert np.array_equal(ga.transition_tangent(ga.TangentVector(fresh, x), dst).direction.matrix,
+                          tangent.direction.matrix)
+    assert np.array_equal(ga.transition_cotangent(ga.Covector(fresh, mu), dst).form.matrix,
+                          covector.form.matrix)
+    assert len(builds) == 2
+
+
+def test_transition_memo_is_keyed_by_target_and_tolerance(monkeypatch):
+    pt, dst = _near_chart_pair(8, 3, 982)
+    twin = ga.ChartId(dst.f, dst.g)  # an equal chart, but another object
+    builds = _count_block_builds(monkeypatch)
+    for target, tol, total in [(dst, None, 1), (twin, None, 2), (twin, 1e-6, 3),
+                               (twin, 1e-6, 3), (dst, None, 4)]:
+        ga.transition_base(pt, target, tol)
+        assert len(builds) == total
+
+
+def test_raised_domain_violation_is_not_memoized(monkeypatch):
+    # a hilbert target's conditioning is a cosine, so tol_domain = 1 always raises
+    pt, dst = _near_chart_pair(8, 3, 984, ("split", "hilbert"))
+    builds = _count_block_builds(monkeypatch)
+    moved = ga.transition_base(pt, dst)
+    for total in (2, 3):
+        with pytest.raises(ChartDomainViolation):
+            ga.transition_base(pt, dst, tol_domain=1.0)
+        assert len(builds) == total
+    # the raise left the earlier record in place
+    assert np.array_equal(ga.transition_base(pt, dst).coord.matrix, moved.coord.matrix)
+    assert len(builds) == 3

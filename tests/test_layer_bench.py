@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from grassatlas import bench
+from grassatlas import atlas, bench
 
 LAYERS = {"ChartId.hilbert", "ChartId.split",
           *(f"{layer}[{flavor}]"
             for layer in ("chart_forward", "transition_base", "transition_tangent",
-                          "transition_cotangent", "pushforward_factors", "pushforward_tensor")
+                          "transition_cotangent", "pushforward_factors", "pushforward_tensor",
+                          "pushforward")
             for flavor in ("hilbert", "split"))}
 
 
@@ -24,7 +25,20 @@ def test_layer_bench_schema_at_n8(tmp_path):
     assert set(column["layers"]) == LAYERS
     for per_n in column["layers"].values():
         assert set(per_n) == {"8"}
-        assert per_n["8"]["median_ms"] > 0 and per_n["8"]["iqr_ms"] >= 0
+        stats = per_n["8"]
+        assert set(stats) == {"median_ms", "iqr_ms", "min_ms"}
+        assert 0 < stats["min_ms"] <= stats["median_ms"] and stats["iqr_ms"] >= 0
+
+
+def test_layer_bench_times_fresh_points(monkeypatch):
+    # a repeat on the warm-up call's point would be a memo hit and build no blocks
+    prepare = bench._layers(8)["transition_base[split]"]
+    blocks = []
+    build = atlas._transition_blocks
+    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: blocks.append(1) or build(*args))
+    for _ in range(3):
+        prepare()()
+    assert len(blocks) == 3
 
 
 @pytest.mark.parametrize("argv", [["--n", "8,x"], ["--n", "1"]])

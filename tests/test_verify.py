@@ -114,6 +114,16 @@ def test_cli_writes_report_and_exit_codes(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, where):
+    # a directory as the target makes the write itself fail, whoever runs the test
+    out = tmp_path / "absent" / "report.json" if where == "missing-dir" else tmp_path
+    code = main(["--suite", "atlas", "--dim", "4", "--trials", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_cli_rejects_bad_tolerance_syntax():
     assert main(["--tol", "oops"]) == 2
 
