@@ -15,8 +15,6 @@ from .errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
 
 DEFAULT_TOL_SPLIT = 1e-8
 
-_EPS = np.finfo(float).eps
-
 
 class Operator:
     """Immutable dense complex matrix."""
@@ -207,20 +205,15 @@ def schatten_norm(op, p: float) -> SchattenReport:
     return SchattenReport(p=p, value=value, singular_values=sv)
 
 
-def _complementary_block(f, g) -> np.ndarray:
+def split_conditioning(f, g) -> float:
+    """Smallest-over-largest singular value of the joint basis block [B_f | B_g]."""
     bf, bg = as_matrix(f), as_matrix(g)
     if bf.shape[0] != bg.shape[0]:
         raise DimensionMismatch("bases live in different ambient spaces")
     if bf.shape[1] + bg.shape[1] != bf.shape[0]:
         raise DimensionMismatch(
             f"dimensions {bf.shape[1]} + {bg.shape[1]} do not fill ambient {bf.shape[0]}")
-    return np.hstack([bf, bg])
-
-
-def split_conditioning(f, g) -> float:
-    """Smallest-over-largest singular value of the joint basis block [B_f | B_g]."""
-    block = _complementary_block(f, g)
-    sv = np.linalg.svd(block, compute_uv=False)
+    sv = np.linalg.svd(np.hstack([bf, bg]), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0
     return float(sv[-1] / sv[0])
@@ -231,22 +224,19 @@ def oblique_projections(f, g, tol_split: float | None = None) -> tuple[Operator,
 
     Returns the ambient-space pair ``(onto_f, onto_g)`` with
     ``onto_f + onto_g = I``, ``onto_f^2 = onto_f``, range F and kernel G.
-    Raises :class:`SplitFailure` when the joint basis block is numerically
-    singular relative to its scale.
+    Raises :class:`SplitFailure` when :func:`split_conditioning` is at or below
+    ``tol_split``.
     """
     tol = DEFAULT_TOL_SPLIT if tol_split is None else float(tol_split)
-    block = _complementary_block(f, g)
-    n = block.shape[0]
+    cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space
+    bf, bg = as_matrix(f), as_matrix(g)
+    n, kf = bf.shape
     if n == 0:
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0]:
-        cond = float(sv[-1] / max(sv[0], _EPS))
+    if cond <= tol:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=tol)
-    bf, bg = as_matrix(f), as_matrix(g)
-    kf = bf.shape[1]
-    inv = np.linalg.solve(block, np.eye(n))
+    inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 
 

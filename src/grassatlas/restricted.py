@@ -330,6 +330,31 @@ def _tail_statistic(mat: np.ndarray, cutoff: int) -> float:
     return float(np.sum(sv[cutoff:]))
 
 
+def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family: ChartFamily,
+          profile: DecayProfile, seed: int, tail_cutoff: int) -> RungResult:
+    """One ladder rung; its chart point, covector and memoized transition die on return."""
+    dim = model.ambient_dim
+    try:
+        src, dst, base = chart_family(model, point)
+        at = chart_forward(point.w if base is None else base, src)
+        mu = _decay_form(src.f.dim, src.g.dim, profile, seed)
+        tag = "trace_class_emulated" if p == 1.0 else "unrestricted"
+        cov = Covector(at, Operator(mu), class_tag=tag,
+                       metadata={"p": p, "profile": profile.kind})
+        pushed = transition_cotangent(cov, dst)
+    except ChartDomainViolation:
+        return RungResult(dim, math.nan, math.nan, math.nan, skipped=True)
+    if p == 0.0:
+        n_in = _tail_statistic(mu, tail_cutoff)
+        n_out = _tail_statistic(pushed.form.matrix, tail_cutoff)
+    else:
+        n_in = schatten_norm(mu, p).value
+        n_out = schatten_norm(pushed.form, p).value
+    if n_in == 0.0:
+        return RungResult(dim, n_in, n_out, math.nan, skipped=True)
+    return RungResult(dim, n_in, n_out, n_out / n_in)
+
+
 def preservation_experiment(ladder: TruncationLadder, p: float,
                             chart_family: ChartFamily,
                             mu_profile: DecayProfile | None = None,
@@ -347,31 +372,8 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
     if p != 0.0 and p < 1.0:
         raise ValueError("p must be 0 (tail diagnostics) or >= 1")
     profile = ladder.profile if mu_profile is None else mu_profile
-    rungs = []
-    for model, point in ladder:
-        dim = model.ambient_dim
-        try:
-            src, dst, base = chart_family(model, point)
-            base = point.w if base is None else base
-            at = chart_forward(base, src)
-            mu = _decay_form(src.f.dim, src.g.dim, profile, seed)
-            tag = "trace_class_emulated" if p == 1.0 else "unrestricted"
-            cov = Covector(at, Operator(mu), class_tag=tag,
-                           metadata={"p": p, "profile": profile.kind})
-            pushed = transition_cotangent(cov, dst)
-        except ChartDomainViolation:
-            rungs.append(RungResult(dim, math.nan, math.nan, math.nan, skipped=True))
-            continue
-        if p == 0.0:
-            n_in = _tail_statistic(mu, tail_cutoff)
-            n_out = _tail_statistic(pushed.form.matrix, tail_cutoff)
-        else:
-            n_in = schatten_norm(mu, p).value
-            n_out = schatten_norm(pushed.form, p).value
-        if n_in == 0.0:
-            rungs.append(RungResult(dim, n_in, n_out, math.nan, skipped=True))
-            continue
-        rungs.append(RungResult(dim, n_in, n_out, n_out / n_in))
+    rungs = [_rung(model, point, p, chart_family, profile, seed, tail_cutoff)
+             for model, point in ladder]
     constants = [r.constant for r in rungs if not r.skipped]
     top = constants[-3:]
     if len(top) < 2:

@@ -23,7 +23,7 @@ from ..bundles import (Covector, TangentVector, TensorCovector,
                        pushforward_factors, pushforward_tensor, tensor_pairing,
                        tensor_to_operator, trace_pairing, transition_cotangent,
                        transition_tangent)
-from ..errors import ChartDomainViolation, SplitFailure
+from ..errors import ChartDomainViolation
 from ..operators import (DecayProfile, Operator, haar_frame, oblique_projections,
                          operator_norm, schatten_norm)
 from ..restricted import (PolarizedModel, _graph_point, build_truncation_ladder,
@@ -66,21 +66,12 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
-def _chart_chain(rng, n, k, count=3, scale=0.4, tries=60):
-    """A point plus ``count`` charts all containing its graph with margin."""
-    for _ in range(tries):
-        first = random_chart(n, k, rng, min_conditioning=1e-2)
-        pt = random_chart_point(first, rng, scale=scale)
-        h = chart_inverse(pt)
-        if in_chart_domain(h, first).conditioning < 5e-2:
-            continue
-        try:
-            charts = [first] + [random_chart_containing(h, rng, min_domain=5e-2)
-                                for _ in range(count - 1)]
-        except SplitFailure:
-            continue
-        return pt, charts
-    raise SplitFailure("no well-conditioned chart chain found")
+def _chart_chain(rng, n, k, count=3, scale=0.4):
+    """A point on a random chart plus ``count - 1`` charts holding its graph with margin."""
+    first = random_chart(n, k, rng)
+    pt = random_chart_point(first, rng, scale=scale)
+    h = chart_inverse(pt)
+    return pt, [first] + [random_chart_containing(h, rng) for _ in range(count - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +79,7 @@ def _chart_chain(rng, n, k, count=3, scale=0.4, tries=60):
 
 @_check("projection_identities", "atlas", 1e-12)
 def _projection_identities(cfg, trial, rng, n):
-    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-3)
+    chart = random_chart(n, _subspace_dim(rng, n), rng)
     onto_f, onto_g = (p.matrix for p in oblique_projections(chart.f, chart.g,
                                                              tol_split=chart.tol_split))
     scale = 1.0 + np.linalg.norm(onto_f, 2)
@@ -137,7 +128,7 @@ def _schatten_monotonicity(cfg, trial, rng, n):
 
 @_check("chart_roundtrip_fiber", "atlas", 1e-10)
 def _roundtrip_fiber(cfg, trial, rng, n):
-    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
+    chart = random_chart(n, _subspace_dim(rng, n), rng)
     pt = random_chart_point(chart, rng)
     back = chart_forward(chart_inverse(pt), chart)
     return _max_abs(back.coord.matrix - pt.coord.matrix)
@@ -170,22 +161,16 @@ def _transition_cocycle(cfg, trial, rng, n):
 @_check("chart_covering", "atlas", 0.0)
 def _chart_covering(cfg, trial, rng, n):
     h = random_subspace(n, _subspace_dim(rng, n), rng)
-    pool = [random_chart(n, h.dim, rng, min_conditioning=1e-3) for _ in range(8)]
+    pool = [random_chart(n, h.dim, rng) for _ in range(8)]
     return not any(in_chart_domain(h, chart).conditioning > DEFAULT_TOL_DOMAIN
                    for chart in pool)
 
 
 @_check("hilbert_specialization", "atlas", 1e-11)
 def _hilbert_specialization(cfg, trial, rng, n):
-    k = _subspace_dim(rng, n)
-    chart = ChartId.hilbert(random_subspace(n, k, rng))
+    w = random_subspace(n, _subspace_dim(rng, n), rng)
     # the projector route squares the domain conditioning; stay off the boundary
-    for _ in range(200):
-        w = random_subspace(n, k, rng)
-        if in_chart_domain(w, chart).conditioning >= 5e-2:
-            break
-    else:
-        raise SplitFailure("no subspace at domain margin 5e-2 found in 200 draws")
+    chart = random_chart_containing(w, rng, flavor="hilbert")
     general = chart_forward(w, chart)
     projector_route = chart_forward_projector(w, chart)
     return _max_abs(general.coord.matrix - projector_route.coord.matrix)
@@ -224,7 +209,6 @@ def _fiber_instance(rng, n, k):
 
 def _jacobian_error(rng, n, oracle):
     """Relative gap between the closed-form tangent map and a derivative oracle."""
-    n = min(16, n)
     _, pt, dst, x, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
     closed = transition_tangent(TangentVector(pt, Operator(x)), dst).direction.matrix
     scale = 1.0 + np.linalg.norm(closed)
@@ -243,7 +227,6 @@ def _jacobian_complex_step(cfg, trial, rng, n):
 
 @_check("duality_invariance", "bundles", 1e-9)
 def _duality_invariance(cfg, trial, rng, n):
-    n = min(16, n)
     _, pt, dst, x, mu = _fiber_instance(rng, n, _subspace_dim(rng, n))
     tangent = TangentVector(pt, Operator(x))
     covector = Covector(pt, Operator(mu))
@@ -255,7 +238,6 @@ def _duality_invariance(cfg, trial, rng, n):
 
 @_check("cotangent_contravariance", "bundles", 1e-9)
 def _cotangent_contravariance(cfg, trial, rng, n):
-    n = min(16, n)
     pt, (c1, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
     mu = Covector(pt, Operator(random_fiber_matrix(c1.f.dim, c1.g.dim, rng)))
     through = transition_cotangent(transition_cotangent(mu, c2), c3)
@@ -266,7 +248,6 @@ def _cotangent_contravariance(cfg, trial, rng, n):
 
 @_check("tensor_commuting_square", "bundles", 1e-10)
 def _tensor_commuting_square(cfg, trial, rng, n):
-    n = min(16, n)
     src, pt, dst, _, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
     terms = tuple(
         (random_fiber_matrix(src.f.dim, 1, rng)[:, 0],
@@ -282,7 +263,7 @@ def _tensor_commuting_square(cfg, trial, rng, n):
 
 @_check("pairing_bilinearity", "bundles", 1e-12)
 def _pairing_bilinearity(cfg, trial, rng, n):
-    chart = random_chart(n, _subspace_dim(rng, n), rng, min_conditioning=1e-2)
+    chart = random_chart(n, _subspace_dim(rng, n), rng)
     pt = random_chart_point(chart, rng)
     kf, kg = chart.f.dim, chart.g.dim
     alpha = complex(rng.standard_normal(), rng.standard_normal())

@@ -37,7 +37,7 @@ def _passed(n, message):
 
 
 def _transition_instance(rng, n, k, scale=0.4):
-    src = random_chart(n, k, rng, min_conditioning=1e-2)
+    src = random_chart(n, k, rng)
     pt = random_chart_point(src, rng, scale=scale)
     h = ga.chart_inverse(pt)
     dst = random_chart_containing(h, rng)
@@ -51,7 +51,7 @@ def test_criterion_1_atlas_roundtrips_and_cocycle():
         for trial in range(100):
             rng = derive_rng(101, dim, trial)
             k = int(rng.integers(1, dim))
-            chart = random_chart(dim, k, rng, min_conditioning=1e-2)
+            chart = random_chart(dim, k, rng)
             pt = random_chart_point(chart, rng, scale=0.4)
             h = ga.chart_inverse(pt)
             back = ga.chart_forward(h, chart)

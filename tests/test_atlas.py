@@ -193,7 +193,7 @@ def test_chart_roundtrips_seeded():
         rng = _rng(2000 + trial)
         n = (4, 8, 16)[trial % 3]
         k = int(rng.integers(1, n))
-        chart = random_chart(n, k, rng, min_conditioning=1e-2)
+        chart = random_chart(n, k, rng)
         pt = random_chart_point(chart, rng)
         back = ga.chart_forward(ga.chart_inverse(pt), chart)
         worst_fiber = max(worst_fiber,
@@ -234,7 +234,7 @@ def test_transition_agrees_with_graph_route_seeded():
         rng = _rng(3000 + trial)
         n = (4, 8, 12)[trial % 3]
         k = int(rng.integers(1, n))
-        src = random_chart(n, k, rng, min_conditioning=1e-2)
+        src = random_chart(n, k, rng)
         pt = random_chart_point(src, rng)
         h = ga.chart_inverse(pt)
         dst = random_chart_containing(h, rng)
@@ -249,7 +249,7 @@ def test_transition_cocycle_seeded():
     for trial in range(60):
         rng = _rng(4000 + trial)
         k = int(rng.integers(1, 8))
-        src = random_chart(8, k, rng, min_conditioning=1e-2)
+        src = random_chart(8, k, rng)
         pt = random_chart_point(src, rng, scale=0.4)
         h = ga.chart_inverse(pt)
         if ga.in_chart_domain(h, src).conditioning < 5e-2:
@@ -284,7 +284,7 @@ def test_covering_by_random_chart_pool():
         rng = _rng(5000 + trial)
         n = (4, 8)[trial % 2]
         h = random_subspace(n, int(rng.integers(1, n)), rng)
-        pool = [random_chart(n, h.dim, rng, min_conditioning=1e-3) for _ in range(8)]
+        pool = [random_chart(n, h.dim, rng) for _ in range(8)]
         assert any(ga.in_chart_domain(h, chart).conditioning > ga.DEFAULT_TOL_DOMAIN
                    for chart in pool)
 
@@ -294,7 +294,7 @@ def test_covering_by_random_chart_pool():
 def test_roundtrip_property(seed, n):
     rng = _rng(seed)
     k = int(rng.integers(1, n))
-    chart = random_chart(n, k, rng, min_conditioning=1e-2)
+    chart = random_chart(n, k, rng)
     pt = random_chart_point(chart, rng)
     back = ga.chart_forward(ga.chart_inverse(pt), chart)
     assert float(np.abs(back.coord.matrix - pt.coord.matrix).max()) <= 1e-10
@@ -326,8 +326,7 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     from grassatlas.atlas import _restricted_projection, _transition_blocks
     rng = _rng(7000 + n)
     k = n // 2 - 1
-    src, dst = (random_chart(n, k, rng, flavor=flavor, min_conditioning=1e-2)
-                for flavor in flavors)
+    src, dst = (random_chart(n, k, rng, flavor=flavor) for flavor in flavors)
     for got, want in zip(_transition_blocks(src, dst), _projector_blocks(src, dst)):
         assert np.abs(got - want).max() <= 1e-12
         # split rows are B^H P, so both routes multiply in the same order

@@ -27,7 +27,7 @@ def _swap_setup(t):
 
 
 def _transition_instance(rng, n, k):
-    src = random_chart(n, k, rng, min_conditioning=1e-2)
+    src = random_chart(n, k, rng)
     pt = random_chart_point(src, rng, scale=0.4)
     h = ga.chart_inverse(pt)
     dst = random_chart_containing(h, rng)
@@ -321,7 +321,7 @@ def test_cotangent_contravariant_composition():
         rng = _rng(600 + trial)
         n = 8
         k = int(rng.integers(1, n))
-        src = random_chart(n, k, rng, min_conditioning=1e-2)
+        src = random_chart(n, k, rng)
         pt = random_chart_point(src, rng, scale=0.4)
         h = ga.chart_inverse(pt)
         mid = random_chart_containing(h, rng)

@@ -52,6 +52,25 @@ def test_oblique_projections_rejects_overlapping_pair():
         ga.oblique_projections(e1, e1)
 
 
+@pytest.mark.parametrize("tol", [None, 1e-3])
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_oblique_projections_decide_at_tol_split(tol, side):
+    # lines at angle theta in C^2 have split conditioning tan(theta/2)
+    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
+    theta = 2.0 * math.atan(side * threshold)
+    f = ga.Subspace(np.eye(2)[:, :1])
+    g = ga.Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
+    cond = ga.split_conditioning(f, g)
+    assert abs(cond / (side * threshold) - 1.0) <= 1e-9
+    if side < 1.0:
+        with pytest.raises(SplitFailure) as err:
+            ga.oblique_projections(f, g, tol_split=tol)
+        assert err.value.conditioning == cond and err.value.tol == threshold
+    else:
+        onto_f, onto_g = ga.oblique_projections(f, g, tol_split=tol)
+        assert_allclose(onto_f.matrix + onto_g.matrix, np.eye(2), atol=1e-6)
+
+
 def test_oblique_projections_rejects_wrong_dims():
     f = ga.Subspace(np.eye(3)[:, :1])
     g = ga.Subspace(np.eye(3)[:, 1:2])
