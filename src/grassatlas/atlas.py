@@ -10,13 +10,13 @@ every chart coordinate and transition block is a product against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from .operators import DEFAULT_TOL_SPLIT, Operator, as_matrix, oblique_projections
+from .operators import Operator, as_matrix, oblique_projections
 
 DEFAULT_TOL_DOMAIN = 1e-8
 DEFAULT_TOL_EQ = 1e-10
@@ -84,8 +84,8 @@ class Subspace:
             return 0.0
         return float(np.linalg.norm(self.projector.matrix - other.projector.matrix, 2))
 
-    def is_same(self, other: "Subspace", tol: float = DEFAULT_TOL_EQ) -> bool:
-        return self.dim == other.dim and self.distance_to(other) <= tol
+    def is_same(self, other: "Subspace") -> bool:
+        return self.dim == other.dim and self.distance_to(other) <= DEFAULT_TOL_EQ
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -98,7 +98,6 @@ class ChartId:
     f: Subspace
     g: Subspace
     flavor: str = "split"
-    tol_split: float = field(default=DEFAULT_TOL_SPLIT, repr=False)
 
     def __post_init__(self):
         if self.flavor not in ("split", "hilbert"):
@@ -119,7 +118,7 @@ class ChartId:
                 raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
         else:
             # raises SplitFailure when the pair is numerically singular
-            onto_f, onto_g = oblique_projections(self.f, self.g, tol_split=self.tol_split)
+            onto_f, onto_g = oblique_projections(self.f, self.g)
             rows_f, rows_g = rows_f @ onto_f.matrix, rows_g @ onto_g.matrix
         object.__setattr__(self, "_rows", (rows_f, rows_g))
 
@@ -131,9 +130,8 @@ class ChartId:
     def ambient_dim(self) -> int:
         return self.f.ambient_dim
 
-    def same_chart(self, other: "ChartId", tol: float = DEFAULT_TOL_EQ) -> bool:
-        return (self.flavor == other.flavor
-                and self.f.is_same(other.f, tol) and self.g.is_same(other.g, tol))
+    def same_chart(self, other: "ChartId") -> bool:
+        return self.flavor == other.flavor and self.f.is_same(other.f) and self.g.is_same(other.g)
 
     def __repr__(self) -> str:
         return (f"ChartId(f_dim={self.f.dim}, g_dim={self.g.dim}, "

@@ -174,8 +174,7 @@ def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
 
 
 def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Operator]],
-                       target: ChartId, tol_domain: float | None = None,
-                       factor_tol: float = 1e-8) -> TensorCovector:
+                       target: ChartId, tol_domain: float | None = None) -> TensorCovector:
     """Push a tensor covector through a chart change in rank-one form.
 
     The supplied factors must realize the inverse tangent fiber map: probes check
@@ -187,11 +186,11 @@ def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Ope
     """
     fwd = _invertible_transition(tc.at, target, tol_domain)
     pairs = [(as_matrix(s), as_matrix(t)) for s, t in factors]
-    _check_factors(pairs, np.linalg.inv(fwd.left), fwd.denom, factor_tol)
+    _check_factors(pairs, np.linalg.inv(fwd.left), fwd.denom)
     return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, pairs))
 
 
-def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray, tol: float) -> None:
+def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray) -> None:
     kg_t, kf_t = l_r.shape[1], s_r.shape[0]
     scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
     # rank-one probes u v^T cost matrix-vector work: T (u v^T) S = (T u)(v^T S)
@@ -207,7 +206,7 @@ def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray, tol: float) -> None:
         provided = sum(np.outer(t @ u, v @ s) for s, t in pairs)
         deviation = np.abs(provided - np.outer(l_r @ u, v @ s_r))
         worst = max(worst, float(deviation.max(initial=0.0)))
-    if worst > tol * scale:
+    if worst > 1e-8 * scale:
         raise FactorMismatch(
             f"factors deviate from the tangent fiber map by {worst:.3e} on probes")
 
@@ -242,14 +241,12 @@ def tensor_to_operator(tc: TensorCovector) -> Covector:
     return Covector(tc.at, mu)
 
 
-def operator_to_tensor(c: Covector, rank_tol: float | None = None) -> TensorCovector:
+def operator_to_tensor(c: Covector) -> TensorCovector:
     """SVD-minimal rank-one decomposition of a covector; zero maps to no terms."""
     mu = c.form.matrix
     if min(mu.shape) == 0:
         return TensorCovector(c.at, ())
     u, sv, vh = np.linalg.svd(mu, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(mu.shape) * np.finfo(float).eps
-    cut = sv > rank_tol * (sv[0] if sv.size else 0.0)
+    cut = sv > max(mu.shape) * np.finfo(float).eps * sv[0]
     terms = tuple((u[:, i] * sv[i], vh[i, :]) for i in range(sv.size) if cut[i])
     return TensorCovector(c.at, terms)

@@ -100,14 +100,13 @@ def virtual_dimension(w: Subspace, model: PolarizedModel) -> int:
     return w.dim - model.n_plus
 
 
-def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel,
-                              tol: float = _RANK_TOL) -> int:
+def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel) -> int:
     """Same index computed as dim ker - dim coker of the projection by rank counts."""
     if w.ambient_dim != model.ambient_dim:
         raise DimensionMismatch("subspace does not live in the model's ambient space")
     plus_map = model.h_plus.basis.matrix.conj().T @ w.basis.matrix
     sv = singular_values(plus_map)
-    rank = int(np.sum(sv > tol))
+    rank = int(np.sum(sv > _RANK_TOL))
     kernel = w.dim - rank
     cokernel = model.n_plus - rank
     return kernel - cokernel
@@ -357,22 +356,19 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
 
 def preservation_experiment(ladder: TruncationLadder, p: float,
                             chart_family: ChartFamily,
-                            mu_profile: DecayProfile | None = None,
-                            seed: int = 0, tail_cutoff: int = 8,
-                            spread_limit: float = 0.05) -> PreservationReport:
+                            seed: int = 0, tail_cutoff: int = 8) -> PreservationReport:
     """Measure the cotangent transition constant across a truncation ladder.
 
-    Per rung: generate a decay-class covector at the family's base point, push
-    it through the cotangent transition, and record the p-norm ratio (for
-    p >= 1) or the singular-tail ratio (p = 0).  The experiment passes when
-    the constant stabilizes: relative spread over the top three rungs at most
-    ``spread_limit``.  Rungs whose charts fail the domain check are skipped.
+    Per rung: generate a covector of the ladder's decay profile at the family's
+    base point, push it through the cotangent transition, and record the p-norm
+    ratio (for p >= 1) or the singular-tail ratio (p = 0).  The experiment passes
+    when the constant stabilizes: relative spread over the top three rungs at
+    most 0.05.  Rungs whose charts fail the domain check are skipped.
     """
     p = float(p)
     if p != 0.0 and p < 1.0:
         raise ValueError("p must be 0 (tail diagnostics) or >= 1")
-    profile = ladder.profile if mu_profile is None else mu_profile
-    rungs = [_rung(model, point, p, chart_family, profile, seed, tail_cutoff)
+    rungs = [_rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
              for model, point in ladder]
     constants = [r.constant for r in rungs if not r.skipped]
     top = constants[-3:]
@@ -381,7 +377,7 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
     else:
         mean = sum(top) / len(top)
         spread = (max(top) - min(top)) / mean if mean > 0 else math.inf
-        passed = spread <= spread_limit
+        passed = spread <= 0.05
     return PreservationReport(p=p, dims=tuple(r.dim for r in rungs),
                               per_rung=tuple(rungs), spread=spread, passed=passed)
 

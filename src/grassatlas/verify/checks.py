@@ -80,8 +80,7 @@ def _chart_chain(rng, n, k, count=3, scale=0.4):
 @_check("projection_identities", "atlas", 1e-12)
 def _projection_identities(cfg, trial, rng, n):
     chart = random_chart(n, _subspace_dim(rng, n), rng)
-    onto_f, onto_g = (p.matrix for p in oblique_projections(chart.f, chart.g,
-                                                             tol_split=chart.tol_split))
+    onto_f, onto_g = (p.matrix for p in oblique_projections(chart.f, chart.g))
     scale = 1.0 + np.linalg.norm(onto_f, 2)
     return max(
         np.linalg.norm(onto_f @ onto_f - onto_f, 2),

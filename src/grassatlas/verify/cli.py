@@ -9,8 +9,6 @@ from pathlib import Path
 from ..errors import ConfigError, GrassAtlasError
 from .runner import SUITES, SuiteConfig, emit_report, run_suite
 
-_CONFIG_KEYS = ("suite", "dims", "trials", "seed", "ladder", "format", "out")
-
 
 def _parse_tolerance(item: str) -> tuple[str, float]:
     name, _, value = item.partition("=")

@@ -16,9 +16,9 @@ from ..atlas import ChartId, ChartPoint
 from ..operators import Operator
 
 
-def finite_difference_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray,
-                              step: float = 1e-5) -> np.ndarray:
+def finite_difference_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray) -> np.ndarray:
     """Central finite difference of the base transition along ``direction``."""
+    step = 1e-5
     coord = pt.coord.matrix
     forward = atlas.transition_base(
         ChartPoint(pt.chart, Operator(coord + step * direction)), target)
@@ -36,9 +36,9 @@ def _derealify(mat: np.ndarray) -> np.ndarray:
     return mat[:rows, :cols] + 1j * mat[rows:, :cols]
 
 
-def complex_step_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray,
-                         step: float = 1e-20) -> np.ndarray:
+def complex_step_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray) -> np.ndarray:
     """Complex-step derivative of the base transition along ``direction``."""
+    step = 1e-20
     a, b, c, d = atlas._transition_blocks(pt.chart, target)
     a_r, b_r = _realify(a), _realify(b)
     c_r, d_r = _realify(c), _realify(d)

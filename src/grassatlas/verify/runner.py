@@ -32,10 +32,13 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose one of {SUITES}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if not self.dims or any(d < 2 for d in self.dims):
             raise ConfigError("every ambient dimension must be at least 2")
-        if len(self.ladder) < 2 or any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
-            raise ConfigError("ladder dims must be strictly increasing with >= 2 rungs")
+        if (len(self.ladder) < 2 or self.ladder[0] < 1
+                or any(b <= a for a, b in zip(self.ladder, self.ladder[1:]))):
+            raise ConfigError("ladder dims must be >= 1 and strictly increasing with >= 2 rungs")
         known = {d.name for d in _checks.registry()}
         for name, tol in self.tolerances.items():
             if name not in known:

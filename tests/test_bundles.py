@@ -252,6 +252,17 @@ def test_operator_to_tensor_zero_is_empty():
     assert ga.operator_to_tensor(mu).terms == ()
 
 
+def test_operator_to_tensor_rank_cut():
+    # the cut sits at max(shape) * eps * sigma_0, about 8.9e-16 * sigma_0 on a 4 x 4 form;
+    # 5e-16 * sigma_0 lies above eps * sigma_0, so it pins the max(shape) factor too
+    chart = ga.ChartId(ga.Subspace(np.eye(8)[:, :4]), ga.Subspace(np.eye(8)[:, 4:]))
+    pt = ga.ChartPoint(chart, ga.Operator(np.zeros((4, 4))))
+    mu = ga.Covector(pt, ga.Operator(np.diag([3.0, 3e-14, 1.5e-15, 3e-16])))
+    terms = ga.operator_to_tensor(mu).terms
+    kept = [float(np.linalg.norm(x) * np.linalg.norm(y)) for x, y in terms]
+    assert_allclose(kept, [3.0, 3e-14], rtol=1e-12)
+
+
 def test_tensor_operator_roundtrip_seeded():
     for trial in range(25):
         rng = _rng(400 + trial)

@@ -95,6 +95,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SuiteConfig(ladder=(8,))
     with pytest.raises(ConfigError):
+        SuiteConfig(ladder=(0, 4))
+    with pytest.raises(ConfigError):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ConfigError):
         SuiteConfig(tolerances={"made_up_check": 1e-6})
     with pytest.raises(ConfigError):
         SuiteConfig(tolerances={"chart_covering": -1.0})
@@ -134,6 +138,13 @@ def test_cli_rejects_bad_tolerance_syntax():
     assert main(["--tol", "oops"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--ladder", "0,4")])
+def test_cli_rejects_negative_seed_and_empty_ladder_rung(capsys, flag, value):
+    assert main(["--suite", "restricted", "--trials", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_config_file_with_flag_precedence(tmp_path):
     cfg_path = tmp_path / "suite.cfg"
     cfg_path.write_text(
@@ -165,8 +176,11 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
     "trials = ten\n",
     "seed = x\n",
     "tol.duality_invariance = abc\n",
+    "seed = -1\n",
+    "ladder = 0,4\n",
     None,  # the config file does not exist
-], ids=["unknown-key", "trials", "seed", "tolerance", "missing-file"])
+], ids=["unknown-key", "trials", "seed", "tolerance", "negative-seed", "empty-ladder-rung",
+        "missing-file"])
 def test_cli_rejects_unknown_config_key(tmp_path, content):
     cfg_path = tmp_path / "bad.cfg"
     if content is not None:
