@@ -9,7 +9,9 @@ Fiber conventions at a chart point over the pair (F, G):
 
 Dual maps are bilinear transposes for the trace pairing, never Hermitian
 adjoints: the cotangent transition is the plain transpose of the inverse of
-the forward tangent fiber map, derived from it rather than re-evaluated.
+the forward tangent fiber map, derived from it rather than re-evaluated.  That
+inverse is ``X' -> L_r X' S``, so on tensor covectors the transition is the one
+operator pair ``x (x) y -> S x (x) L_r^T y`` and keeps the number of terms.
 
 Every map here reads one forward transition per (point, target chart, domain
 tolerance): the source point keeps the last one it evaluated, so a tangent and
@@ -145,52 +147,51 @@ def transition_cotangent(c: Covector, target: ChartId,
 
 
 def pushforward_factors(pt: ChartPoint, target: ChartId,
-                        tol_domain: float | None = None
-                        ) -> tuple[tuple[Operator, Operator], ...]:
-    """Left/right multiplier pairs (S_j, T_j) of the inverse tangent fiber map.
+                        tol_domain: float | None = None) -> tuple[Operator, Operator]:
+    """The operator pair (S, L_r) of the inverse tangent fiber map ``X' -> L_r X' S``.
 
-    The inverse map factors as ``X' -> T_1 X' S + T_2 X' S`` by the product
-    rule: S = a + b A is the forward ``denom``, T_1 = d_r = R_G B_G' and
-    T_2 = -A b_r with b_r = R_F B_G', from the source chart's rows.  Domain
-    checks as in :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`,
-    which on the same point and chart reuses the transition evaluated here.
+    S = a + b A is the forward ``denom``, and L_r = d_r - A b_r with d_r = R_G B_G'
+    and b_r = R_F B_G' read from the source chart's rows, so L_r is found without
+    inverting the forward ``left``.  Domain checks as in :func:`transition_cotangent`;
+    consumed by :func:`pushforward_tensor`, which on the same point and chart
+    reuses the transition evaluated here.
     """
     fwd = _invertible_transition(pt, target, tol_domain)
     (rows_f, rows_g), bg = pt.chart._rows, target.g.basis.matrix
-    s = Operator(fwd.denom)
-    return ((s, Operator(rows_g @ bg)), (s, Operator(-(pt.coord.matrix @ (rows_f @ bg)))))
+    return Operator(fwd.denom), Operator(rows_g @ bg - pt.coord.matrix @ (rows_f @ bg))
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
-                             factors: Sequence[tuple[Operator, Operator]]
+                             factors: tuple[Operator, Operator]
                              ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Mechanical term map {(x_i, y_i)} -> {(S_j x_i, T_j^T y_i)} over all i, j."""
-    out = []
-    for s, t in factors:
-        s_mat, t_mat = as_matrix(s), as_matrix(t)
-        for x, y in terms:
-            out.append((s_mat @ x, t_mat.T @ y))
-    return tuple(out)
+    """Mechanical term map {(x_i, y_i)} -> {(S x_i, T^T y_i)} for the pair (S, T)."""
+    s, t = (as_matrix(f) for f in factors)
+    return tuple((s @ x, t.T @ y) for x, y in terms)
 
 
-def pushforward_tensor(tc: TensorCovector, factors: Sequence[tuple[Operator, Operator]],
+def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
                        target: ChartId, tol_domain: float | None = None) -> TensorCovector:
-    """Push a tensor covector through a chart change in rank-one form.
+    """Push a tensor covector through a chart change in rank-one form, term by term.
 
-    The supplied factors must realize the inverse tangent fiber map: probes check
-    them against L_r = (d - A' b)^{-1} and S = a + b A from the forward blocks, a
-    route independent of the reverse blocks they come from, and reject them with
-    :class:`FactorMismatch`.  Domain checks as in :func:`transition_cotangent`;
-    after :func:`pushforward_factors` on the same point and chart, the forward
-    transition is not evaluated again.
+    The supplied pair (S, T) must realize the inverse tangent fiber map: S must be
+    kf x kf and T kg x kg, else :class:`DimensionMismatch`, and probes check
+    ``X' -> T X' S`` against L_r = (d - A' b)^{-1} and S = a + b A from the forward
+    blocks, a route independent of the reverse rows ``pushforward_factors`` reads,
+    and reject it with :class:`FactorMismatch`.  Domain checks as in
+    :func:`transition_cotangent`; after :func:`pushforward_factors` on the same
+    point and chart, the forward transition is not evaluated again.
     """
     fwd = _invertible_transition(tc.at, target, tol_domain)
-    pairs = [(as_matrix(s), as_matrix(t)) for s, t in factors]
-    _check_factors(pairs, np.linalg.inv(fwd.left), fwd.denom)
-    return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, pairs))
+    s, t = (as_matrix(f) for f in factors)
+    kf, kg = tc.at.coord.cols, tc.at.coord.rows
+    if s.shape != (kf, kf) or t.shape != (kg, kg):
+        raise DimensionMismatch(
+            f"factors must be ({kf}, {kf}) and ({kg}, {kg}), got {s.shape} and {t.shape}")
+    _check_factors(s, t, np.linalg.inv(fwd.left), fwd.denom)
+    return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
 
 
-def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray) -> None:
+def _check_factors(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.ndarray) -> None:
     kg_t, kf_t = l_r.shape[1], s_r.shape[0]
     scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
     # rank-one probes u v^T cost matrix-vector work: T (u v^T) S = (T u)(v^T S)
@@ -203,8 +204,7 @@ def _check_factors(pairs, l_r: np.ndarray, s_r: np.ndarray) -> None:
         probes = [(row[:kg_t], row[kg_t:]) for row in gauss]
     worst = 0.0
     for u, v in probes:
-        provided = sum(np.outer(t @ u, v @ s) for s, t in pairs)
-        deviation = np.abs(provided - np.outer(l_r @ u, v @ s_r))
+        deviation = np.abs(np.outer(t @ u, v @ s) - np.outer(l_r @ u, v @ s_r))
         worst = max(worst, float(deviation.max(initial=0.0)))
     if worst > 1e-8 * scale:
         raise FactorMismatch(

@@ -176,6 +176,11 @@ def singular_values(op) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
+def singular_tail_sum(op, cutoff: int) -> float:
+    """Sum of the singular values past the first ``cutoff``: ``sum_{k > cutoff} sigma_k``."""
+    return float(np.sum(singular_values(op)[cutoff:]))
+
+
 def operator_norm(op) -> float:
     """Largest singular value."""
     sv = singular_values(op)
@@ -251,11 +256,8 @@ def compactness_tail(family, cutoff: int) -> SingularTail:
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    tails = []
-    for op in family.operators:
-        sv = singular_values(op)
-        tails.append(float(np.sum(sv[cutoff:])))
-    return SingularTail(dims=family.sizes, tail_norms=tuple(tails), cutoff=cutoff)
+    tails = tuple(singular_tail_sum(op, cutoff) for op in family.operators)
+    return SingularTail(dims=family.sizes, tail_norms=tails, cutoff=cutoff)
 
 
 def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

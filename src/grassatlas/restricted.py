@@ -23,7 +23,7 @@ from .bundles import Covector, transition_cotangent
 from .errors import (ChartDomainViolation, DimensionMismatch, LadderMismatch,
                      PredualUnavailable)
 from .operators import (DecayProfile, Operator, OperatorLadder, schatten_norm,
-                        singular_values)
+                        singular_tail_sum, singular_values)
 
 _RANK_TOL = 1e-10
 
@@ -324,11 +324,6 @@ def _decay_form(k_f: int, k_g: int, profile: DecayProfile, seed: int) -> np.ndar
     return mu
 
 
-def _tail_statistic(mat: np.ndarray, cutoff: int) -> float:
-    sv = singular_values(mat)
-    return float(np.sum(sv[cutoff:]))
-
-
 def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family: ChartFamily,
           profile: DecayProfile, seed: int, tail_cutoff: int) -> RungResult:
     """One ladder rung; its chart point, covector and memoized transition die on return."""
@@ -344,8 +339,8 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
     except ChartDomainViolation:
         return RungResult(dim, math.nan, math.nan, math.nan, skipped=True)
     if p == 0.0:
-        n_in = _tail_statistic(mu, tail_cutoff)
-        n_out = _tail_statistic(pushed.form.matrix, tail_cutoff)
+        n_in = singular_tail_sum(mu, tail_cutoff)
+        n_out = singular_tail_sum(pushed.form, tail_cutoff)
     else:
         n_in = schatten_norm(mu, p).value
         n_out = schatten_norm(pushed.form, p).value

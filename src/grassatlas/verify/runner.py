@@ -43,8 +43,9 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in known:
                 raise ConfigError(f"tolerance override for unknown check {name!r}")
-            if not tol > 0:
-                raise ConfigError(f"tolerance for {name!r} must be positive")
+            # an infinite bound would pass every trial, a raising one included
+            if not (tol > 0 and math.isfinite(tol)):
+                raise ConfigError(f"tolerance for {name!r} must be positive and finite")
 
 
 @dataclass(frozen=True)

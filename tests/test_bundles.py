@@ -281,7 +281,7 @@ def test_pushforward_terms_mechanical_definition():
     t = ga.Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
     x = np.array([1.0, 1.0])
     y = np.array([1.0, 2.0])
-    (nx, ny), = ga.tensor_pushforward_terms(((x, y),), ((s, t),))
+    (nx, ny), = ga.tensor_pushforward_terms(((x, y),), (s, t))
     assert_allclose(nx, s.matrix @ x)
     assert_allclose(ny, t.matrix.T @ y)
 
@@ -293,7 +293,7 @@ def test_pushforward_tensor_identity_factors():
                    random_fiber_matrix(3, 1, _rng(26 + i))[:, 0]) for i in range(2))
     tc = ga.TensorCovector(pt, terms)
     eye = ga.Operator(np.eye(3))
-    moved = ga.pushforward_tensor(tc, ((eye, eye),), pt.chart)
+    moved = ga.pushforward_tensor(tc, (eye, eye), pt.chart)
     for (x0, y0), (x1, y1) in zip(terms, moved.terms):
         assert_allclose(x0, x1, atol=1e-14)
         assert_allclose(y0, y1, atol=1e-14)
@@ -306,7 +306,17 @@ def test_pushforward_tensor_rejects_wrong_factors():
                                  random_fiber_matrix(3, 1, rng)[:, 0]),))
     bogus = ga.Operator(5.0 * np.eye(3))
     with pytest.raises(FactorMismatch):
-        ga.pushforward_tensor(tc, ((bogus, bogus),), dst)
+        ga.pushforward_tensor(tc, (bogus, bogus), dst)
+
+
+# a wrong shape must not reach the probes, where numpy would raise a ValueError
+@pytest.mark.parametrize("shapes", [((3, 3), (3, 3)), ((3, 3), (5, 5)), ((5, 5), (3, 5))],
+                         ids=["S-wrong", "swapped", "T-not-square"])
+def test_pushforward_tensor_rejects_wrong_factor_shapes(shapes):
+    src, pt, dst = _transition_instance(_rng(18), 8, 5)  # kf = 5, kg = 3
+    tc = ga.TensorCovector(pt, ((np.ones(5), np.ones(3)),))
+    with pytest.raises(DimensionMismatch):
+        ga.pushforward_tensor(tc, tuple(ga.Operator(np.eye(*shape)) for shape in shapes), dst)
 
 
 def test_commuting_square_tensor_vs_operator_route():
@@ -346,6 +356,31 @@ def test_cotangent_contravariant_composition():
     assert worst <= 1e-9
 
 
+def test_chained_tensor_pushforward_keeps_its_terms():
+    # one operator pair per chart change: the term count stays 3 through three changes
+    worst = 0.0
+    for trial in range(20):
+        rng = _rng(650 + trial)
+        n = 8
+        k = int(rng.integers(1, n))
+        src = random_chart(n, k, rng)
+        pt = random_chart_point(src, rng, scale=0.4)
+        h = ga.chart_inverse(pt)
+        tc = ga.TensorCovector(pt, tuple((random_fiber_matrix(k, 1, rng)[:, 0],
+                                          random_fiber_matrix(n - k, 1, rng)[:, 0])
+                                         for _ in range(3)))
+        mu = ga.tensor_to_operator(tc)
+        for _ in range(3):
+            dst = random_chart_containing(h, rng)
+            tc = ga.pushforward_tensor(tc, ga.pushforward_factors(tc.at, dst), dst)
+            mu = ga.transition_cotangent(mu, dst)
+            assert len(tc.terms) == 3
+        scale = 1.0 + float(np.abs(mu.form.matrix).max())
+        worst = max(worst, float(np.abs(ga.tensor_to_operator(tc).form.matrix
+                                        - mu.form.matrix).max()) / scale)
+    assert worst <= 1e-10
+
+
 def _near_chart_pair(n, k, seed, flavors=("hilbert", "split")):
     """Source and target charts of the given flavors, all perturbations of one pair."""
     rng = _rng(seed)
@@ -374,8 +409,8 @@ def test_factor_check_rejects_perturbed_factors(n, k, eps):
                                  random_fiber_matrix(n - k, 1, _rng(n + 1))[:, 0]),))
     factors = ga.pushforward_factors(pt, dst)
     ga.pushforward_tensor(tc, factors, dst)
-    (s, t), second = factors
-    perturbed = ((s, ga.Operator(t.matrix + eps * np.eye(*t.shape))), second)
+    s, t = factors
+    perturbed = (s, ga.Operator(t.matrix + eps * np.eye(*t.shape)))
     with pytest.raises(FactorMismatch):
         ga.pushforward_tensor(tc, perturbed, dst)
 
@@ -407,9 +442,13 @@ def test_derived_inverse_data_matches_reverse_blocks(n, k, flavors):
     moved = ga.transition_cotangent(ga.Covector(pt, mu), dst)
     assert moved.form.shape == (k, n - k)
     assert _relative_gap(moved.form.matrix, np.linalg.solve(m_r, mu) @ l_r) <= 1e-12
+    # the pair is S itself and L_r from the reverse rows, a route apart from inv(left)
+    factors = ga.pushforward_factors(pt, dst)
+    assert np.array_equal(factors[0].matrix, fwd.denom)
+    assert _relative_gap(factors[1].matrix, np.linalg.inv(fwd.left)) <= 1e-12
     tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, _rng(1))[:, 0],
                                  random_fiber_matrix(n - k, 1, _rng(2))[:, 0]),))
-    pushed = ga.pushforward_tensor(tc, ga.pushforward_factors(pt, dst), dst)
+    pushed = ga.pushforward_tensor(tc, factors, dst)
     via_cotangent = ga.transition_cotangent(ga.tensor_to_operator(tc), dst)
     assert _relative_gap(ga.tensor_to_operator(pushed).form.matrix,
                          via_cotangent.form.matrix) <= 1e-10
@@ -448,7 +487,7 @@ def _inverse_maps(pt, dst, tol_domain=None):
         "transition_cotangent": lambda: ga.transition_cotangent(
             ga.Covector(pt, random_fiber_matrix(k, kg, rng)), dst, tol_domain),
         "pushforward_factors": lambda: ga.pushforward_factors(pt, dst, tol_domain),
-        "pushforward_tensor": lambda: ga.pushforward_tensor(tc, (eye,), dst, tol_domain),
+        "pushforward_tensor": lambda: ga.pushforward_tensor(tc, eye, dst, tol_domain),
     }
 
 

@@ -138,7 +138,9 @@ def test_cli_rejects_bad_tolerance_syntax():
     assert main(["--tol", "oops"]) == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--ladder", "0,4")])
+# an infinite tolerance would PASS even a raising trial, which scores +inf
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--ladder", "0,4"),
+                                         ("--tol", "projection_identities=inf")])
 def test_cli_rejects_negative_seed_and_empty_ladder_rung(capsys, flag, value):
     assert main(["--suite", "restricted", "--trials", "1", flag, value]) == 2
     captured = capsys.readouterr()
@@ -176,11 +178,13 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
     "trials = ten\n",
     "seed = x\n",
     "tol.duality_invariance = abc\n",
+    "tol.duality_invariance = inf\n",
+    "tol.duality_invariance = nan\n",
     "seed = -1\n",
     "ladder = 0,4\n",
     None,  # the config file does not exist
-], ids=["unknown-key", "trials", "seed", "tolerance", "negative-seed", "empty-ladder-rung",
-        "missing-file"])
+], ids=["unknown-key", "trials", "seed", "tolerance", "infinite-tolerance", "nan-tolerance",
+        "negative-seed", "empty-ladder-rung", "missing-file"])
 def test_cli_rejects_unknown_config_key(tmp_path, content):
     cfg_path = tmp_path / "bad.cfg"
     if content is not None:
