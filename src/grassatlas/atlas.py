@@ -10,6 +10,7 @@ every chart coordinate and transition block is a product against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -24,6 +25,13 @@ DEFAULT_TOL_EQ = 1e-10
 _ORTHO_TOL = 1e-12
 
 
+def _require_finite(mat: np.ndarray) -> None:
+    # a NaN compares False against every tolerance, so the rank and
+    # orthonormality checks would pass it
+    if not np.isfinite(mat).all():
+        raise ValueError("basis has non-finite entries")
+
+
 class Subspace:
     """A point of the Grassmannian, stored as an orthonormal basis.
 
@@ -36,6 +44,7 @@ class Subspace:
         n, k = mat.shape
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
+        _require_finite(mat)
         gram = mat.conj().T @ mat
         if k and np.linalg.norm(gram - np.eye(k)) > _ORTHO_TOL:
             raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
@@ -46,6 +55,7 @@ class Subspace:
     def from_span(cls, spanning) -> "Subspace":
         """Orthonormalize a spanning matrix; rejects rank-deficient input."""
         mat = as_matrix(spanning)
+        _require_finite(mat)
         q, r = np.linalg.qr(mat)
         diag = np.abs(np.diagonal(r))
         if mat.shape[1] and (diag.size < mat.shape[1]
@@ -155,6 +165,9 @@ class ChartPoint:
         if coord.shape != expected:
             raise DimensionMismatch(
                 f"chart coordinate must have shape {expected}, got {coord.shape}")
+        if not np.isfinite(coord.matrix).all():
+            # no chart domain holds an infinite graph; the domain bounds read |A|_F
+            raise ChartDomainViolation("chart coordinate has non-finite entries")
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "_forward", None)
 
@@ -175,27 +188,42 @@ def _domain_conditioning(block: np.ndarray) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
+def _coordinate_bound(coord: np.ndarray) -> float:
+    """1/(sqrt(k) + |A|_F) for a k-column coordinate A: a lower bound on sigma_min(X)
+    for any block X with X^{-1} of the Frobenius norm of the graph B_F + B_G A."""
+    return 1.0 / (math.sqrt(coord.shape[1]) + float(np.linalg.norm(coord)))
+
+
 def _require_domain(exact: Callable[[], float], tol_domain: float | None, what: str,
-                    inverse: Callable[[], np.ndarray] | None = None) -> None:
+                    coordinate: Callable[[], np.ndarray] | None = None) -> np.ndarray | None:
     """Raise :class:`ChartDomainViolation` when the conditioning is at or below the tolerance.
 
-    ``exact()`` is the conditioning sigma_min(X) of a domain block X.  When
-    ``inverse()`` gives X^{-1} (or any matrix of equal Frobenius norm), the bound
-    sigma_min(X) >= 1/|X^{-1}|_F passes the block without ``exact()`` once it
-    clears 2 tol; otherwise, or when the inverse raises ``LinAlgError``, the
-    exact value decides, so every decision and every raised field is the exact one.
+    ``exact()`` is the conditioning sigma_min(X) of a domain block X.  Every
+    block decided here sees a graph B_F + B_G A through X^{-1}, with orthonormal
+    B_F and B_G and A a k-column chart coordinate, so |X^{-1}|_F <= sqrt(k) + |A|_F
+    and sigma_min(X) >= 1/(sqrt(k) + |A|_F).  When ``coordinate()`` gives that A,
+    the bound passes the block without ``exact()`` once it clears 2 tol;
+    otherwise, or when ``coordinate()`` raises ``LinAlgError``, the exact value
+    decides, so every decision and every raised field is the exact one.  Returns
+    the coordinate, evaluated again after an exact pass if the first call raised.
     """
     tol = _domain_tol(tol_domain)
-    if inverse is not None:
+    coord = None
+    if coordinate is not None:
         try:
-            if 1.0 / np.linalg.norm(inverse()) > 2.0 * tol:
-                return
+            coord = coordinate()
         except np.linalg.LinAlgError:
             pass
+        else:
+            if _coordinate_bound(coord) > 2.0 * tol:
+                return coord
     cond = exact()
     if cond <= tol:
         raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})",
                                    conditioning=cond, tol=tol)
+    if coord is None and coordinate is not None:
+        coord = coordinate()
+    return coord
 
 
 def _restricted_projection(h: Subspace, chart: ChartId) -> tuple[np.ndarray, np.ndarray]:
@@ -236,9 +264,10 @@ def chart_forward(h: Subspace, chart: ChartId,
     c, d = _restricted_projection(h, chart)
     if c.shape[0] == 0:
         return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
-    _require_domain(lambda: _domain_conditioning(c), tol_domain,
-                    "subspace is outside the chart domain", lambda: np.linalg.inv(c))
-    return ChartPoint(chart, np.linalg.solve(c.T, d.T).T)
+    # B_H c^{-1} = B_F + B_G A is the graph of the coordinate A = d c^{-1} being solved for
+    return ChartPoint(chart, _require_domain(lambda: _domain_conditioning(c), tol_domain,
+                                             "subspace is outside the chart domain",
+                                             lambda: np.linalg.solve(c.T, d.T).T))
 
 
 def chart_forward_projector(h: Subspace, chart: ChartId,
@@ -268,10 +297,13 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
 
 def chart_inverse(pt: ChartPoint) -> Subspace:
     """Graph of the chart coordinate: span of {f + A f} over the F basis."""
-    chart = pt.chart
-    graph = chart.f.basis.matrix + chart.g.basis.matrix @ pt.coord.matrix
-    q, _ = np.linalg.qr(graph)
+    q, _ = np.linalg.qr(_graph(pt))
     return Subspace(q)
+
+
+def _graph(pt: ChartPoint) -> np.ndarray:
+    """The graph basis B_F + B_G A of a chart point, not orthonormalized."""
+    return pt.chart.f.basis.matrix + pt.chart.g.basis.matrix @ pt.coord.matrix
 
 
 def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
@@ -282,13 +314,12 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
 
 
 class _Forward(NamedTuple):
-    """What the bundle maps read of a forward transition: A', denom = a + b A, b, d, source-graph R."""
+    """What the bundle maps read of a forward transition: A', denom = a + b A, b and d."""
 
     coord: np.ndarray
     denom: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    r: np.ndarray
 
     @property
     def left(self) -> np.ndarray:
@@ -298,6 +329,13 @@ class _Forward(NamedTuple):
 
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
     """The one transition every base and bundle map evaluates, kept on the source point.
+
+    The source graph is B_F' denom + B_G' numer in the target bases, so
+    graph denom^{-1} = B_F' + B_G' A' and the domain block X = denom R^{-1},
+    against the graph's QR basis, has |X^{-1}|_F <= sqrt(k) + |A'|_F: the
+    coordinate being solved for decides the domain (:func:`_require_domain`).
+    Only when that bound does not clear, or denom is exactly singular, does the
+    exact route run: the graph's QR and the SVD of X.
 
     The point holds the record of its last (target, tolerance); every input is
     frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
@@ -316,16 +354,16 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     coord = pt.coord.matrix
     denom = a + b @ coord
     if denom.shape[0] == 0:
-        fwd = _Forward(np.zeros((target.g.dim, 0)), denom, b, d, np.zeros((0, 0)))
+        fwd = _Forward(np.zeros((target.g.dim, 0)), denom, b, d)
     else:
-        # against the graph's QR basis X = denom R^{-1}, whose conditioning agrees with
-        # in_chart_domain; X^{-1} = R denom^{-1} costs one solve, the SVD only near the boundary
-        r = np.linalg.qr(src.f.basis.matrix + src.g.basis.matrix @ coord, mode="r")
-        _require_domain(lambda: _domain_conditioning(np.linalg.solve(r.T, denom.T).T), tol,
-                        "graph leaves the target chart domain",
-                        lambda: np.linalg.solve(denom.T, r.T))
-        aprime = np.linalg.solve(denom.T, (c + d @ coord).T).T
-        fwd = _Forward(aprime, denom, b, d, r)
+        def exact() -> float:
+            # X = denom R^{-1}, whose conditioning agrees with in_chart_domain
+            r = np.linalg.qr(_graph(pt), mode="r")
+            return _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
+
+        aprime = _require_domain(exact, tol, "graph leaves the target chart domain",
+                                 lambda: np.linalg.solve(denom.T, (c + d @ coord).T).T)
+        fwd = _Forward(aprime, denom, b, d)
     object.__setattr__(pt, "_forward", (target, tol, fwd))
     return fwd
 

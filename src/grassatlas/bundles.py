@@ -121,12 +121,15 @@ def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | 
     """The forward transition, once the inverse map's domain is checked as well.
 
     With B_F + B_G A = Q R the source chart sees the graph through R^{-1}, so the
-    margin is 1/|R|_2, and R itself is the inverse whose Frobenius norm bounds it.
+    margin is 1/|R|_2, and |R|_2 <= |R|_F = |B_F + B_G A|_F <= sqrt(k) + |A|_F with
+    A the point's own coordinate (:func:`atlas._require_domain`).  The graph's QR
+    runs only when that bound does not clear 2 tol.
     """
     fwd = atlas._forward_transition(pt, target, tol_domain)
-    if fwd.r.size:
-        atlas._require_domain(lambda: 1.0 / float(np.linalg.norm(fwd.r, 2)), tol_domain,
-                              "reverse transition leaves the chart domain", lambda: fwd.r)
+    if fwd.denom.size:
+        atlas._require_domain(
+            lambda: 1.0 / float(np.linalg.norm(np.linalg.qr(atlas._graph(pt), mode="r"), 2)),
+            tol_domain, "reverse transition leaves the chart domain", lambda: pt.coord.matrix)
     return fwd
 
 
@@ -137,8 +140,8 @@ def transition_cotangent(c: Covector, target: ChartId,
     The inverse fiber map is ``X' -> L_r X' S`` with S = a + b A, the forward
     ``denom``, and L_r = (d - A' b)^{-1}, so the trace pairing forces
     ``mu' = S mu L_r``; the class tag travels unchanged.  The inverse map's
-    domain check reads the forward QR (:func:`_invertible_transition`), and a
-    tangent pushed from the same point to the same chart shares the transition.
+    domain check reads the point's own coordinate (:func:`_invertible_transition`),
+    and a tangent pushed from the same point to the same chart shares the transition.
     """
     fwd = _invertible_transition(c.at, target, tol_domain)
     pushed = np.linalg.solve(fwd.left.T, (fwd.denom @ c.form.matrix).T).T
@@ -165,7 +168,7 @@ def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
                              factors: tuple[Operator, Operator]
                              ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Mechanical term map {(x_i, y_i)} -> {(S x_i, T^T y_i)} for the pair (S, T)."""
-    s, t = (as_matrix(f) for f in factors)
+    s, t = _factor_pair(factors)
     return tuple((s @ x, t.T @ y) for x, y in terms)
 
 
@@ -182,7 +185,7 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     point and chart, the forward transition is not evaluated again.
     """
     fwd = _invertible_transition(tc.at, target, tol_domain)
-    s, t = (as_matrix(f) for f in factors)
+    s, t = _factor_pair(factors)
     kf, kg = tc.at.coord.cols, tc.at.coord.rows
     if s.shape != (kf, kf) or t.shape != (kg, kg):
         raise DimensionMismatch(
@@ -191,21 +194,44 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
 
 
+def _factor_pair(factors) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (S, T) as two matrices; anything else is a :class:`DimensionMismatch`."""
+    try:
+        s, t = factors
+        return as_matrix(s), as_matrix(t)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"factors must be one pair (S, T) of matrices: {exc}") from None
+
+
+def _probes(kg: int, kf: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rank-one probe directions (u, v): the elementary basis up to 256 pairs, else 16 seeded."""
+    if kg * kf <= 256:
+        return [(u, v) for u in np.eye(kg) for v in np.eye(kf)]
+    rng = np.random.default_rng(0)
+    gauss = rng.standard_normal((16, kg + kf)) + 1j * rng.standard_normal((16, kg + kf))
+    return [(row[:kg], row[kg:]) for row in gauss]
+
+
+def _factor_deviation(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.ndarray) -> float:
+    """Largest entry of T (u v^T) S - L_r (u v^T) S_r over the probes.
+
+    Each probe costs matrix-vector work: T (u v^T) S = (T u)(v^T S).  When S is
+    S_r the difference is the rank-one (T u - L_r u)(v^T S), whose largest entry
+    is |T u - L_r u|_inf |v^T S|_inf, so no kg x kf matrix is formed.
+    """
+    probes = _probes(l_r.shape[1], s_r.shape[0])
+    if np.array_equal(s, s_r):
+        return max((float(np.abs(t @ u - l_r @ u).max() * np.abs(v @ s).max())
+                    for u, v in probes), default=0.0)
+    return max((float(np.abs(np.outer(t @ u, v @ s) - np.outer(l_r @ u, v @ s_r)).max())
+                for u, v in probes), default=0.0)
+
+
 def _check_factors(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.ndarray) -> None:
-    kg_t, kf_t = l_r.shape[1], s_r.shape[0]
     scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
-    # rank-one probes u v^T cost matrix-vector work: T (u v^T) S = (T u)(v^T S)
-    if kg_t * kf_t <= 256:
-        probes = [(u, v) for u in np.eye(kg_t) for v in np.eye(kf_t)]
-    else:
-        # fibers too large for the elementary basis: seeded random probes
-        rng = np.random.default_rng(0)
-        gauss = rng.standard_normal((16, kg_t + kf_t)) + 1j * rng.standard_normal((16, kg_t + kf_t))
-        probes = [(row[:kg_t], row[kg_t:]) for row in gauss]
-    worst = 0.0
-    for u, v in probes:
-        deviation = np.abs(np.outer(t @ u, v @ s) - np.outer(l_r @ u, v @ s_r))
-        worst = max(worst, float(deviation.max(initial=0.0)))
+    # for the pair pushforward_factors returns, S is S_r and each probe's worst entry
+    # is the rank-one maximum |T u - L_r u|_inf |v^T S|_inf
+    worst = _factor_deviation(s, t, l_r, s_r)
     if worst > 1e-8 * scale:
         raise FactorMismatch(
             f"factors deviate from the tangent fiber map by {worst:.3e} on probes")

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas
+from grassatlas import atlas, sampling
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from grassatlas.sampling import (random_chart, random_chart_containing,
-                                 random_chart_point, random_subspace)
+from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, random_chart,
+                                 random_chart_containing, random_chart_point,
+                                 random_subspace)
 
 
 def _rng(seed):
@@ -39,6 +40,21 @@ def test_subspace_from_span_orthonormalizes():
 def test_subspace_from_span_rejects_rank_deficient():
     with pytest.raises(ValueError):
         ga.Subspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+
+
+# NaN compares False against every tolerance, so the rank and orthonormality
+# checks alone would accept it
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_subspace_rejects_non_finite_basis(value):
+    bad = np.eye(6)[:, :3]
+    bad[1, 2] = value
+    with pytest.raises(ValueError):
+        ga.Subspace(bad)
+    for spanning in (bad, np.full((6, 3), value)):
+        with pytest.raises(ValueError):
+            ga.Subspace.from_span(spanning)
+    with pytest.raises(ValueError):
+        ga.Subspace(np.full((6, 3), value))
 
 
 def test_subspace_equality_is_basis_independent():
@@ -112,6 +128,17 @@ def test_in_chart_domain_dimension_mismatch():
     chart = _coordinate_chart()
     with pytest.raises(DimensionMismatch):
         ga.in_chart_domain(ga.Subspace(np.eye(2)), chart)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_chart_point_rejects_non_finite_coordinate(value):
+    chart = random_chart(6, 3, _rng(3))
+    coord = np.zeros((3, 3))
+    coord[2, 0] = value
+    with pytest.raises(ChartDomainViolation) as info:
+        ga.ChartPoint(chart, coord)
+    assert isinstance(info.value, ga.GrassAtlasError)
+    assert info.value.conditioning is None and info.value.tol is None
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +454,78 @@ def test_domain_decision_bound_then_svd(monkeypatch, route, case, cosines, svds)
         assert info.value.conditioning == exact and info.value.tol == ga.DEFAULT_TOL_DOMAIN
         assert str(info.value).endswith(f"(conditioning {exact:.3e} <= 1.0e-08)")
     assert len(calls) == svds
+
+
+def _counting(monkeypatch, name):
+    """Count calls to ``np.linalg.<name>`` for the rest of the test."""
+    calls = []
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
+# the coordinate A' decides "inside" alone; the graph's QR runs only on the exact route
+@pytest.mark.parametrize("case, cosines, qrs", [
+    ("inside", (0.6, 0.8), 0), ("near", (1.5e-8, 1.5e-8), 1),
+    ("under", (0.99e-8, 0.6), 1), ("singular", (0.0, 0.6), 1),
+])
+def test_forward_transition_runs_the_graph_qr_off_the_bound(monkeypatch, case, cosines, qrs):
+    target, source, h = _tilted_charts(cosines)
+    pt = ga.chart_forward(h, source)
+    calls = _counting(monkeypatch, "qr")
+    if min(cosines) > ga.DEFAULT_TOL_DOMAIN:
+        atlas._forward_transition(pt, target, None)
+    else:
+        with pytest.raises(ChartDomainViolation):
+            atlas._forward_transition(pt, target, None)
+    assert len(calls) == qrs
+
+
+@pytest.mark.parametrize("cosines", [(0.6, 0.8), (1.5e-8, 1.5e-8), (0.99e-8, 0.6), (0.0, 0.6)],
+                         ids=["inside", "near", "under", "singular"])
+def test_chart_forward_inverts_nothing(monkeypatch, cosines):
+    target, _, h = _tilted_charts(cosines)
+    calls = _counting(monkeypatch, "inv")
+    if min(cosines) > ga.DEFAULT_TOL_DOMAIN:
+        ga.chart_forward(h, target)
+    else:
+        with pytest.raises(ChartDomainViolation):
+            ga.chart_forward(h, target)
+    assert calls == []
+
+
+def _at_floor(low, high, rng, size=None):
+    """``sampling._log_uniform`` pinned to its lower end: every chart at SPLIT_FLOOR
+    and every drawn margin at MARGIN_FLOOR."""
+    return low if size is None else np.full(size, low)
+
+
+# 1/(sqrt(k) + |A|_F) bounds the exact conditioning at each site that reads it; the
+# 1e-12 allows the roundoff of the two sides, which the 2 tol pass margin dwarfs
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.booleans(),
+       st.sampled_from(["hilbert", "split"]), st.sampled_from(["hilbert", "split"]))
+def test_coordinate_bound_never_exceeds_the_conditioning(seed, n, rank_one, src_flavor,
+                                                         dst_flavor):
+    k = 1 if rank_one else n - 1
+    rng = _rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_log_uniform", _at_floor)
+        h = random_subspace(n, k, rng)
+        src = random_chart_containing(h, rng, src_flavor)
+        dst = random_chart_containing(h, rng, dst_flavor)
+    # chart_forward: B_H c^{-1} is the graph of A
+    pt = ga.chart_forward(h, src)
+    exact = ga.in_chart_domain(h, src).conditioning
+    if src_flavor == "hilbert":
+        assert exact == pytest.approx(MARGIN_FLOOR, rel=1e-9)
+    else:
+        assert ga.split_conditioning(src.f, src.g) == pytest.approx(SPLIT_FLOOR, rel=1e-9)
+    assert atlas._coordinate_bound(pt.coord.matrix) <= exact * (1.0 + 1e-12)
+    # the forward transition: graph denom^{-1} is the graph of A'
+    aprime = atlas._forward_transition(pt, dst, None).coord
+    assert atlas._coordinate_bound(aprime) <= _transition_conditioning(pt, dst) * (1.0 + 1e-12)
+    # the reverse check: the source chart sees the graph of A through R^{-1}
+    graph = src.f.basis.matrix + src.g.basis.matrix @ pt.coord.matrix
+    margin = 1.0 / np.linalg.norm(np.linalg.qr(graph, mode="r"), 2)
+    assert atlas._coordinate_bound(pt.coord.matrix) <= margin * (1.0 + 1e-12)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas
+from grassatlas import atlas, bundles
 from grassatlas.errors import (ChartDomainViolation, ChartMismatch, DimensionMismatch,
                                FactorMismatch, GrassAtlasError, PairingMismatch)
 from grassatlas.sampling import (random_chart, random_chart_containing,
@@ -319,6 +319,20 @@ def test_pushforward_tensor_rejects_wrong_factor_shapes(shapes):
         ga.pushforward_tensor(tc, tuple(ga.Operator(np.eye(*shape)) for shape in shapes), dst)
 
 
+# the old multi-pair form, a lone factor, three factors, nothing, and a non-matrix
+@pytest.mark.parametrize("form", ["pairs", "lone", "triple", "none", "string"])
+def test_tensor_maps_reject_factors_that_are_not_one_pair(form):
+    src, pt, dst = _transition_instance(_rng(19), 6, 3)
+    s, t = ga.pushforward_factors(pt, dst)
+    factors = {"pairs": ((s, t),), "lone": (s,), "triple": (s, t, t), "none": None,
+               "string": (s, "x")}[form]
+    tc = ga.TensorCovector(pt, ((np.ones(3), np.ones(3)),))
+    with pytest.raises(DimensionMismatch):
+        ga.pushforward_tensor(tc, factors, dst)
+    with pytest.raises(DimensionMismatch):
+        ga.tensor_pushforward_terms(tc.terms, factors)
+
+
 def test_commuting_square_tensor_vs_operator_route():
     worst = 0.0
     for trial in range(40):
@@ -415,6 +429,27 @@ def test_factor_check_rejects_perturbed_factors(n, k, eps):
         ga.pushforward_tensor(tc, perturbed, dst)
 
 
+# with S = S_r the probe deviation is rank one and its largest entry a product of
+# two vector maxima; T is pushed off L_r far enough that the dense difference is
+# not roundoff, and a perturbed S leaves the rank-one path and must still raise
+@pytest.mark.parametrize("n, k, eps", [(8, 4, 3e-8), (40, 20, 3e-9)])
+def test_rank_one_factor_deviation_matches_dense_reference(n, k, eps):
+    pt, dst = _near_chart_pair(n, k, 810 + n)
+    fwd = atlas._forward_transition(pt, dst, None)
+    l_r, s_r = np.linalg.inv(fwd.left), fwd.denom
+    s, t = (f.matrix for f in ga.pushforward_factors(pt, dst))
+    probes = bundles._probes(n - k, k)
+    assert len(probes) == (16 if n == 40 else (n - k) * k)
+    for delta in (1e-3, 1e-2):
+        pushed = t + delta * random_fiber_matrix(n - k, n - k, _rng(n + 2))
+        dense = max(float(np.abs(np.outer(pushed @ u, v @ s) - np.outer(l_r @ u, v @ s_r)).max())
+                    for u, v in probes)
+        assert abs(bundles._factor_deviation(s, pushed, l_r, s_r) - dense) <= 1e-12 * dense
+    tc = ga.TensorCovector(pt, ((np.ones(k), np.ones(n - k)),))
+    with pytest.raises(FactorMismatch):
+        ga.pushforward_tensor(tc, (ga.Operator(s + eps * np.eye(k)), ga.Operator(t)), dst)
+
+
 # ---------------------------------------------------------------------------
 # inverse fiber data derived from the forward transition
 
@@ -454,12 +489,18 @@ def test_derived_inverse_data_matches_reverse_blocks(n, k, flavors):
                          via_cotangent.form.matrix) <= 1e-10
 
 
+def _graph_r(pt):
+    """R of the QR of the source graph B_F + B_G A, the inverse map's domain block."""
+    graph = pt.chart.f.basis.matrix + pt.chart.g.basis.matrix @ pt.coord.matrix
+    return np.linalg.qr(graph, mode="r")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_inverse_domain_conditioning_is_the_source_chart_margin(seed):
     rng = _rng(950 + seed)
     n = (4, 8, 16)[seed % 3]
     src, pt, dst = _transition_instance(rng, n, int(rng.integers(1, n)))
-    r = atlas._forward_transition(pt, dst, None).r
+    r = _graph_r(pt)
     want = ga.in_chart_domain(ga.chart_inverse(pt), src).conditioning
     assert abs(1.0 / np.linalg.norm(r, 2) - want) <= 1e-12 * want
 
@@ -506,7 +547,7 @@ def test_inverse_domain_check_rejects_far_source_point():
 def test_inverse_domain_check_decides_on_the_two_norm():
     # 1/|R|_F = 5e-10 < tol < 1e-9 = 1/|R|_2: the Frobenius bound alone would raise
     pt, dst = _far_point_swap()
-    r = atlas._forward_transition(pt, dst, None).r
+    r = _graph_r(pt)
     assert 1.0 / np.linalg.norm(r) < 7e-10 < 1.0 / np.linalg.norm(r, 2)
     maps = _inverse_maps(pt, dst, tol_domain=7e-10)
     maps["transition_cotangent"]()
