@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +25,11 @@ DEFAULT_TOL_EQ = 1e-10
 _ORTHO_TOL = 1e-12
 
 
-def _require_finite(mat: np.ndarray) -> None:
+def _require_finite(mat: np.ndarray, what: str = "basis") -> None:
     # a NaN compares False against every tolerance, so the rank and
     # orthonormality checks would pass it
     if not np.isfinite(mat).all():
-        raise ValueError("basis has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
 
 
 class Subspace:
@@ -178,7 +178,11 @@ class DomainCheck(NamedTuple):
 
 
 def _domain_tol(tol_domain: float | None) -> float:
-    return DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
+    tol = DEFAULT_TOL_DOMAIN if tol_domain is None else float(tol_domain)
+    # a NaN tolerance decides nothing, and a negative one passes a singular block
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol_domain must be finite and >= 0, got {tol_domain!r}")
+    return tol
 
 
 def _domain_conditioning(block: np.ndarray) -> float:
@@ -188,41 +192,48 @@ def _domain_conditioning(block: np.ndarray) -> float:
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
+def _outside(what: str, cond: float, tol: float) -> ChartDomainViolation:
+    return ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})",
+                                conditioning=cond, tol=tol)
+
+
 def _coordinate_bound(coord: np.ndarray) -> float:
-    """1/(sqrt(k) + |A|_F) for a k-column coordinate A: a lower bound on sigma_min(X)
-    for any block X with X^{-1} of the Frobenius norm of the graph B_F + B_G A."""
-    return 1.0 / (math.sqrt(coord.shape[1]) + float(np.linalg.norm(coord)))
+    """1/(sqrt(k) + |A|_F) <= 1/|B_F + B_G A|_2 for a k-column A; an empty graph reads +inf."""
+    size = math.sqrt(coord.shape[1]) + float(np.linalg.norm(coord))
+    return 1.0 / size if size else math.inf
 
 
-def _require_domain(exact: Callable[[], float], tol_domain: float | None, what: str,
-                    coordinate: Callable[[], np.ndarray] | None = None) -> np.ndarray | None:
-    """Raise :class:`ChartDomainViolation` when the conditioning is at or below the tolerance.
+def _require_domain(chart: ChartId, coord: np.ndarray, tol_domain: float | None,
+                    what: str) -> None:
+    """Raise :class:`ChartDomainViolation` unless the chart point (chart, A) is in a domain.
 
-    ``exact()`` is the conditioning sigma_min(X) of a domain block X.  Every
-    block decided here sees a graph B_F + B_G A through X^{-1}, with orthonormal
-    B_F and B_G and A a k-column chart coordinate, so |X^{-1}|_F <= sqrt(k) + |A|_F
-    and sigma_min(X) >= 1/(sqrt(k) + |A|_F).  When ``coordinate()`` gives that A,
-    the bound passes the block without ``exact()`` once it clears 2 tol;
-    otherwise, or when ``coordinate()`` raises ``LinAlgError``, the exact value
-    decides, so every decision and every raised field is the exact one.  Returns
-    the coordinate, evaluated again after an exact pass if the first call raised.
+    Every domain block X decided here has X^{-1} equal to the graph B_F + B_G A
+    up to an isometry, so sigma_min(X) = 1/|B_F + B_G A|_2.  The bound
+    :func:`_coordinate_bound` passes the point once it clears 2 tol; below that
+    the graph's 2-norm decides, and its reciprocal is the raised conditioning.
     """
     tol = _domain_tol(tol_domain)
-    coord = None
-    if coordinate is not None:
-        try:
-            coord = coordinate()
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if _coordinate_bound(coord) > 2.0 * tol:
-                return coord
-    cond = exact()
+    if _coordinate_bound(coord) > 2.0 * tol:
+        return
+    cond = 1.0 / float(np.linalg.norm(_graph(chart, coord), 2))
     if cond <= tol:
-        raise ChartDomainViolation(f"{what} (conditioning {cond:.3e} <= {tol:.1e})",
-                                   conditioning=cond, tol=tol)
-    if coord is None and coordinate is not None:
-        coord = coordinate()
+        raise _outside(what, cond, tol)
+
+
+def _solve_in_domain(chart: ChartId, top: np.ndarray, bottom: np.ndarray,
+                     tol_domain: float | None, what: str) -> np.ndarray:
+    """The coordinate A = bottom top^{-1} in ``chart``, once :func:`_require_domain` passes it.
+
+    ``top`` is singular exactly when the domain block is, so a ``LinAlgError``
+    from the solve, or an A that overflows, reads as conditioning 0.0.
+    """
+    try:
+        coord = np.linalg.solve(top.T, bottom.T).T
+    except np.linalg.LinAlgError:
+        coord = None
+    if coord is None or not np.isfinite(coord).all():
+        raise _outside(what, 0.0, _domain_tol(tol_domain))
+    _require_domain(chart, coord, tol_domain, what)
     return coord
 
 
@@ -262,12 +273,9 @@ def chart_forward(h: Subspace, chart: ChartId,
     (projection onto F)|_H, expressed in the chart's coordinate bases.
     """
     c, d = _restricted_projection(h, chart)
-    if c.shape[0] == 0:
-        return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
     # B_H c^{-1} = B_F + B_G A is the graph of the coordinate A = d c^{-1} being solved for
-    return ChartPoint(chart, _require_domain(lambda: _domain_conditioning(c), tol_domain,
-                                             "subspace is outside the chart domain",
-                                             lambda: np.linalg.solve(c.T, d.T).T))
+    return ChartPoint(chart, _solve_in_domain(chart, c, d, tol_domain,
+                                              "subspace is outside the chart domain"))
 
 
 def chart_forward_projector(h: Subspace, chart: ChartId,
@@ -287,23 +295,22 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
     bvp = chart.g.basis.matrix
     compressed = bv.conj().T @ proj @ bv
     crossed = bvp.conj().T @ proj @ bv
-    if compressed.shape[0] == 0:
-        return ChartPoint(chart, np.zeros((chart.g.dim, 0)))
     # the compression's singular values are the squared cosines of the principal angles
-    _require_domain(lambda: float(np.sqrt(_domain_conditioning(compressed))), tol_domain,
-                    "subspace is outside the chart domain")
+    cond, tol = float(np.sqrt(_domain_conditioning(compressed))), _domain_tol(tol_domain)
+    if cond <= tol:
+        raise _outside("subspace is outside the chart domain", cond, tol)
     return ChartPoint(chart, np.linalg.solve(compressed.T, crossed.T).T)
 
 
 def chart_inverse(pt: ChartPoint) -> Subspace:
     """Graph of the chart coordinate: span of {f + A f} over the F basis."""
-    q, _ = np.linalg.qr(_graph(pt))
+    q, _ = np.linalg.qr(_graph(pt.chart, pt.coord.matrix))
     return Subspace(q)
 
 
-def _graph(pt: ChartPoint) -> np.ndarray:
-    """The graph basis B_F + B_G A of a chart point, not orthonormalized."""
-    return pt.chart.f.basis.matrix + pt.chart.g.basis.matrix @ pt.coord.matrix
+def _graph(chart: ChartId, coord: np.ndarray) -> np.ndarray:
+    """The graph basis B_F + B_G A of the chart point (chart, A), not orthonormalized."""
+    return chart.f.basis.matrix + chart.g.basis.matrix @ coord
 
 
 def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
@@ -331,11 +338,9 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     """The one transition every base and bundle map evaluates, kept on the source point.
 
     The source graph is B_F' denom + B_G' numer in the target bases, so
-    graph denom^{-1} = B_F' + B_G' A' and the domain block X = denom R^{-1},
-    against the graph's QR basis, has |X^{-1}|_F <= sqrt(k) + |A'|_F: the
-    coordinate being solved for decides the domain (:func:`_require_domain`).
-    Only when that bound does not clear, or denom is exactly singular, does the
-    exact route run: the graph's QR and the SVD of X.
+    graph denom^{-1} = B_F' + B_G' A' is the graph of the target point (target, A'):
+    with graph = Q R, the domain block X = denom R^{-1} has X^{-1} = Q^H (B_F' + B_G' A'),
+    and the coordinate being solved for decides the domain (:func:`_solve_in_domain`).
 
     The point holds the record of its last (target, tolerance); every input is
     frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
@@ -353,17 +358,8 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     a, b, c, d = _transition_blocks(src, target)
     coord = pt.coord.matrix
     denom = a + b @ coord
-    if denom.shape[0] == 0:
-        fwd = _Forward(np.zeros((target.g.dim, 0)), denom, b, d)
-    else:
-        def exact() -> float:
-            # X = denom R^{-1}, whose conditioning agrees with in_chart_domain
-            r = np.linalg.qr(_graph(pt), mode="r")
-            return _domain_conditioning(np.linalg.solve(r.T, denom.T).T)
-
-        aprime = _require_domain(exact, tol, "graph leaves the target chart domain",
-                                 lambda: np.linalg.solve(denom.T, (c + d @ coord).T).T)
-        fwd = _Forward(aprime, denom, b, d)
+    fwd = _Forward(_solve_in_domain(target, denom, c + d @ coord, tol,
+                                    "graph leaves the target chart domain"), denom, b, d)
     object.__setattr__(pt, "_forward", (target, tol, fwd))
     return fwd
 

@@ -48,6 +48,7 @@ class TangentVector:
             raise DimensionMismatch(
                 f"tangent direction must have shape {self.at.coord.shape}, "
                 f"got {direction.shape}")
+        atlas._require_finite(direction.matrix, "tangent direction")
         object.__setattr__(self, "direction", direction)
 
 
@@ -66,6 +67,7 @@ class Covector:
         if form.shape != expected:
             raise DimensionMismatch(
                 f"covector must have the transposed shape {expected}, got {form.shape}")
+        atlas._require_finite(form.matrix, "covector")
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown covector class tag {self.class_tag!r}")
         if self.class_tag == "trace_class_emulated" and self.metadata is None:
@@ -89,6 +91,7 @@ class TensorCovector:
             if x.size != kf or y.size != kg:
                 raise DimensionMismatch(
                     f"tensor term shapes ({x.size}, {y.size}) do not match chart ({kf}, {kg})")
+            atlas._require_finite(np.concatenate((x, y)), "tensor term")
             x.setflags(write=False)
             y.setflags(write=False)
             cleaned.append((x, y))
@@ -121,15 +124,12 @@ def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | 
     """The forward transition, once the inverse map's domain is checked as well.
 
     With B_F + B_G A = Q R the source chart sees the graph through R^{-1}, so the
-    margin is 1/|R|_2, and |R|_2 <= |R|_F = |B_F + B_G A|_F <= sqrt(k) + |A|_F with
-    A the point's own coordinate (:func:`atlas._require_domain`).  The graph's QR
-    runs only when that bound does not clear 2 tol.
+    margin is 1/|R|_2 = 1/|B_F + B_G A|_2: the point's own chart point
+    (chart, A) decides it (:func:`atlas._require_domain`).
     """
     fwd = atlas._forward_transition(pt, target, tol_domain)
-    if fwd.denom.size:
-        atlas._require_domain(
-            lambda: 1.0 / float(np.linalg.norm(np.linalg.qr(atlas._graph(pt), mode="r"), 2)),
-            tol_domain, "reverse transition leaves the chart domain", lambda: pt.coord.matrix)
+    atlas._require_domain(pt.chart, pt.coord.matrix, tol_domain,
+                          "reverse transition leaves the chart domain")
     return fwd
 
 
@@ -169,6 +169,8 @@ def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
                              ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Mechanical term map {(x_i, y_i)} -> {(S x_i, T^T y_i)} for the pair (S, T)."""
     s, t = _factor_pair(factors)
+    if any(np.shape(x) != (s.shape[1],) or np.shape(y) != (t.shape[0],) for x, y in terms):
+        raise DimensionMismatch(f"tensor terms do not match the factors {s.shape} and {t.shape}")
     return tuple((s @ x, t.T @ y) for x, y in terms)
 
 
@@ -190,7 +192,12 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     if s.shape != (kf, kf) or t.shape != (kg, kg):
         raise DimensionMismatch(
             f"factors must be ({kf}, {kf}) and ({kg}, {kg}), got {s.shape} and {t.shape}")
-    _check_factors(s, t, np.linalg.inv(fwd.left), fwd.denom)
+    l_r = np.linalg.inv(fwd.left)
+    scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(fwd.denom).max(initial=0.0))
+    worst = _factor_deviation(s, t, l_r, fwd.denom)
+    if worst > 1e-8 * scale:
+        raise FactorMismatch(
+            f"factors deviate from the tangent fiber map by {worst:.3e} on probes")
     return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
 
 
@@ -225,16 +232,6 @@ def _factor_deviation(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.nda
                     for u, v in probes), default=0.0)
     return max((float(np.abs(np.outer(t @ u, v @ s) - np.outer(l_r @ u, v @ s_r)).max())
                 for u, v in probes), default=0.0)
-
-
-def _check_factors(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.ndarray) -> None:
-    scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(s_r).max(initial=0.0))
-    # for the pair pushforward_factors returns, S is S_r and each probe's worst entry
-    # is the rank-one maximum |T u - L_r u|_inf |v^T S|_inf
-    worst = _factor_deviation(s, t, l_r, s_r)
-    if worst > 1e-8 * scale:
-        raise FactorMismatch(
-            f"factors deviate from the tangent fiber map by {worst:.3e} on probes")
 
 
 def trace_pairing(c: Covector, v: TangentVector) -> complex:

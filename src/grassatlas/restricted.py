@@ -312,6 +312,13 @@ class PreservationReport:
                 "spread": self.spread, "pass": self.passed}
 
 
+def _schatten_index(p: float) -> float:
+    """The Schatten index as a float: 0 (compact class, tail diagnostics) or finite >= 1."""
+    if not (float(p) == 0.0 or 1.0 <= float(p) < math.inf):
+        raise ValueError(f"schatten index must be 0 or finite and >= 1, got {p}")
+    return float(p)
+
+
 def _decay_form(k_f: int, k_g: int, profile: DecayProfile, seed: int) -> np.ndarray:
     """Diagonal covector matrix with prefix-stable phases and decaying weights."""
     m = min(k_f, k_g)
@@ -360,9 +367,7 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
     when the constant stabilizes: relative spread over the top three rungs at
     most 0.05.  Rungs whose charts fail the domain check are skipped.
     """
-    p = float(p)
-    if p != 0.0 and p < 1.0:
-        raise ValueError("p must be 0 (tail diagnostics) or >= 1")
+    p = _schatten_index(p)
     rungs = [_rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
              for model, point in ladder]
     constants = [r.constant for r in rungs if not r.skipped]
@@ -386,12 +391,10 @@ def precotangent_covector(at: ChartPoint, form, p: float,
     covector; for ``p > 1`` the precotangent fiber coincides with the
     cotangent fiber by reflexivity and the plain tag is used.
     """
-    p = float(p)
+    p = _schatten_index(p)
     if p == 0.0:
         raise PredualUnavailable(
             "compact-class fibers (p = 0) admit no predual; no precotangent covector exists")
-    if p < 1.0:
-        raise ValueError(f"schatten index must be 0 or >= 1, got {p}")
     metadata = {"p": p}
     if profile is not None:
         metadata["profile"] = {"kind": profile.kind, "param": profile.param}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas, sampling
+from grassatlas import atlas, bundles, sampling
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
 from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, random_chart,
                                  random_chart_containing, random_chart_point,
@@ -401,7 +401,7 @@ def test_conditioning_errors_carry_their_numbers():
 
 
 # ---------------------------------------------------------------------------
-# domain decisions: a Frobenius bound away from the boundary, the SVD near it
+# domain decisions: a Frobenius bound away from the boundary, the graph's 2-norm near it
 
 def _tilted_charts(cosines):
     """Hilbert charts on span(e_1..e_k) and its complement, and the subspace H
@@ -425,60 +425,88 @@ def _transition_conditioning(pt, target):
     return float(np.linalg.svd(np.linalg.solve(r.T, denom.T).T, compute_uv=False)[-1])
 
 
+def _counting(monkeypatch, name, only=lambda *a, **kw: True):
+    """Count calls to ``np.linalg.<name>`` that ``only`` accepts, for the rest of the test."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        if only(*args, **kwargs):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _two_norms(monkeypatch):
+    return _counting(monkeypatch, "norm", lambda a, ord=None, **kw: ord == 2)
+
+
 # inside: the bound decides alone; near: every singular value is 1.5e-8, so
-# 1/|X^-1|_F <= 2 tol < sigma_min and the SVD passes it; under: sigma_min is
-# just below tol; singular: the block has an exact zero singular value
-@pytest.mark.parametrize("case, cosines, svds", [
-    ("inside", (0.6, 0.8), 0), ("near", (1.5e-8, 1.5e-8), 1),
-    ("under", (0.99e-8, 0.6), 1), ("singular", (0.0, 0.6), 1),
-])
-@pytest.mark.parametrize("route", ["chart_forward", "forward_transition"])
-def test_domain_decision_bound_then_svd(monkeypatch, route, case, cosines, svds):
+# 1/|X^-1|_F <= 2 tol < sigma_min and the graph's 2-norm passes it; under:
+# sigma_min is just below tol; singular: the block has an exact zero singular
+# value, so the solve fails and no 2-norm runs
+_DOMAIN_CASES = [("inside", (0.6, 0.8), 0), ("near", (1.5e-8, 1.5e-8), 1),
+                 ("under", (0.99e-8, 0.6), 1), ("singular", (0.0, 0.6), 0)]
+
+
+# the reverse route decides a point in its own chart, and no finite point is
+# singular there
+@pytest.mark.parametrize("route, case, cosines, norms", [
+    pytest.param(route, case, cosines, norms, id=f"{route}-{case}-cosines{i}-{norms}")
+    for route in ("chart_forward", "forward_transition", "reverse")
+    for i, (case, cosines, norms) in enumerate(_DOMAIN_CASES)
+    if (route, case) != ("reverse", "singular")])
+def test_domain_decision_bound_then_svd(monkeypatch, route, case, cosines, norms):
     target, source, h = _tilted_charts(cosines)
+    # every route decides H in the first chart; H's block there is exactly
+    # diagonal, so its SVD is exact to the last bit, where the SVD of the same
+    # block through chart_inverse's QR is exact only to eps relative to its
+    # largest singular value (7e-9 relative "under")
+    exact = ga.in_chart_domain(h, target).conditioning
     if route == "chart_forward":
         decide = functools.partial(ga.chart_forward, h, target)
-        exact = ga.in_chart_domain(h, target).conditioning
-    else:
+    elif route == "forward_transition":
         pt = ga.chart_forward(h, source)
         decide = functools.partial(atlas._forward_transition, pt, target, None)
-        exact = _transition_conditioning(pt, target)
-    assert exact == pytest.approx(min(cosines), rel=1e-6, abs=1e-300)
-    calls = []
-    svd = atlas._domain_conditioning
-    monkeypatch.setattr(atlas, "_domain_conditioning", lambda m: calls.append(1) or svd(m))
+    else:
+        # H's coordinate in the first chart is diag(tan); the transition to the
+        # second chart lands well inside, so the reverse check decides
+        pt = ga.ChartPoint(target, np.diag([math.sqrt(1.0 - c * c) / c for c in cosines]))
+        decide = functools.partial(bundles._invertible_transition, pt, source, None)
+    if route != "chart_forward":
+        assert ga.in_chart_domain(ga.chart_inverse(pt), target).conditioning == \
+            pytest.approx(exact, rel=1e-7, abs=1e-300)
+    assert exact == pytest.approx(min(cosines), rel=1e-15, abs=1e-300)
+    calls = _two_norms(monkeypatch)
     if exact > ga.DEFAULT_TOL_DOMAIN:
         decide()
     else:
         with pytest.raises(ChartDomainViolation) as info:
             decide()
-        assert info.value.conditioning == exact and info.value.tol == ga.DEFAULT_TOL_DOMAIN
-        assert str(info.value).endswith(f"(conditioning {exact:.3e} <= 1.0e-08)")
-    assert len(calls) == svds
+        assert info.value.conditioning == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert info.value.tol == ga.DEFAULT_TOL_DOMAIN
+        assert str(info.value).endswith(
+            f"(conditioning {info.value.conditioning:.3e} <= 1.0e-08)")
+    assert len(calls) == norms
 
 
-def _counting(monkeypatch, name):
-    """Count calls to ``np.linalg.<name>`` for the rest of the test."""
-    calls = []
-    original = getattr(np.linalg, name)
-    monkeypatch.setattr(np.linalg, name, lambda *a, **kw: calls.append(1) or original(*a, **kw))
-    return calls
-
-
-# the coordinate A' decides "inside" alone; the graph's QR runs only on the exact route
-@pytest.mark.parametrize("case, cosines, qrs", [
-    ("inside", (0.6, 0.8), 0), ("near", (1.5e-8, 1.5e-8), 1),
+# the forward transition solves once, for A', and never runs the graph's QR
+@pytest.mark.parametrize("case, cosines, solves", [
+    ("inside", (0.6, 0.8), 1), ("near", (1.5e-8, 1.5e-8), 1),
     ("under", (0.99e-8, 0.6), 1), ("singular", (0.0, 0.6), 1),
 ])
-def test_forward_transition_runs_the_graph_qr_off_the_bound(monkeypatch, case, cosines, qrs):
+def test_forward_transition_runs_the_graph_qr_off_the_bound(monkeypatch, case, cosines, solves):
     target, source, h = _tilted_charts(cosines)
     pt = ga.chart_forward(h, source)
-    calls = _counting(monkeypatch, "qr")
+    qrs, solved = _counting(monkeypatch, "qr"), _counting(monkeypatch, "solve")
     if min(cosines) > ga.DEFAULT_TOL_DOMAIN:
         atlas._forward_transition(pt, target, None)
     else:
         with pytest.raises(ChartDomainViolation):
             atlas._forward_transition(pt, target, None)
-    assert len(calls) == qrs
+    assert qrs == [] and len(solved) == solves
 
 
 @pytest.mark.parametrize("cosines", [(0.6, 0.8), (1.5e-8, 1.5e-8), (0.99e-8, 0.6), (0.0, 0.6)],
@@ -492,6 +520,51 @@ def test_chart_forward_inverts_nothing(monkeypatch, cosines):
         with pytest.raises(ChartDomainViolation):
             ga.chart_forward(h, target)
     assert calls == []
+
+
+# a coordinate that overflows has |B_F + B_G A|_2 past the float range, so it
+# reads as an exactly singular block rather than reaching the 2-norm
+def test_overflowing_coordinate_reads_as_singular(monkeypatch):
+    target, _, h = _tilted_charts((1e-310, 0.6))
+    calls = _two_norms(monkeypatch)
+    with pytest.raises(ChartDomainViolation) as info:
+        ga.chart_forward(h, target)
+    assert info.value.conditioning == 0.0 and calls == []
+
+
+# a NaN tolerance decides nothing and a negative one passes a singular block, so
+# every map that reads tol_domain refuses both before it decides anything
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_domain_tolerance_must_be_finite_and_non_negative(tol):
+    target, source, h = _tilted_charts((0.6, 0.8))
+    pt = ga.chart_forward(h, source)
+    covector = ga.Covector(pt, np.eye(2))
+    for decide in (lambda: ga.in_chart_domain(h, target, tol_domain=tol),
+                   lambda: ga.chart_forward(target.g, target, tol_domain=tol),
+                   lambda: ga.chart_forward_projector(h, target, tol_domain=tol),
+                   lambda: ga.transition_base(pt, target, tol_domain=tol),
+                   lambda: ga.transition_cotangent(covector, target, tol_domain=tol)):
+        with pytest.raises(ValueError, match="tol_domain"):
+            decide()
+    assert ga.chart_forward(h, target, tol_domain=0.0).coord.shape == (2, 2)
+
+
+# Gr(0, n) and Gr(n, n) are one point each: every route takes the empty (k = 0) or
+# the square-free (k = n) coordinate without a branch of its own
+@pytest.mark.parametrize("k", [0, 6], ids=["k=0", "k=n"])
+def test_chart_maps_on_the_one_point_grassmannians(k):
+    rng = _rng(41)
+    h = random_subspace(6, k, rng)
+    hilbert, split = ga.ChartId.hilbert(random_subspace(6, k, rng)), random_chart(6, k, rng)
+    assert ga.in_chart_domain(h, hilbert).contains
+    assert ga.chart_forward_projector(h, hilbert).coord.shape == (6 - k, k)
+    for chart, other in ((hilbert, split), (split, hilbert)):
+        pt = ga.chart_forward(h, chart)
+        assert pt.coord.shape == (6 - k, k) and ga.chart_inverse(pt).is_same(h)
+        assert ga.transition_base(pt, other).coord.shape == (6 - k, k)
+        moved = ga.transition_cotangent(ga.Covector(pt, np.zeros((k, 6 - k))), other)
+        assert moved.form.shape == (k, 6 - k)
 
 
 def _at_floor(low, high, rng, size=None):

@@ -90,6 +90,22 @@ def test_tangent_jacobian_oracles_seeded():
         assert np.linalg.norm(closed - cs) / scale <= 1e-10
 
 
+# NaN compares False against every tolerance, so fiber data must be finite on entry,
+# as a Subspace basis and a chart coordinate are
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fiber_data_rejects_non_finite_entries(value):
+    src, pt, dst = _transition_instance(_rng(20), 6, 2)  # kf = 2, kg = 4
+    bad = np.zeros((4, 2))
+    bad[3, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        ga.TangentVector(pt, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        ga.Covector(pt, bad.T)
+    for x, y in [(bad[3], np.ones(4)), (np.ones(2), bad[:, 1])]:
+        with pytest.raises(ValueError, match="non-finite"):
+            ga.TensorCovector(pt, ((np.ones(2), np.ones(4)), (x, y)))
+
+
 def test_tangent_vector_shape_validation():
     chart = _coordinate_chart()
     pt = ga.ChartPoint(chart, ga.Operator([[0.0]]))
@@ -284,6 +300,14 @@ def test_pushforward_terms_mechanical_definition():
     (nx, ny), = ga.tensor_pushforward_terms(((x, y),), (s, t))
     assert_allclose(nx, s.matrix @ x)
     assert_allclose(ny, t.matrix.T @ y)
+
+
+# a term that does not match the pair must not reach numpy's matmul
+def test_pushforward_terms_reject_terms_that_do_not_match_the_factors():
+    s, t = ga.Operator(np.eye(2)), ga.Operator(np.eye(3))
+    for x, y in [(np.ones(3), np.ones(3)), (np.ones(2), np.ones(2)), (np.ones((2, 1)), np.ones(3))]:
+        with pytest.raises(DimensionMismatch):
+            ga.tensor_pushforward_terms(((x, y),), (s, t))
 
 
 def test_pushforward_tensor_identity_factors():

@@ -298,6 +298,20 @@ def test_precotangent_refused_for_compact_class():
         ga.precotangent_covector(pt, mu, p=0)
 
 
+# one rule for the Schatten index: 0 (tail diagnostics) or finite and >= 1
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5, -1.0],
+                         ids=["nan", "inf", "-inf", "half", "negative"])
+def test_schatten_index_is_zero_or_finite_and_at_least_one(p):
+    m = _model()
+    chart = ga.ChartId.hilbert(m.h_plus)
+    pt = ga.chart_forward(m.h_plus, chart)
+    with pytest.raises(ValueError, match="schatten index"):
+        ga.precotangent_covector(pt, np.eye(4), p=p)
+    ladder = ga.build_truncation_ladder([(2, 2), (4, 4)], 2, ga.DecayProfile.geometric(0.5))
+    with pytest.raises(ValueError, match="schatten index"):
+        ga.preservation_experiment(ladder, p, ga.identity_chart_family())
+
+
 def test_precotangent_trace_class_tagging():
     m = _model()
     chart = ga.ChartId.hilbert(m.h_plus)
