@@ -17,19 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from .operators import Operator, as_matrix, oblique_projections
+from .operators import (Operator, _require_finite, _require_orthonormal, as_matrix,
+                        oblique_projections)
 
 DEFAULT_TOL_DOMAIN = 1e-8
 DEFAULT_TOL_EQ = 1e-10
-
-_ORTHO_TOL = 1e-12
-
-
-def _require_finite(mat: np.ndarray, what: str = "basis") -> None:
-    # a NaN compares False against every tolerance, so the rank and
-    # orthonormality checks would pass it
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{what} has non-finite entries")
 
 
 class Subspace:
@@ -44,10 +36,7 @@ class Subspace:
         n, k = mat.shape
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
-        _require_finite(mat)
-        gram = mat.conj().T @ mat
-        if k and np.linalg.norm(gram - np.eye(k)) > _ORTHO_TOL:
-            raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
+        _require_orthonormal(mat)
         self.basis = Operator(mat)
         self._projector: Operator | None = None
 
@@ -135,6 +124,20 @@ class ChartId:
     @classmethod
     def hilbert(cls, v: Subspace) -> "ChartId":
         return cls(v, v.complement(), flavor="hilbert")
+
+    def opposite(self) -> "ChartId":
+        """The chart on (G, F), with no new factorization.
+
+        [B_G | B_F] is [B_F | B_G] with its column blocks swapped, so its inverse
+        has this chart's coordinate rows swapped.  Every check of construction is
+        symmetric in (F, G): the dimensions, the hilbert gap |B_F^H B_G|_2 and the
+        split conditioning, so each still holds.
+        """
+        chart = object.__new__(ChartId)
+        for name, value in (("f", self.g), ("g", self.f), ("flavor", self.flavor),
+                            ("_rows", self._rows[::-1])):
+            object.__setattr__(chart, name, value)
+        return chart
 
     @property
     def ambient_dim(self) -> int:

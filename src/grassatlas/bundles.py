@@ -29,7 +29,7 @@ import numpy as np
 from . import atlas
 from .atlas import ChartId, ChartPoint
 from .errors import ChartMismatch, DimensionMismatch, FactorMismatch, PairingMismatch
-from .operators import Operator, as_matrix
+from .operators import Operator, _require_finite, as_matrix
 
 CLASS_TAGS = ("unrestricted", "trace_class_emulated")
 
@@ -48,7 +48,7 @@ class TangentVector:
             raise DimensionMismatch(
                 f"tangent direction must have shape {self.at.coord.shape}, "
                 f"got {direction.shape}")
-        atlas._require_finite(direction.matrix, "tangent direction")
+        _require_finite(direction.matrix, "tangent direction")
         object.__setattr__(self, "direction", direction)
 
 
@@ -67,7 +67,7 @@ class Covector:
         if form.shape != expected:
             raise DimensionMismatch(
                 f"covector must have the transposed shape {expected}, got {form.shape}")
-        atlas._require_finite(form.matrix, "covector")
+        _require_finite(form.matrix, "covector")
         if self.class_tag not in CLASS_TAGS:
             raise ValueError(f"unknown covector class tag {self.class_tag!r}")
         if self.class_tag == "trace_class_emulated" and self.metadata is None:
@@ -91,7 +91,7 @@ class TensorCovector:
             if x.size != kf or y.size != kg:
                 raise DimensionMismatch(
                     f"tensor term shapes ({x.size}, {y.size}) do not match chart ({kf}, {kg})")
-            atlas._require_finite(np.concatenate((x, y)), "tensor term")
+            _require_finite(np.concatenate((x, y)), "tensor term")
             x.setflags(write=False)
             y.setflags(write=False)
             cleaned.append((x, y))

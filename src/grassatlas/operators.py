@@ -1,7 +1,9 @@
 """Dense complex operators: Schatten norms, oblique projections, decay generators.
 
 All scalars are complex; real input is embedded.  Singular values always come
-from an SVD of the matrix itself, never from eigenvalues of ``T^H T``.
+from an SVD of the matrix itself, never from eigenvalues of ``T^H T``.  Split
+conditioning comes from SVDs of the cross block ``B_F^H B_G`` and of the
+residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +16,23 @@ import numpy as np
 from .errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
 
 DEFAULT_TOL_SPLIT = 1e-8
+
+_ORTHO_TOL = 1e-12
+
+
+def _require_finite(mat: np.ndarray, what: str = "basis") -> None:
+    # a NaN compares False against every tolerance, so the rank and
+    # orthonormality checks would pass it
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has non-finite entries")
+
+
+def _require_orthonormal(mat: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the columns of ``mat`` are finite and orthonormal."""
+    _require_finite(mat)
+    k = mat.shape[1]
+    if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
+        raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
 
 
 class Operator:
@@ -211,17 +230,43 @@ def schatten_norm(op, p: float) -> SchattenReport:
 
 
 def split_conditioning(f, g) -> float:
-    """Smallest-over-largest singular value of the joint basis block [B_f | B_g]."""
+    """Smallest-over-largest singular value of the joint basis block [B_f | B_g].
+
+    The bases must be orthonormal.  A subspace's basis is by construction; a
+    plain array is checked as :class:`Subspace` checks it, and ``ValueError`` is
+    raised when it fails.  With dim F + dim G = n, [B_f | B_g] has singular
+    values sqrt(1 +- sigma_j) of the cross block X = B_f^H B_g, and ones, so
+    with s = |X|_2 = cos(theta_min), theta_min the least principal angle
+    between F and G (Bjorck & Golub, Math. Comp. 1973), the value is
+
+        sqrt((1 - s)/(1 + s)) = tan(theta_min/2) = sin(theta_min)/(1 + s).
+
+    Up to s = 1/sqrt(2) the first form is taken from the SVD of X.  Past it
+    1 - s loses digits, so sin(theta_min) is read as the smallest singular value
+    of the residual B_g - B_f X of G off F, or of B_f - B_g X^H when F is the
+    thinner side (Knyazev & Argentati, SISC 2002).  An empty side gives 1.0, an
+    empty space 0.0.
+    """
     bf, bg = as_matrix(f), as_matrix(g)
     if bf.shape[0] != bg.shape[0]:
         raise DimensionMismatch("bases live in different ambient spaces")
-    if bf.shape[1] + bg.shape[1] != bf.shape[0]:
-        raise DimensionMismatch(
-            f"dimensions {bf.shape[1]} + {bg.shape[1]} do not fill ambient {bf.shape[0]}")
-    sv = np.linalg.svd(np.hstack([bf, bg]), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    n, kf = bf.shape
+    kg = bg.shape[1]
+    if kf + kg != n:
+        raise DimensionMismatch(f"dimensions {kf} + {kg} do not fill ambient {n}")
+    for value, mat in ((f, bf), (g, bg)):
+        if not isinstance(getattr(value, "basis", None), Operator):
+            _require_orthonormal(mat)
+    if n == 0:
         return 0.0
-    return float(sv[-1] / sv[0])
+    if kf == 0 or kg == 0:
+        return 1.0
+    cross = bf.conj().T @ bg
+    s = float(np.linalg.svd(cross, compute_uv=False)[0])
+    if s <= math.sqrt(0.5):
+        return math.sqrt((1.0 - s) / (1.0 + s))
+    residual = bf - bg @ cross.conj().T if kf < kg else bg - bf @ cross
+    return float(np.linalg.svd(residual, compute_uv=False)[-1]) / (1.0 + s)
 
 
 def oblique_projections(f, g, tol_split: float | None = None) -> tuple[Operator, Operator]:
@@ -230,7 +275,7 @@ def oblique_projections(f, g, tol_split: float | None = None) -> tuple[Operator,
     Returns the ambient-space pair ``(onto_f, onto_g)`` with
     ``onto_f + onto_g = I``, ``onto_f^2 = onto_f``, range F and kernel G.
     Raises :class:`SplitFailure` when :func:`split_conditioning` is at or below
-    ``tol_split``.
+    ``tol_split``, and ``ValueError`` when a plain array basis is not orthonormal.
     """
     tol = DEFAULT_TOL_SPLIT if tol_split is None else float(tol_split)
     cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space

@@ -260,11 +260,10 @@ def swap_chart_family(t: complex) -> ChartFamily:
         if model.n_minus != model.n_plus:
             raise DimensionMismatch("swap family needs a square polarization")
         src = ChartId(model.h_plus, model.h_minus)
-        dst = ChartId(model.h_minus, model.h_plus)
         scale = 1.0 / math.sqrt(1.0 + abs(t) ** 2)
-        cols = [scale * (model.basis_vector(k + 1) + t * model.basis_vector(-(k + 1)))
-                for k in range(model.n_plus)]
-        return src, dst, Subspace(np.column_stack(cols))
+        # column k is scale (e_{+(k+1)} + t e_{-(k+1)}), read off the two identity slices
+        base = scale * (model.h_plus.basis.matrix + t * model.h_minus.basis.matrix)
+        return src, src.opposite(), Subspace(base)
     return family
 
 

@@ -255,6 +255,38 @@ def test_transition_swap_inverts_coordinate():
     assert_allclose(moved, oracle, atol=1e-13)
 
 
+@pytest.mark.parametrize("flavor", ["split", "hilbert"])
+@pytest.mark.parametrize("n", [4, 9, 64])
+def test_opposite_chart_matches_a_fresh_factorization(monkeypatch, flavor, n):
+    rng = _rng(700 + n)
+    chart = random_chart(n, n // 2, rng, flavor=flavor)
+    fresh = ga.ChartId(chart.g, chart.f, flavor)
+    calls = []
+
+    def counting(func):
+        def wrapper(*args, **kwargs):
+            calls.append(func.__name__)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "solve", "qr", "norm", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    opposite = chart.opposite()
+    monkeypatch.undo()
+    assert not calls
+    assert (opposite.f, opposite.g, opposite.flavor) == (chart.g, chart.f, flavor)
+    for got, want in zip(opposite._rows, fresh._rows):
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_transition_into_opposite_chart_inverts_coordinate():
+    t = 0.5 - 2.0j
+    src = _coordinate_chart()
+    pt = ga.ChartPoint(src, ga.Operator([[t]]))
+    assert_allclose(ga.transition_base(pt, src.opposite()).coord.matrix, [[1.0 / t]],
+                    atol=1e-13)
+
+
 def test_transition_agrees_with_graph_route_seeded():
     worst = 0.0
     for trial in range(60):

@@ -60,15 +60,97 @@ def test_oblique_projections_decide_at_tol_split(tol, side):
     theta = 2.0 * math.atan(side * threshold)
     f = ga.Subspace(np.eye(2)[:, :1])
     g = ga.Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
+    _assert_split_decided(f, g, tol, side, rel=1e-9)
+
+
+def _assert_split_decided(f, g, tol, side, rel):
+    """The pair reads side * tol_split within ``rel`` and is refused exactly below it."""
+    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
     cond = ga.split_conditioning(f, g)
-    assert abs(cond / (side * threshold) - 1.0) <= 1e-9
+    assert abs(cond / (side * threshold) - 1.0) <= rel
     if side < 1.0:
         with pytest.raises(SplitFailure) as err:
             ga.oblique_projections(f, g, tol_split=tol)
         assert err.value.conditioning == cond and err.value.tol == threshold
     else:
         onto_f, onto_g = ga.oblique_projections(f, g, tol_split=tol)
-        assert_allclose(onto_f.matrix + onto_g.matrix, np.eye(2), atol=1e-6)
+        assert_allclose(onto_f.matrix + onto_g.matrix, np.eye(f.ambient_dim), atol=1e-6)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3])
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_oblique_projections_decide_at_tol_split_rotated_n64(tol, side):
+    # the C^2 pair above, filled with orthogonal directions to n = 64 and turned
+    # by a seeded Haar unitary: only the one plane holds a small angle
+    n = 64
+    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
+    theta = 2.0 * math.atan(side * threshold)
+    eye = np.eye(n)
+    bf = eye[:, [0, *range(2, n // 2 + 1)]]
+    bg = np.column_stack([math.cos(theta) * eye[:, 0] + math.sin(theta) * eye[:, 1],
+                          eye[:, n // 2 + 1:]])
+    u = _test_unitary(_rng(64), n)
+    _assert_split_decided(ga.Subspace(u @ bf), ga.Subspace(u @ bg), tol, side, rel=1e-8)
+
+
+def _angled_pair(rng, n, k, cond):
+    """Orthonormal bases of a pair whose least principal angle is 2 atan(cond).
+
+    Plane j of a Haar frame u holds u_j in F and cos(t_j) u_j + sin(t_j) u_{k+j}
+    in G; t_0 = 2 atan(cond) and the other planes open wider.
+    """
+    u = _test_unitary(rng, n)
+    m = min(k, n - k)
+    angles = np.full(m, 2.0 * math.atan(cond))
+    angles[1:] = rng.uniform(angles[0], math.pi / 2, m - 1)
+    bg = u[:, k:].copy()
+    bg[:, :m] = np.cos(angles) * u[:, :m] + np.sin(angles) * u[:, k:k + m]
+    return u[:, :k], bg
+
+
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_split_conditioning_matches_joint_svd(monkeypatch, n):
+    # the cosine route takes one SVD (of B_F^H B_G), the sine route a second (of the residual)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    rng = _rng(500 + n)
+    for k in sorted({1, n // 2, n - 1}):
+        for cond in (1e-4, 3e-3, 0.1, 0.4, 0.45, 0.7, 0.99):
+            bf, bg = _angled_pair(rng, n, k, cond)
+            sv = svd(np.hstack([bf, bg]), compute_uv=False)
+            s = svd(bf.conj().T @ bg, compute_uv=False)[0]
+            svd_calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted)
+                got = ga.split_conditioning(bf, bg)
+            assert len(svd_calls) == (1 if s <= math.sqrt(0.5) else 2)
+            assert got == pytest.approx(sv[-1] / sv[0], rel=1e-10)
+            assert got == pytest.approx(cond, rel=1e-10)
+
+
+def test_split_conditioning_of_an_empty_side_is_one():
+    eye = np.eye(5)
+    assert ga.split_conditioning(eye, eye[:, :0]) == 1.0
+    assert ga.split_conditioning(ga.Subspace(eye[:, :0]), ga.Subspace(eye)) == 1.0
+
+
+@pytest.mark.parametrize("bf, bg", [
+    (np.array([[2.0], [0.0]]), np.array([[1.0], [1.0]])),
+    (np.eye(2)[:, :1], np.array([[1.0], [1.0]])),
+    (np.eye(2)[:, :1], np.array([[np.nan], [1.0]])),
+])
+def test_split_conditioning_rejects_non_orthonormal_arrays(bf, bg):
+    # sqrt((1 - s)/(1 + s)) holds only for orthonormal bases: [[2],[0]] and
+    # [[1],[1]] would read 1.054 against 0.382 for sigma_min/sigma_max
+    with pytest.raises(ValueError):
+        ga.split_conditioning(bf, bg)
+    with pytest.raises(ValueError):
+        ga.oblique_projections(bf, bg)
 
 
 def test_oblique_projections_rejects_wrong_dims():

@@ -235,6 +235,21 @@ def test_preservation_swap_family_matches_modulus_squared():
         assert abs(rung.constant - abs(t) ** 2) <= 1e-8
 
 
+@pytest.mark.parametrize("t", [1.5 + 0.5j, -2.0 + 0.0j, -0.3 - 1.2j])
+@pytest.mark.parametrize("n_plus", [1, 5])
+def test_swap_family_base_point_matches_the_mode_loop(t, n_plus):
+    model = _model(n_plus)
+    point = ga.generate_restricted_point(model, 1, ga.DecayProfile.geometric(0.5))
+    src, dst, base = ga.swap_chart_family(t)(model, point)
+    scale = 1.0 / math.sqrt(1.0 + abs(t) ** 2)
+    cols = [scale * (model.basis_vector(k + 1) + t * model.basis_vector(-(k + 1)))
+            for k in range(n_plus)]
+    loop = np.column_stack(cols)
+    assert np.array_equal(base.basis.matrix, loop)
+    assert base.basis.matrix.tobytes() == loop.tobytes()  # signed zeros too
+    assert (dst.f, dst.g) == (src.g, src.f)
+
+
 def test_preservation_graph_family_stabilizes():
     ladder = ga.build_truncation_ladder([(16, 16), (32, 32), (64, 64)], 1,
                                         ga.DecayProfile.geometric(0.5), 0, seed=7)
