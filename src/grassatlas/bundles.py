@@ -31,8 +31,6 @@ from .atlas import ChartId, ChartPoint
 from .errors import ChartMismatch, DimensionMismatch, FactorMismatch, PairingMismatch
 from .operators import Operator, _require_finite, as_matrix
 
-CLASS_TAGS = ("unrestricted", "trace_class_emulated")
-
 
 @dataclass(frozen=True, eq=False)
 class TangentVector:
@@ -58,8 +56,6 @@ class Covector:
 
     at: ChartPoint
     form: Operator
-    class_tag: str = "unrestricted"
-    metadata: dict | None = None
 
     def __post_init__(self):
         form = self.form if isinstance(self.form, Operator) else Operator(self.form)
@@ -68,10 +64,6 @@ class Covector:
             raise DimensionMismatch(
                 f"covector must have the transposed shape {expected}, got {form.shape}")
         _require_finite(form.matrix, "covector")
-        if self.class_tag not in CLASS_TAGS:
-            raise ValueError(f"unknown covector class tag {self.class_tag!r}")
-        if self.class_tag == "trace_class_emulated" and self.metadata is None:
-            raise ValueError("trace_class_emulated covectors must carry decay metadata")
         object.__setattr__(self, "form", form)
 
 
@@ -139,14 +131,13 @@ def transition_cotangent(c: Covector, target: ChartId,
 
     The inverse fiber map is ``X' -> L_r X' S`` with S = a + b A, the forward
     ``denom``, and L_r = (d - A' b)^{-1}, so the trace pairing forces
-    ``mu' = S mu L_r``; the class tag travels unchanged.  The inverse map's
+    ``mu' = S mu L_r``.  The inverse map's
     domain check reads the point's own coordinate (:func:`_invertible_transition`),
     and a tangent pushed from the same point to the same chart shares the transition.
     """
     fwd = _invertible_transition(c.at, target, tol_domain)
     pushed = np.linalg.solve(fwd.left.T, (fwd.denom @ c.form.matrix).T).T
-    return Covector(ChartPoint(target, fwd.coord), pushed,
-                    class_tag=c.class_tag, metadata=c.metadata)
+    return Covector(ChartPoint(target, fwd.coord), pushed)
 
 
 def pushforward_factors(pt: ChartPoint, target: ChartId,

@@ -7,6 +7,16 @@ p-restricted Grassmannian is quantitative at a truncation: the report carries
 both the two-condition form (conditioning of the projection to H_plus, p-norm
 of the projection to H_minus) and the single-condition norm ``|P_W - P_+|_p``;
 trends across a truncation ladder decide classes, single truncations never do.
+
+Exponent convention: p indexes the tangent class L_p of the p-restricted
+Grassmannian, with p = 0 standing for the compact class K.  The precotangent
+fiber is the predual of that class: L_{p*} (1/p + 1/p* = 1) for p > 1, where
+reflexivity makes it equal to the cotangent fiber; K at p = 1, since K* = L_1;
+none at p = 0, since K is not a dual space.  A finite truncation stores the
+same matrix in every case, so the class is read from p and no covector carries
+it.  :func:`membership_report` reads p as the tangent class;
+:func:`preservation_experiment` takes p as the Schatten index at which it
+measures the covector and its push, with the tail statistic at p = 0.
 """
 
 from __future__ import annotations
@@ -113,7 +123,7 @@ def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel) -> int:
 
 
 def membership_report(w: Subspace, model: PolarizedModel, p: float) -> RestrictedPoint:
-    """Evaluate both restricted-membership criteria for a subspace.
+    """Evaluate both restricted-membership criteria for a subspace in tangent class ``L_p``.
 
     Condition one: conditioning of the projection W -> H_plus (smallest
     singular value above the rank threshold, the finite Fredholm proxy).
@@ -338,10 +348,7 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
         src, dst, base = chart_family(model, point)
         at = chart_forward(point.w if base is None else base, src)
         mu = _decay_form(src.f.dim, src.g.dim, profile, seed)
-        tag = "trace_class_emulated" if p == 1.0 else "unrestricted"
-        cov = Covector(at, Operator(mu), class_tag=tag,
-                       metadata={"p": p, "profile": profile.kind})
-        pushed = transition_cotangent(cov, dst)
+        pushed = transition_cotangent(Covector(at, Operator(mu)), dst)
     except ChartDomainViolation:
         return RungResult(dim, math.nan, math.nan, math.nan, skipped=True)
     if p == 0.0:
@@ -362,9 +369,11 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
 
     Per rung: generate a covector of the ladder's decay profile at the family's
     base point, push it through the cotangent transition, and record the p-norm
-    ratio (for p >= 1) or the singular-tail ratio (p = 0).  The experiment passes
-    when the constant stabilizes: relative spread over the top three rungs at
-    most 0.05.  Rungs whose charts fail the domain check are skipped.
+    ratio (for p >= 1) or the singular-tail ratio (p = 0).  Here p is the index
+    the covector is measured at, not the tangent class: the predual of ``L_q``,
+    q > 1, is measured at ``p = q*``.  The experiment passes when the constant
+    stabilizes: relative spread over the top three rungs at most 0.05.  Rungs
+    whose charts fail the domain check are skipped.
     """
     p = _schatten_index(p)
     rungs = [_rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
@@ -381,22 +390,17 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
                               per_rung=tuple(rungs), spread=spread, passed=passed)
 
 
-def precotangent_covector(at: ChartPoint, form, p: float,
-                          profile: DecayProfile | None = None) -> Covector:
-    """Construct a precotangent fiber element for Schatten index ``p``.
+def precotangent_covector(at: ChartPoint, form, p: float) -> Covector:
+    """Construct a precotangent fiber element for the tangent class ``L_p``.
 
-    The compact class has no predual, so ``p = 0`` is refused with
-    :class:`PredualUnavailable`.  ``p = 1`` yields a trace-class-emulated
-    covector; for ``p > 1`` the precotangent fiber coincides with the
-    cotangent fiber by reflexivity and the plain tag is used.
+    The fiber is the predual of ``L_p``: ``L_{p*}`` for ``p > 1``, where it
+    coincides with the cotangent fiber by reflexivity, and the compact class at
+    ``p = 1``.  The compact class itself (``p = 0``) has no predual and is
+    refused with :class:`PredualUnavailable`.  At a finite truncation every
+    class stores the same matrix, so the result is ``form`` at ``at``.
     """
     p = _schatten_index(p)
     if p == 0.0:
         raise PredualUnavailable(
             "compact-class fibers (p = 0) admit no predual; no precotangent covector exists")
-    metadata = {"p": p}
-    if profile is not None:
-        metadata["profile"] = {"kind": profile.kind, "param": profile.param}
-    tag = "trace_class_emulated" if p == 1.0 else "unrestricted"
-    return Covector(at, form if isinstance(form, Operator) else Operator(form),
-                    class_tag=tag, metadata=metadata)
+    return Covector(at, form)

@@ -66,10 +66,8 @@ def _tilted(base: np.ndarray, across: np.ndarray, sigma: np.ndarray) -> np.ndarr
     return out
 
 
-def random_chart(n: int, k: int, rng: np.random.Generator, flavor: str = "split") -> ChartId:
-    """Chart on a random pair; a split pair has conditioning drawn over [SPLIT_FLOOR, 1)."""
-    if flavor == "hilbert":
-        return ChartId.hilbert(random_subspace(n, k, rng))
+def random_chart(n: int, k: int, rng: np.random.Generator) -> ChartId:
+    """Split chart on a random pair, its conditioning drawn over [SPLIT_FLOOR, 1)."""
     frame = haar_frame(n, n, rng)
     sigma = rng.uniform(size=min(k, n - k))
     sigma[:1] = 1.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +40,11 @@ def operator_from_json(obj: dict) -> Operator:
 
 
 def operator_from_csv(source) -> Operator:
-    """Real-only CSV import: one matrix row per line."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    """Real-only CSV import, one matrix row per line, from a path, CSV text or a file."""
+    if isinstance(source, os.PathLike):
         text = Path(source).read_text(encoding="utf-8")
     else:
-        text = source.read() if hasattr(source, "read") else str(source)
+        text = source if isinstance(source, str) else source.read()
     rows = []
     for record in csv.reader(io.StringIO(text)):
         if not record:
@@ -105,14 +106,12 @@ def tangent_from_json(obj: dict) -> TangentVector:
 
 
 def covector_to_json(c: Covector) -> dict:
-    return {"at": chart_point_to_json(c.at), "form": operator_to_json(c.form),
-            "class_tag": c.class_tag, "metadata": c.metadata}
+    return {"at": chart_point_to_json(c.at), "form": operator_to_json(c.form)}
 
 
 def covector_from_json(obj: dict) -> Covector:
-    return Covector(chart_point_from_json(obj["at"]), operator_from_json(obj["form"]),
-                    class_tag=obj.get("class_tag", "unrestricted"),
-                    metadata=obj.get("metadata"))
+    """Read ``{"at", "form"}``; any other key, as in older payloads, is ignored."""
+    return Covector(chart_point_from_json(obj["at"]), operator_from_json(obj["form"]))
 
 
 def tensor_covector_to_json(tc: TensorCovector) -> dict:

@@ -122,7 +122,6 @@ def test_cotangent_transition_identity_chart():
     mu = ga.Covector(pt, ga.Operator([[0.5 + 0.5j]]))
     moved = ga.transition_cotangent(mu, chart)
     assert_allclose(moved.form.matrix, mu.form.matrix, atol=1e-14)
-    assert moved.class_tag == "unrestricted"
 
 
 def test_cotangent_transition_swap_closed_form():
@@ -147,23 +146,6 @@ def test_cotangent_preserves_pairing_seeded():
                                  ga.transition_tangent(x, dst))
         worst = max(worst, abs(after - before) / (1.0 + abs(before)))
     assert worst <= 1e-9
-
-
-def test_cotangent_class_tag_travels():
-    rng = _rng(7)
-    src, pt, dst = _transition_instance(rng, 6, 3)
-    mu = ga.Covector(pt, ga.Operator(random_fiber_matrix(3, 3, rng)),
-                     class_tag="trace_class_emulated", metadata={"p": 1.0})
-    moved = ga.transition_cotangent(mu, dst)
-    assert moved.class_tag == "trace_class_emulated"
-    assert moved.metadata == {"p": 1.0}
-
-
-def test_covector_requires_metadata_when_tagged():
-    chart = _coordinate_chart()
-    pt = ga.ChartPoint(chart, ga.Operator([[0.0]]))
-    with pytest.raises(ValueError):
-        ga.Covector(pt, ga.Operator([[1.0]]), class_tag="trace_class_emulated")
 
 
 # ---------------------------------------------------------------------------

@@ -327,16 +327,13 @@ def test_schatten_index_is_zero_or_finite_and_at_least_one(p):
         ga.preservation_experiment(ladder, p, ga.identity_chart_family())
 
 
-def test_precotangent_trace_class_tagging():
+# p is the tangent class; its predual (K at p = 1, L_{p*} above) stores the same matrix
+def test_precotangent_covector_is_the_form_at_the_point():
     m = _model()
     chart = ga.ChartId.hilbert(m.h_plus)
     pt = ga.chart_forward(m.h_plus, chart)
-    mu = np.eye(4)
-    cov = ga.precotangent_covector(pt, mu, p=1, profile=ga.DecayProfile.geometric(0.5))
-    assert cov.class_tag == "trace_class_emulated"
-    assert cov.metadata["p"] == 1.0
-    # reflexive range: the precotangent fiber is the cotangent fiber, plain tag
-    cov2 = ga.precotangent_covector(pt, mu, p=2)
-    assert cov2.class_tag == "unrestricted"
-    with pytest.raises(ValueError):
-        ga.precotangent_covector(pt, mu, p=0.5)
+    mu = np.arange(16.0).reshape(4, 4) * (1 - 0.5j)
+    for p in (1, 2, 3.5):
+        cov = ga.precotangent_covector(pt, mu, p=p)
+        assert cov.at is pt
+        assert np.array_equal(cov.form.matrix, mu)

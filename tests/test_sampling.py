@@ -20,7 +20,8 @@ def test_sampled_charts_meet_floors_and_spread(n):
         for k in _dims(n):
             for trial in range(draws):
                 rng = derive_rng(909, n, k, trial)
-                chart = random_chart(n, k, rng, flavor=flavor)
+                chart = (random_chart(n, k, rng) if flavor == "split"
+                         else ga.ChartId.hilbert(random_subspace(n, k, rng)))
                 h = random_subspace(n, k, rng)
                 containing = random_chart_containing(h, rng, flavor=flavor)
                 assert containing.flavor == flavor

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -44,6 +45,16 @@ def test_operator_csv_import(tmp_path):
     assert_allclose(op.matrix, np.array([[1.0, 2.0], [3.5, -4.0]], dtype=complex))
 
 
+# a path-like is a file, a str is CSV text (one row too), and a file object is read
+@pytest.mark.parametrize("source, rows", [
+    ("1.0,2.0", [[1.0, 2.0]]),
+    ("1.0,2.0\n3.5,-4.0", [[1.0, 2.0], [3.5, -4.0]]),
+    (io.StringIO("1.0,2.0\n"), [[1.0, 2.0]]),
+], ids=["one-row-text", "two-row-text", "file-object"])
+def test_operator_csv_reads_text_and_files(source, rows):
+    assert_allclose(serialize.operator_from_csv(source).matrix, np.array(rows, dtype=complex))
+
+
 def test_operator_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
@@ -71,18 +82,29 @@ def test_chart_point_and_fiber_roundtrips():
     back_v = serialize.tangent_from_json(serialize.tangent_to_json(v))
     assert_allclose(back_v.direction.matrix, v.direction.matrix)
 
-    mu = ga.Covector(pt, ga.Operator(random_fiber_matrix(2, 4, rng)),
-                     class_tag="trace_class_emulated", metadata={"p": 1.0})
+    mu = ga.Covector(pt, ga.Operator(random_fiber_matrix(2, 4, rng)))
     back_mu = serialize.covector_from_json(serialize.covector_to_json(mu))
     assert_allclose(back_mu.form.matrix, mu.form.matrix)
-    assert back_mu.class_tag == "trace_class_emulated"
-    assert back_mu.metadata == {"p": 1.0}
 
     tc = ga.TensorCovector(pt, ((random_fiber_matrix(2, 1, rng)[:, 0],
                                  random_fiber_matrix(4, 1, rng)[:, 0]),))
     back_tc = serialize.tensor_covector_from_json(serialize.tensor_covector_to_json(tc))
     assert_allclose(back_tc.terms[0][0], tc.terms[0][0])
     assert_allclose(back_tc.terms[0][1], tc.terms[0][1])
+
+
+def test_covector_payload_is_point_and_form_and_reads_labelled_payloads():
+    rng = _rng(4)
+    pt = random_chart_point(random_chart(6, 2, rng), rng)
+    mu = ga.Covector(pt, ga.Operator(random_fiber_matrix(2, 4, rng)))
+    payload = serialize.covector_to_json(mu)
+    assert set(payload) == {"at", "form"}
+    # payloads of the labelled format carried a class tag and its metadata
+    payload.update(class_tag="trace_class_emulated", metadata={"p": 1.0})
+    back = serialize.covector_from_json(json.loads(json.dumps(payload)))
+    assert np.array_equal(back.form.matrix, mu.form.matrix)
+    assert np.array_equal(back.at.coord.matrix, pt.coord.matrix)
+    assert back.at.chart.same_chart(pt.chart)
 
 
 def test_fiber_json_is_json_serializable():

@@ -1,12 +1,16 @@
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grassatlas import sampling
 from grassatlas.errors import ConfigError, SplitFailure
-from grassatlas.operators import Operator
+from grassatlas.operators import Operator, split_conditioning
 from grassatlas.verify import SuiteConfig, checks, emit_report, run_suite
 from grassatlas.verify.checks import CheckDef, registry
 from grassatlas.verify.cli import main, read_config_file
@@ -258,3 +262,32 @@ def test_raising_trial_fails_its_check_only(monkeypatch, tmp_path, exc):
     cfg = SuiteConfig(suite="atlas", dims=(6,), trials=1, seed=42)
     text = emit_report(cfg, run_suite(cfg), format="text")
     assert f"raised={type(exc).__name__}: {exc} at 42.5.0" in text
+
+
+def _log_uniform_at_low(low, high, rng, size=None):
+    """``sampling._log_uniform`` held at ``low``; it still takes its draw from ``rng``."""
+    rng.uniform(size=size)
+    return low if size is None else np.full(size, low)
+
+
+AT_THE_FLOORS = ("chart_roundtrip_fiber", "chart_roundtrip_subspace", "transition_consistency",
+                 "transition_cocycle", "duality_invariance", "tensor_commuting_square")
+
+
+# every sampled split chart at SPLIT_FLOOR, every drawn margin at MARGIN_FLOOR, a fiber
+# of rank one: the check bodies still hold at their registry tolerances, at any n
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 64), st.booleans())
+def test_checks_hold_at_the_sampling_floors(seed, n, rank_one):
+    k = 1 if rank_one else n - 1
+    by_name = {check.name: check for check in registry()}
+    with mock.patch.object(sampling, "_log_uniform", _log_uniform_at_low), \
+            mock.patch.object(checks, "_subspace_dim", lambda rng, n: k):
+        _, chain = checks._chart_chain(sampling.derive_rng(seed), n, k)
+        for chart in chain:
+            assert split_conditioning(chart.f, chart.g) == pytest.approx(
+                sampling.SPLIT_FLOOR, rel=1e-9)
+        for index, name in enumerate(AT_THE_FLOORS):
+            check = by_name[name]
+            error = check.fn(SuiteConfig(), 0, sampling.derive_rng(seed, index), n)
+            assert error <= check.tolerance, name
