@@ -5,7 +5,9 @@ subspace H complementary to G to the coordinate matrix of the operator F -> G
 whose graph is H.  Two flavors exist: the general split pair, and the Hilbert
 flavor where G is pinned to the orthogonal complement of F.  A chart caches its
 coordinate rows, the row blocks of M^{-1} for M = [B_F | B_G], not projectors:
-every chart coordinate and transition block is a product against them.
+every chart coordinate and transition block is a product against them.  No
+subspace holds an n x n projector either; distances between subspaces are read
+from n x k residuals of one basis off the other.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class Subspace:
     """A point of the Grassmannian, stored as an orthonormal basis.
 
     Equality of subspaces is basis independent: two subspaces coincide when
-    their orthogonal projectors are close in operator norm.
+    their distance |P_F - P_G|_2, read from the basis residual of one off the
+    other, is within ``DEFAULT_TOL_EQ``.
     """
 
     def __init__(self, basis):
@@ -38,7 +41,6 @@ class Subspace:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
         _require_orthonormal(mat)
         self.basis = Operator(mat)
-        self._projector: Operator | None = None
 
     @classmethod
     def from_span(cls, spanning) -> "Subspace":
@@ -60,28 +62,26 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    @property
-    def projector(self) -> Operator:
-        """Orthogonal projector onto the subspace (Hermitian idempotent)."""
-        if self._projector is None:
-            mat = self.basis.matrix
-            proj = mat @ mat.conj().T
-            proj = (proj + proj.conj().T) / 2.0
-            self._projector = Operator(proj)
-        return self._projector
-
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
         full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
         return Subspace(full[:, self.dim:])
 
     def distance_to(self, other: "Subspace") -> float:
-        """Operator-norm distance between the orthogonal projectors."""
+        """Operator-norm distance |P_F - P_G|_2 between the orthogonal projectors.
+
+        Projectors of unequal rank are at distance exactly 1.  For equal dims the
+        distance is sin(theta_max), the largest singular value of the n x k
+        residual B_G - B_F (B_F^H B_G) of G off F; no n x n projector is formed.
+        """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
         if other is self:
             return 0.0
-        return float(np.linalg.norm(self.projector.matrix - other.projector.matrix, 2))
+        if self.dim != other.dim:
+            return 1.0
+        bf, bg = self.basis.matrix, other.basis.matrix
+        return float(np.linalg.norm(bg - bf @ (bf.conj().T @ bg), 2))
 
     def is_same(self, other: "Subspace") -> bool:
         return self.dim == other.dim and self.distance_to(other) <= DEFAULT_TOL_EQ
@@ -293,7 +293,9 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
         raise ValueError("projector-formula chart requires the hilbert flavor")
     if h.ambient_dim != chart.ambient_dim or h.dim != chart.f.dim:
         raise DimensionMismatch("subspace does not match the chart dimensions")
-    proj = h.projector.matrix
+    bh = h.basis.matrix
+    proj = bh @ bh.conj().T
+    proj = (proj + proj.conj().T) / 2.0
     bv = chart.f.basis.matrix
     bvp = chart.g.basis.matrix
     compressed = bv.conj().T @ proj @ bv

@@ -8,8 +8,12 @@ times chart construction (``ChartId.hilbert`` and a split ``ChartId``) and, with
 source and target charts of each flavor, ``chart_forward``, ``transition_base``,
 ``transition_tangent``, ``transition_cotangent``, ``pushforward_factors``,
 ``pushforward_tensor`` and ``pushforward`` (factors, then the tensor map, on one
-point).  Every transition call starts from a fresh chart point, so none is
-served by the transition its point memoized on an earlier call.  Each layer
+point).  It also times ``membership_report`` of a perturbed H_plus in the square
+polarized model, and ``Subspace.distance_to`` between two perturbed k-subspaces.
+Every transition call starts from a fresh chart point, so none is served by
+the transition its point memoized on an earlier call, and every membership and
+distance call gets fresh subspace and model objects, so no state an object kept
+from an earlier call serves a repeat.  Each layer
 runs once untimed, then ``REPEATS`` timed calls; the median, interquartile range
 and minimum in milliseconds go under ``columns[LABEL]`` of the output file,
 next to the numpy and BLAS versions, the CPU count and the thread pins.
@@ -69,6 +73,13 @@ def _layers(n: int) -> dict:
         src, dst = (ga.ChartId.hilbert(perturbed(base)) if flavor == "hilbert"
                     else ga.ChartId(perturbed(base), perturbed(perp)) for _ in range(2))
         layers.update(_transition_layers(flavor, src, dst, rng))
+    model = ga.PolarizedModel(n - k, k)
+    w, near, far = (perturbed(b).basis.matrix
+                    for b in (model.h_plus.basis.matrix, base, base))
+    layers["membership_report"] = lambda: partial(
+        ga.membership_report, ga.Subspace(w), ga.PolarizedModel(n - k, k), 1.0)
+    layers["Subspace.distance_to"] = lambda: partial(ga.Subspace(near).distance_to,
+                                                     ga.Subspace(far))
     return layers
 
 

@@ -39,7 +39,12 @@ _RANK_TOL = 1e-10
 
 
 class PolarizedModel:
-    """Finite truncation of a polarized space with projectors onto each half."""
+    """Finite truncation of a polarized space, H_minus and H_plus as coordinate blocks.
+
+    The first ``n_minus`` ambient coordinates span H_minus and the last
+    ``n_plus`` span H_plus, so a basis's components in each half are its row
+    slices; :attr:`h_minus` and :attr:`h_plus` hold the two identity slices.
+    """
 
     def __init__(self, n_minus: int, n_plus: int):
         n_minus, n_plus = int(n_minus), int(n_plus)
@@ -79,14 +84,6 @@ class PolarizedModel:
         eye = np.eye(self.ambient_dim)
         return Subspace(eye[:, self.n_minus:])
 
-    @cached_property
-    def p_minus(self) -> Operator:
-        return self.h_minus.projector
-
-    @cached_property
-    def p_plus(self) -> Operator:
-        return self.h_plus.projector
-
     def __repr__(self) -> str:
         return f"PolarizedModel(n_minus={self.n_minus}, n_plus={self.n_plus})"
 
@@ -114,8 +111,7 @@ def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel) -> int:
     """Same index computed as dim ker - dim coker of the projection by rank counts."""
     if w.ambient_dim != model.ambient_dim:
         raise DimensionMismatch("subspace does not live in the model's ambient space")
-    plus_map = model.h_plus.basis.matrix.conj().T @ w.basis.matrix
-    sv = singular_values(plus_map)
+    sv = singular_values(w.basis.matrix[model.n_minus:])
     rank = int(np.sum(sv > _RANK_TOL))
     kernel = w.dim - rank
     cokernel = model.n_plus - rank
@@ -130,21 +126,37 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     Condition two: Schatten p-norm of the projection W -> H_minus.
     Equivalent single condition: ``|P_W - P_+|_p``.  All three numbers are
     reported; ladders decide trends.
+
+    No n x n matrix is formed.  P_W - P_+ = P_W P_- - P_W^perp P_+, and the two
+    parts have orthogonal ranges (in W and W-perp) and co-ranges (in H_minus and
+    H_plus), so |P_W - P_+|_p^p = |P_W P_-|_p^p + |P_W^perp P_+|_p^p.  By
+    Halmos's two-subspace theorem (Trans. AMS 1969; Boettcher & Spitkovsky, LAA
+    2010) the singular values of both parts strictly between 0 and 1 are the
+    sines of the same principal angles between W and H_plus.  Their unit
+    singular values number the dimensions of W cap H_minus and W-perp cap
+    H_plus, which differ by the virtual dimension k - n_plus.  So the second
+    part's p-th power sum is the first's less the virtual dimension, and
+
+        |P_W - P_+|_p^p = 2 |minus_map|_p^p - virtual_dim,
+
+    read from the singular values ``minus_norm`` already takes.  H_minus and
+    H_plus are coordinate blocks, so ``minus_map = B_-^H B_W`` and
+    ``plus_map = B_+^H B_W`` are row slices of B_W.
     """
     if w.ambient_dim != model.ambient_dim:
         raise DimensionMismatch("subspace does not live in the model's ambient space")
-    diff = w.projector.matrix - model.p_plus.matrix
-    diff_norm = schatten_norm(diff, p).value
-    plus_map = model.h_plus.basis.matrix.conj().T @ w.basis.matrix
-    minus_map = model.h_minus.basis.matrix.conj().T @ w.basis.matrix
+    p = float(p)
+    bw = w.basis.matrix
+    minus_map, plus_map = bw[:model.n_minus], bw[model.n_minus:]
+    minus = schatten_norm(minus_map, p)
+    virtual_dim = virtual_dimension(w, model)
     sv = singular_values(plus_map)
     above = sv[sv > _RANK_TOL]
     plus_conditioning = float(above[-1]) if above.size else 0.0
-    minus_norm = schatten_norm(minus_map, p).value
+    powers = 2.0 * np.sum(minus.singular_values ** p) - virtual_dim
     return RestrictedPoint(
-        w=w, p=float(p), diff_norm=diff_norm,
-        virtual_dim=virtual_dimension(w, model),
-        plus_conditioning=plus_conditioning, minus_norm=minus_norm)
+        w=w, p=p, diff_norm=float(powers ** (1.0 / p)), virtual_dim=virtual_dim,
+        plus_conditioning=plus_conditioning, minus_norm=minus.value)
 
 
 def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,

@@ -1,10 +1,13 @@
-"""Independent derivative oracles for the tangent fiber map.
+"""Independent reference routes: derivative oracles and dense projector norms.
 
-Both oracles re-evaluate the base transition itself and never touch the
-closed-form fiber expression they are used to check.  The complex-step oracle
-runs on realified matrices (2n x 2n real blocks) because the transition is
-holomorphic in the chart coordinate; the step then lives in a fresh imaginary
-unit and there is no subtractive cancellation.
+Both derivative oracles re-evaluate the base transition itself and never touch
+the closed-form fiber expression they are used to check.  The complex-step
+oracle runs on realified matrices (2n x 2n real blocks) because the transition
+is holomorphic in the chart coordinate; the step then lives in a fresh
+imaginary unit and there is no subtractive cancellation.
+
+The projector routes form the n x n orthogonal projectors that the library
+never forms, and take the norms of their difference directly.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import atlas
-from ..atlas import ChartId, ChartPoint
-from ..operators import Operator
+from ..atlas import ChartId, ChartPoint, Subspace
+from ..operators import Operator, schatten_norm
+from ..restricted import PolarizedModel
 
 
 def finite_difference_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray) -> np.ndarray:
@@ -47,3 +51,18 @@ def complex_step_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray)
     numer = c_r + d_r @ coord
     image = np.linalg.solve(denom.T, numer.T).T
     return _derealify(image.imag / step)
+
+
+def _projection_matrix(subspace: Subspace) -> np.ndarray:
+    basis = subspace.basis.matrix
+    return basis @ basis.conj().T
+
+
+def projector_diff_norm(w: Subspace, model: PolarizedModel, p: float) -> float:
+    """|P_W - P_+|_p from the dense projectors; the reference for ``membership_report``."""
+    return schatten_norm(_projection_matrix(w) - _projection_matrix(model.h_plus), p).value
+
+
+def projector_distance(f: Subspace, g: Subspace) -> float:
+    """|P_F - P_G|_2 from the dense projectors; the reference for ``Subspace.distance_to``."""
+    return float(np.linalg.norm(_projection_matrix(f) - _projection_matrix(g), 2))

@@ -13,6 +13,7 @@ from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFail
 from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, random_chart,
                                  random_chart_containing, random_chart_point,
                                  random_subspace)
+from grassatlas.verify.oracles import projector_distance
 
 
 def _rng(seed):
@@ -73,9 +74,41 @@ def test_subspace_equality_is_basis_independent():
 
 def test_subspace_projector_invariants():
     s = random_subspace(6, 3, _rng(5))
-    p = s.projector.matrix
+    b = s.basis.matrix
+    p = b @ b.conj().T
     assert np.linalg.norm(p @ p - p, 2) <= 1e-12
     assert np.linalg.norm(p.conj().T - p, 2) <= 1e-12
+
+
+def _tilted(basis, angle, rng):
+    """The span of ``basis`` with its first column turned by ``angle`` off the span."""
+    off = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
+    off -= basis @ (basis.conj().T @ off)
+    tilted = basis.copy()
+    tilted[:, 0] = math.cos(angle) * basis[:, 0] + math.sin(angle) * off / np.linalg.norm(off)
+    return ga.Subspace.from_span(tilted)
+
+
+@pytest.mark.parametrize("n", [4, 9, 64])
+def test_distance_to_matches_dense_projectors(n):
+    rng = _rng(n)
+    k = n // 2
+    f = random_subspace(n, k, rng)
+    cases = [(f, random_subspace(n, k, rng)), (f, _tilted(f.basis.matrix, 0.3, rng))]
+    for dims in ((k, k + 1), (k + 1, k), (0, 1), (1, n)):
+        cases.append((random_subspace(n, dims[0], rng), random_subspace(n, dims[1], rng)))
+    for a, b in cases:
+        got = a.distance_to(b)
+        assert abs(got - projector_distance(a, b)) <= 1e-14
+        if a.dim != b.dim:
+            assert got == 1.0
+    mix = ga.haar_frame(k, k, rng)
+    rotated = ga.Subspace(f.basis.matrix @ mix)
+    assert abs(f.distance_to(rotated) - projector_distance(f, rotated)) <= 1e-14
+    assert f.distance_to(rotated) <= 1e-14 and f.is_same(rotated)
+    tilt = _tilted(f.basis.matrix, 1e-9, rng)
+    assert abs(f.distance_to(tilt) - projector_distance(f, tilt)) <= 1e-14
+    assert f.distance_to(tilt) == pytest.approx(1e-9, rel=1e-5) and not f.is_same(tilt)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from grassatlas import atlas, bench
 
-LAYERS = {"ChartId.hilbert", "ChartId.split",
+LAYERS = {"ChartId.hilbert", "ChartId.split", "membership_report", "Subspace.distance_to",
           *(f"{layer}[{flavor}]"
             for layer in ("chart_forward", "transition_base", "transition_tangent",
                           "transition_cotangent", "pushforward_factors", "pushforward_tensor",

@@ -8,6 +8,7 @@ import grassatlas as ga
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
 from grassatlas.restricted import _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
+from grassatlas.verify.oracles import projector_diff_norm
 
 
 def _rng(seed):
@@ -19,10 +20,11 @@ def _model(side=4):
 
 
 def test_polarized_model_projector_identities():
+    # P_+ + P_- = I and P_+ P_- = 0, read through the bases of the two halves
     m = _model(3)
-    total = m.p_plus.matrix + m.p_minus.matrix
-    assert_allclose(total, np.eye(6), atol=1e-15)
-    assert_allclose(m.p_plus.matrix @ m.p_minus.matrix, np.zeros((6, 6)), atol=1e-15)
+    b_minus, b_plus = m.h_minus.basis.matrix, m.h_plus.basis.matrix
+    assert_allclose(np.hstack([b_minus, b_plus]), np.eye(6), atol=1e-15)
+    assert_allclose(b_plus.conj().T @ b_minus, np.zeros((3, 3)), atol=1e-15)
 
 
 def test_polarized_model_mode_indexing():
@@ -66,6 +68,35 @@ def test_membership_one_extra_negative_mode():
     report = ga.membership_report(w, m, 1)
     assert report.virtual_dim == 1
     assert report.diff_norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", [4, 8, 16, 64])
+def test_membership_diff_norm_matches_dense_projectors(side):
+    m = _model(side)
+    rng = _rng(side)
+    for vd in range(-2, 3):
+        graph, _ = _graph_point(m, ga.DecayProfile.geometric(0.6), vd, side + vd)
+        u = polarization_preserving_unitary(side, side, rng)
+        points = (graph, ga.Subspace(u @ graph.basis.matrix),
+                  ga.Subspace(ga.haar_frame(2 * side, side + vd, rng)))
+        for w in points:
+            for p in (1.0, 2.0, 3.5):
+                want = projector_diff_norm(w, m, p)
+                got = ga.membership_report(w, m, p).diff_norm
+                assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("n_minus, n_plus", [(1, 5), (5, 1), (3, 7)])
+def test_membership_diff_norm_matches_dense_projectors_at_every_dim(n_minus, n_plus):
+    # every k from 0 to n, so W cap H_minus and W-perp cap H_plus take every dimension
+    m = ga.PolarizedModel(n_minus, n_plus)
+    rng = _rng(n_minus)
+    points = [ga.Subspace(ga.haar_frame(m.ambient_dim, k, rng))
+              for k in range(m.ambient_dim + 1)]
+    for w in (*points, m.h_minus, m.h_plus):
+        for p in (1.0, 2.0, 3.5):
+            want = projector_diff_norm(w, m, p)
+            assert abs(ga.membership_report(w, m, p).diff_norm - want) <= 1e-10 * want
 
 
 def test_membership_rejects_foreign_subspace():
