@@ -21,6 +21,7 @@ builds the transition blocks once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,12 +91,15 @@ class TensorCovector:
         object.__setattr__(self, "terms", tuple(cleaned))
 
 
+def _absmax(mat: np.ndarray) -> float:
+    return float(np.abs(mat).max(initial=0.0))
+
+
 def _require_same_point(first: ChartPoint, second: ChartPoint) -> None:
     if not first.chart.same_chart(second.chart):
         raise ChartMismatch("fiber objects are attached to different charts")
     a, b = first.coord.matrix, second.coord.matrix
-    scale = 1.0 + float(np.max(np.abs(a), initial=0.0))
-    if float(np.max(np.abs(a - b), initial=0.0)) > 1e-10 * scale:
+    if _absmax(a - b) > 1e-10 * (1.0 + _absmax(a)):
         raise ChartMismatch("fiber objects are attached to different chart points")
 
 
@@ -170,12 +174,14 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     """Push a tensor covector through a chart change in rank-one form, term by term.
 
     The supplied pair (S, T) must realize the inverse tangent fiber map: S must be
-    kf x kf and T kg x kg, else :class:`DimensionMismatch`, and probes check
-    ``X' -> T X' S`` against L_r = (d - A' b)^{-1} and S = a + b A from the forward
-    blocks, a route independent of the reverse rows ``pushforward_factors`` reads,
-    and reject it with :class:`FactorMismatch`.  Domain checks as in
-    :func:`transition_cotangent`; after :func:`pushforward_factors` on the same
-    point and chart, the forward transition is not evaluated again.
+    kf x kf and T kg x kg, else :class:`DimensionMismatch`, and ``X' -> T X' S``
+    must equal ``X' -> L_r X' S_r`` for every X', with S_r = a + b A and
+    L_r = (d - A' b)^{-1} from the forward blocks, a route independent of the
+    reverse rows ``pushforward_factors`` reads.  One exact identity decides that
+    (:func:`_factor_residual`), and a pair off it raises :class:`FactorMismatch`.
+    Domain checks as in :func:`transition_cotangent`; after
+    :func:`pushforward_factors` on the same point and chart, the forward
+    transition is not evaluated again.
     """
     fwd = _invertible_transition(tc.at, target, tol_domain)
     s, t = _factor_pair(factors)
@@ -183,46 +189,52 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     if s.shape != (kf, kf) or t.shape != (kg, kg):
         raise DimensionMismatch(
             f"factors must be ({kf}, {kf}) and ({kg}, {kg}), got {s.shape} and {t.shape}")
-    l_r = np.linalg.inv(fwd.left)
-    scale = 1.0 + float(np.abs(l_r).max(initial=0.0)) * float(np.abs(fwd.denom).max(initial=0.0))
-    worst = _factor_deviation(s, t, l_r, fwd.denom)
-    if worst > 1e-8 * scale:
+    # both routes lose accuracy as the coordinates grow toward a chart boundary
+    bound = 1e-12 * (1.0 + _absmax(tc.at.coord.matrix)) * (1.0 + _absmax(fwd.coord))
+    # on a zero-dimensional fiber every pair of the right shapes realizes the map
+    residual = _factor_residual(s, t, fwd.left, fwd.denom) if kf and kg else 0.0
+    if not residual <= bound:
         raise FactorMismatch(
-            f"factors deviate from the tangent fiber map by {worst:.3e} on probes")
+            f"factors deviate from the tangent fiber map by {residual:.3e} relative "
+            f"(bound {bound:.1e})")
     return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
 
 
 def _factor_pair(factors) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (S, T) as two matrices; anything else is a :class:`DimensionMismatch`."""
+    """The pair (S, T) as two finite matrices.
+
+    Anything but one pair of matrices is a :class:`DimensionMismatch`; a
+    non-finite entry is a ``ValueError``, as in the fiber classes.
+    """
     try:
         s, t = factors
-        return as_matrix(s), as_matrix(t)
+        s, t = as_matrix(s), as_matrix(t)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"factors must be one pair (S, T) of matrices: {exc}") from None
+    _require_finite(s, "factor S")
+    _require_finite(t, "factor T")
+    return s, t
 
 
-def _probes(kg: int, kf: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rank-one probe directions (u, v): the elementary basis up to 256 pairs, else 16 seeded."""
-    if kg * kf <= 256:
-        return [(u, v) for u in np.eye(kg) for v in np.eye(kf)]
-    rng = np.random.default_rng(0)
-    gauss = rng.standard_normal((16, kg + kf)) + 1j * rng.standard_normal((16, kg + kf))
-    return [(row[:kg], row[kg:]) for row in gauss]
+def _factor_residual(s: np.ndarray, t: np.ndarray, left: np.ndarray, s_r: np.ndarray) -> float:
+    """Larger relative residual of ``left T = lambda I`` and ``lambda S = S_r``.
 
-
-def _factor_deviation(s: np.ndarray, t: np.ndarray, l_r: np.ndarray, s_r: np.ndarray) -> float:
-    """Largest entry of T (u v^T) S - L_r (u v^T) S_r over the probes.
-
-    Each probe costs matrix-vector work: T (u v^T) S = (T u)(v^T S).  When S is
-    S_r the difference is the rank-one (T u - L_r u)(v^T S), whose largest entry
-    is |T u - L_r u|_inf |v^T S|_inf, so no kg x kf matrix is formed.
+    With left = L_r^{-1}, ``T X' S = L_r X' S_r`` for every X' exactly when
+    T = lambda L_r and lambda S = S_r, with lambda = tr(left T)/kg.  Each
+    residual is relative to the product it came from.  A zero lambda or a zero T
+    reads inf, a zero S reads 1, and a non-finite product reads NaN, which fails
+    every bound.
     """
-    probes = _probes(l_r.shape[1], s_r.shape[0])
-    if np.array_equal(s, s_r):
-        return max((float(np.abs(t @ u - l_r @ u).max() * np.abs(v @ s).max())
-                    for u, v in probes), default=0.0)
-    return max((float(np.abs(np.outer(t @ u, v @ s) - np.outer(l_r @ u, v @ s_r)).max())
-                for u, v in probes), default=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads NaN or inf
+        prod = left @ t
+        kg = prod.shape[0]
+        lam = complex(np.trace(prod)) / kg
+        if lam == 0:
+            return math.inf
+        prod[np.diag_indices(kg)] -= lam
+        on_t = _absmax(prod) / (kg * _absmax(left) * _absmax(t))
+        on_s = _absmax(lam * s - s_r) / (abs(lam) * _absmax(s) + _absmax(s_r))
+        return float(np.max([on_t, on_s]))
 
 
 def trace_pairing(c: Covector, v: TangentVector) -> complex:

@@ -269,23 +269,23 @@ def split_conditioning(f, g) -> float:
     return float(np.linalg.svd(residual, compute_uv=False)[-1]) / (1.0 + s)
 
 
-def oblique_projections(f, g, tol_split: float | None = None) -> tuple[Operator, Operator]:
+def oblique_projections(f, g) -> tuple[Operator, Operator]:
     """Projections onto F along G and onto G along F for a complementary pair.
 
     Returns the ambient-space pair ``(onto_f, onto_g)`` with
     ``onto_f + onto_g = I``, ``onto_f^2 = onto_f``, range F and kernel G.
     Raises :class:`SplitFailure` when :func:`split_conditioning` is at or below
-    ``tol_split``, and ``ValueError`` when a plain array basis is not orthonormal.
+    ``DEFAULT_TOL_SPLIT``, and ``ValueError`` when a plain array basis is not
+    orthonormal.
     """
-    tol = DEFAULT_TOL_SPLIT if tol_split is None else float(tol_split)
     cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space
     bf, bg = as_matrix(f), as_matrix(g)
     n, kf = bf.shape
     if n == 0:
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
-    if cond <= tol:
+    if cond <= DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
-                           conditioning=cond, tol=tol)
+                           conditioning=cond, tol=DEFAULT_TOL_SPLIT)
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 

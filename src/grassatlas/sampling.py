@@ -103,9 +103,11 @@ def random_chart_containing(h: Subspace, rng: np.random.Generator,
     conds = _log_uniform(cond, 1.0, rng, size=rank)
     conds[:1] = 1.0
     conds[-1:] = cond
-    # turn F0 by delta_j toward -G per plane; Haar-mixed columns round as a drawn basis
+    # turn F0 by delta_j toward -G per plane and mix the columns by a Haar unitary; the
+    # turned columns are orthonormal only up to a roundoff that grows with n
+    # (1.4e-12 at n = 512), so they are orthonormalized as a span
     f = _tilted(f0, _tilted(u, b, -sigma), -_tilt(conds)) @ haar_frame(h.dim, h.dim, rng)
-    return ChartId(Subspace(f), Subspace(f0).complement())
+    return ChartId(Subspace.from_span(f), Subspace(f0).complement())
 
 
 def random_fiber_matrix(rows: int, cols: int, rng: np.random.Generator,

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from ..errors import ConfigError, GrassAtlasError
-from .runner import SUITES, SuiteConfig, emit_report, run_suite
+from .runner import FORMATS, SUITES, SuiteConfig, emit_report, require_format, run_suite
 
 
 def _parse_tolerance(item: str) -> tuple[str, float]:
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", dest="tols", action="append", default=[],
                         metavar="NAME=VAL", help="per-check tolerance override")
     parser.add_argument("--ladder", type=str, default=None, metavar="16,32,64,128")
-    parser.add_argument("--format", choices=("json", "text"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--out", type=Path, default=None, metavar="PATH")
     parser.add_argument("--config", type=Path, default=None, metavar="PATH")
     return parser
@@ -105,7 +105,10 @@ def main(argv: list[str] | None = None) -> int:
         fmt = options.pop("format", "text")
         out = options.pop("out", None)
         cfg = SuiteConfig(**options)
-        # a missing directory is known before the suite runs, not after
+        # what is known before the suite runs is refused before it, not after
+        require_format(fmt)
+        if out is not None and Path(out).is_dir():
+            raise ConfigError(f"output path {out} is a directory")
         if out is not None and not Path(out).parent.is_dir():
             raise ConfigError(f"output directory {Path(out).parent} does not exist")
         results = run_suite(cfg)

@@ -13,6 +13,7 @@ from ..serialize import canonical_json
 from . import checks as _checks
 
 SUITES = ("atlas", "bundles", "restricted", "all")
+FORMATS = ("json", "text")
 
 
 @dataclass(frozen=True)
@@ -111,23 +112,28 @@ def run_suite(cfg: SuiteConfig) -> list[CheckResult]:
     return results
 
 
+def require_format(format: str) -> None:
+    """Raise :class:`ConfigError` unless ``format`` is one of :data:`FORMATS`."""
+    if format not in FORMATS:
+        raise ConfigError(f"unknown report format {format!r}; choose one of {FORMATS}")
+
+
 def emit_report(cfg: SuiteConfig, results: list[CheckResult],
                 format: str = "json") -> str:
     """Render results; JSON output is byte deterministic for equal configs."""
+    require_format(format)
     if format == "json":
         payload = {"suite": cfg.suite, "seed": cfg.seed, "dims": list(cfg.dims),
                    "checks": [r.to_dict() for r in results]}
         return canonical_json(payload)
-    if format == "text":
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            line = (f"{status} {r.name}: max_abs_error={r.max_abs_error:.6e} "
-                    f"tolerance={r.tolerance:.1e} trials={r.trials}")
-            if r.raised is not None:
-                line += f" raised={r.raised} at {r.worst_seed}"
-            lines.append(line)
-        passed = sum(r.passed for r in results)
-        lines.append(f"{passed}/{len(results)} checks passed")
-        return "\n".join(lines)
-    raise ConfigError(f"unknown report format {format!r}")
+    lines = []
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        line = (f"{status} {r.name}: max_abs_error={r.max_abs_error:.6e} "
+                f"tolerance={r.tolerance:.1e} trials={r.trials}")
+        if r.raised is not None:
+            line += f" raised={r.raised} at {r.worst_seed}"
+        lines.append(line)
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    return "\n".join(lines)

@@ -26,7 +26,6 @@ SETTABLE = {
     "grassatlas.operators:_require_finite.what",
     "grassatlas.operators:DecayProfile.param",
     "grassatlas.operators:DecayProfile.values.skip",
-    "grassatlas.operators:oblique_projections.tol_split",
     "grassatlas.restricted:generate_restricted_point.virtual_dim",
     "grassatlas.restricted:generate_restricted_point.seed",
     "grassatlas.restricted:build_truncation_ladder.virtual_dim",

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 import grassatlas as ga
 from grassatlas import atlas, bundles, sampling
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, random_chart,
-                                 random_chart_containing, random_chart_point,
+from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, near_boundary_subspace,
+                                 random_chart, random_chart_containing, random_chart_point,
                                  random_subspace)
 from grassatlas.verify.oracles import projector_distance
 
@@ -462,8 +462,9 @@ def test_conditioning_errors_carry_their_numbers():
                                  f"(conditioning {domain.value.conditioning:.3e} <= 1.0e-08)")
     e1 = ga.Subspace(np.eye(2)[:, :1])
     with pytest.raises(SplitFailure) as split:
-        ga.oblique_projections(e1, e1, tol_split=1e-6)
-    assert split.value.tol == 1e-6 and split.value.conditioning <= split.value.tol
+        ga.oblique_projections(e1, e1)
+    assert split.value.tol == ga.DEFAULT_TOL_SPLIT
+    assert split.value.conditioning <= split.value.tol
     assert str(split.value) == ("subspaces are not complementary: "
                                 f"conditioning {split.value.conditioning:.3e}")
     with pytest.raises(SplitFailure) as dims:
@@ -642,6 +643,30 @@ def _at_floor(low, high, rng, size=None):
     """``sampling._log_uniform`` pinned to its lower end: every chart at SPLIT_FLOOR
     and every drawn margin at MARGIN_FLOOR."""
     return low if size is None else np.full(size, low)
+
+
+# in_chart_domain reads sigma_min of the restricted block by an SVD, and chart_forward
+# decides on 1/|B_F + B_G A|_2: one number by two routes.  At tol = measured (1 -+ 1e-9),
+# on hilbert charts and on split charts at SPLIT_FLOOR, both give one answer, and the
+# raised conditioning is the measured one
+@pytest.mark.parametrize("flavor", ["hilbert", "split"])
+def test_in_chart_domain_agrees_with_chart_forward_at_the_boundary(monkeypatch, flavor):
+    monkeypatch.setattr(sampling, "_log_uniform", _at_floor)
+    for trial in range(50):
+        rng = _rng(1300 + trial)
+        n = int(rng.integers(2, 17))
+        chart = _random_chart(n, int(rng.integers(1, n)), rng, flavor)
+        h = near_boundary_subspace(chart, rng, 10.0 ** -rng.uniform(1.0, 7.0))
+        cond = ga.in_chart_domain(h, chart).conditioning
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            inside = ga.in_chart_domain(h, chart, cond * side).contains
+            assert inside == (side < 1.0)
+            if inside:
+                ga.chart_forward(h, chart, cond * side)
+                continue
+            with pytest.raises(ChartDomainViolation) as info:
+                ga.chart_forward(h, chart, cond * side)
+            assert info.value.conditioning == pytest.approx(cond, rel=1e-12, abs=0.0)
 
 
 # 1/(sqrt(k) + |A|_F) bounds the exact conditioning at each site that reads it; the

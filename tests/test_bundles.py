@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas, bundles
+from grassatlas import atlas, sampling
 from grassatlas.errors import (ChartDomainViolation, ChartMismatch, DimensionMismatch,
                                FactorMismatch, GrassAtlasError, PairingMismatch)
 from grassatlas.sampling import (random_chart, random_chart_containing,
@@ -315,7 +315,7 @@ def test_pushforward_tensor_rejects_wrong_factors():
         ga.pushforward_tensor(tc, (bogus, bogus), dst)
 
 
-# a wrong shape must not reach the probes, where numpy would raise a ValueError
+# a wrong shape must not reach the factor check, where numpy would raise a ValueError
 @pytest.mark.parametrize("shapes", [((3, 3), (3, 3)), ((3, 3), (5, 5)), ((5, 5), (3, 5))],
                          ids=["S-wrong", "swapped", "T-not-square"])
 def test_pushforward_tensor_rejects_wrong_factor_shapes(shapes):
@@ -420,40 +420,77 @@ def _near_chart_pair(n, k, seed, flavors=("hilbert", "split")):
     return pt, dst
 
 
-# n = 8 probes the 16 elementary directions; n = 40 has 400 > 256 and uses random
-# rank-one probes, which amplify a deviation by the probe entries
-@pytest.mark.parametrize("n, k, eps", [(8, 4, 3e-8), (40, 20, 3e-9)])
-def test_factor_check_rejects_perturbed_factors(n, k, eps):
+# the check is exact at every size: no probe count or seed stands between a
+# perturbation of either factor and the identity left T = lambda I, lambda S = S_r
+@pytest.mark.parametrize("n, k, eps, which", [(8, 4, 3e-8, "T"), (40, 20, 3e-9, "T"),
+                                                (8, 4, 3e-8, "S"), (40, 20, 3e-9, "S")],
+                         ids=["8-4-3e-08", "40-20-3e-09", "8-4-3e-08-S", "40-20-3e-09-S"])
+def test_factor_check_rejects_perturbed_factors(n, k, eps, which):
     pt, dst = _near_chart_pair(n, k, 800 + n)
     tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, _rng(n))[:, 0],
                                  random_fiber_matrix(n - k, 1, _rng(n + 1))[:, 0]),))
     factors = ga.pushforward_factors(pt, dst)
     ga.pushforward_tensor(tc, factors, dst)
-    s, t = factors
-    perturbed = (s, ga.Operator(t.matrix + eps * np.eye(*t.shape)))
+    s, t = (f.matrix for f in factors)
+    perturbed = (s + eps * np.eye(k), t) if which == "S" else (s, t + eps * np.eye(n - k))
     with pytest.raises(FactorMismatch):
-        ga.pushforward_tensor(tc, perturbed, dst)
+        ga.pushforward_tensor(tc, tuple(map(ga.Operator, perturbed)), dst)
 
 
-# with S = S_r the probe deviation is rank one and its largest entry a product of
-# two vector maxima; T is pushed off L_r far enough that the dense difference is
-# not roundoff, and a perturbed S leaves the rank-one path and must still raise
-@pytest.mark.parametrize("n, k, eps", [(8, 4, 3e-8), (40, 20, 3e-9)])
-def test_rank_one_factor_deviation_matches_dense_reference(n, k, eps):
-    pt, dst = _near_chart_pair(n, k, 810 + n)
-    fwd = atlas._forward_transition(pt, dst, None)
-    l_r, s_r = np.linalg.inv(fwd.left), fwd.denom
+def _log_uniform_at_low(low, high, rng, size=None):
+    """``sampling._log_uniform`` held at ``low``; it still takes its draw from ``rng``."""
+    rng.uniform(size=size)
+    return low if size is None else np.full(size, low)
+
+
+# toward a chart boundary both routes to the fiber map carry roundoff that grows
+# with the coordinates on either side, and the library's own pair must still pass,
+# also with the split chart and the target margin at their sampling floors
+@pytest.mark.parametrize("floors", ["drawn", "pinned"])
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_factor_check_accepts_library_factors_at_large_coordinates(monkeypatch, scale, floors):
+    if floors == "pinned":
+        monkeypatch.setattr(sampling, "_log_uniform", _log_uniform_at_low)
+    rng = _rng(39)
+    src = random_chart(40, 20, rng)
+    pt = random_chart_point(src, rng, scale=scale)
+    dst = random_chart_containing(ga.chart_inverse(pt), rng)
+    tc = ga.TensorCovector(pt, ((np.ones(20), np.ones(20)),))
+    moved = ga.pushforward_tensor(tc, ga.pushforward_factors(pt, dst), dst)
+    assert len(moved.terms) == 1
+
+
+# (lambda T, S / lambda) is the same fiber map, so the check must accept it
+@pytest.mark.parametrize("lam", [-2.5, 1e-3j, 7.0 + 3.0j])
+def test_factor_check_accepts_rescaled_pair(lam):
+    pt, dst = _near_chart_pair(8, 3, 820)
     s, t = (f.matrix for f in ga.pushforward_factors(pt, dst))
-    probes = bundles._probes(n - k, k)
-    assert len(probes) == (16 if n == 40 else (n - k) * k)
-    for delta in (1e-3, 1e-2):
-        pushed = t + delta * random_fiber_matrix(n - k, n - k, _rng(n + 2))
-        dense = max(float(np.abs(np.outer(pushed @ u, v @ s) - np.outer(l_r @ u, v @ s_r)).max())
-                    for u, v in probes)
-        assert abs(bundles._factor_deviation(s, pushed, l_r, s_r) - dense) <= 1e-12 * dense
-    tc = ga.TensorCovector(pt, ((np.ones(k), np.ones(n - k)),))
+    tc = ga.TensorCovector(pt, ((np.ones(3), np.ones(5)),))
+    rescaled = ga.pushforward_tensor(tc, (ga.Operator(s / lam), ga.Operator(lam * t)), dst)
+    plain = ga.pushforward_tensor(tc, (ga.Operator(s), ga.Operator(t)), dst)
+    assert_allclose(ga.tensor_to_operator(rescaled).form.matrix,
+                    ga.tensor_to_operator(plain).form.matrix, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["S", "T"])
+def test_factor_check_rejects_a_zero_factor(which):
+    pt, dst = _near_chart_pair(8, 3, 821)
+    s, t = (f.matrix for f in ga.pushforward_factors(pt, dst))
+    pair = (np.zeros_like(s), t) if which == "S" else (s, np.zeros_like(t))
     with pytest.raises(FactorMismatch):
-        ga.pushforward_tensor(tc, (ga.Operator(s + eps * np.eye(k)), ga.Operator(t)), dst)
+        ga.pushforward_tensor(ga.TensorCovector(pt, ()), tuple(map(ga.Operator, pair)), dst)
+
+
+# a non-finite factor is refused where it enters, even with no term to carry it
+@pytest.mark.parametrize("which, bad", [("S", np.inf), ("T", np.nan)])
+def test_tensor_maps_reject_non_finite_factors(which, bad):
+    src, pt, dst = _transition_instance(_rng(22), 6, 3)
+    s, t = (f.matrix.copy() for f in ga.pushforward_factors(pt, dst))
+    (s if which == "S" else t)[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ga.pushforward_tensor(ga.TensorCovector(pt, ()), (s, t), dst)
+    with pytest.raises(ValueError, match="non-finite"):
+        ga.tensor_pushforward_terms(((np.ones(3), np.ones(3)),), (s, t))
 
 
 # ---------------------------------------------------------------------------

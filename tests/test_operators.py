@@ -52,45 +52,41 @@ def test_oblique_projections_rejects_overlapping_pair():
         ga.oblique_projections(e1, e1)
 
 
-@pytest.mark.parametrize("tol", [None, 1e-3])
 @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
-def test_oblique_projections_decide_at_tol_split(tol, side):
+def test_oblique_projections_decide_at_tol_split(side):
     # lines at angle theta in C^2 have split conditioning tan(theta/2)
-    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
-    theta = 2.0 * math.atan(side * threshold)
+    theta = 2.0 * math.atan(side * ga.DEFAULT_TOL_SPLIT)
     f = ga.Subspace(np.eye(2)[:, :1])
     g = ga.Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))
-    _assert_split_decided(f, g, tol, side, rel=1e-9)
+    _assert_split_decided(f, g, side, rel=1e-9)
 
 
-def _assert_split_decided(f, g, tol, side, rel):
-    """The pair reads side * tol_split within ``rel`` and is refused exactly below it."""
-    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
+def _assert_split_decided(f, g, side, rel):
+    """The pair reads side * DEFAULT_TOL_SPLIT within ``rel`` and is refused exactly below it."""
+    threshold = ga.DEFAULT_TOL_SPLIT
     cond = ga.split_conditioning(f, g)
     assert abs(cond / (side * threshold) - 1.0) <= rel
     if side < 1.0:
         with pytest.raises(SplitFailure) as err:
-            ga.oblique_projections(f, g, tol_split=tol)
+            ga.oblique_projections(f, g)
         assert err.value.conditioning == cond and err.value.tol == threshold
     else:
-        onto_f, onto_g = ga.oblique_projections(f, g, tol_split=tol)
+        onto_f, onto_g = ga.oblique_projections(f, g)
         assert_allclose(onto_f.matrix + onto_g.matrix, np.eye(f.ambient_dim), atol=1e-6)
 
 
-@pytest.mark.parametrize("tol", [None, 1e-3])
 @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
-def test_oblique_projections_decide_at_tol_split_rotated_n64(tol, side):
+def test_oblique_projections_decide_at_tol_split_rotated_n64(side):
     # the C^2 pair above, filled with orthogonal directions to n = 64 and turned
     # by a seeded Haar unitary: only the one plane holds a small angle
     n = 64
-    threshold = ga.DEFAULT_TOL_SPLIT if tol is None else tol
-    theta = 2.0 * math.atan(side * threshold)
+    theta = 2.0 * math.atan(side * ga.DEFAULT_TOL_SPLIT)
     eye = np.eye(n)
     bf = eye[:, [0, *range(2, n // 2 + 1)]]
     bg = np.column_stack([math.cos(theta) * eye[:, 0] + math.sin(theta) * eye[:, 1],
                           eye[:, n // 2 + 1:]])
     u = _test_unitary(_rng(64), n)
-    _assert_split_decided(ga.Subspace(u @ bf), ga.Subspace(u @ bg), tol, side, rel=1e-8)
+    _assert_split_decided(ga.Subspace(u @ bf), ga.Subspace(u @ bg), side, rel=1e-8)
 
 
 def _angled_pair(rng, n, k, cond):

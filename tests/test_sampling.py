@@ -75,3 +75,12 @@ def test_rank_one_split_margin_trades_against_conditioning():
         if h.dim == 1 or margin < 1.0 - 1e-9:
             drawn = margin * 2.0 * c / (1.0 + c * c)
             assert MARGIN_FLOOR * (1 - 1e-9) <= drawn < MARGIN_CEIL * (1 + 1e-9)
+
+
+def test_split_chart_containing_at_n512_is_orthonormal():
+    """The turned F drifts from orthonormal by ~1e-12 at n = 512; the sampler re-spans it."""
+    rng = np.random.default_rng(2)
+    h = random_subspace(512, 256, rng)
+    chart = random_chart_containing(h, rng)
+    assert ga.split_conditioning(chart.f, chart.g) >= SPLIT_FLOOR
+    assert ga.in_chart_domain(h, chart).conditioning >= MARGIN_FLOOR

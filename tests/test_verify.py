@@ -130,10 +130,11 @@ def test_cli_atlas_suite_holds_at_n128(capsys):
 
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
 def test_cli_unwritable_out_is_a_config_error(tmp_path, capsys, where):
-    # a directory as the target makes the write itself fail, whoever runs the test
+    # both are known before the suite runs, so it must not run
     out = tmp_path / "absent" / "report.json" if where == "missing-dir" else tmp_path
-    code = main(["--suite", "atlas", "--dim", "4", "--trials", "1", "--out", str(out)])
-    assert code == 2
+    with mock.patch("grassatlas.verify.cli.run_suite") as run:
+        code = main(["--suite", "atlas", "--dim", "4", "--trials", "1", "--out", str(out)])
+    assert code == 2 and not run.called
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "absent").exists()
 
@@ -186,14 +187,19 @@ def test_cli_config_file_with_flag_precedence(tmp_path):
     "tol.duality_invariance = nan\n",
     "seed = -1\n",
     "ladder = 0,4\n",
+    "format = xml\n",
+    "out = .\n",  # the working directory, which exists
     None,  # the config file does not exist
 ], ids=["unknown-key", "trials", "seed", "tolerance", "infinite-tolerance", "nan-tolerance",
-        "negative-seed", "empty-ladder-rung", "missing-file"])
+        "negative-seed", "empty-ladder-rung", "unknown-format", "out-is-a-dir",
+        "missing-file"])
 def test_cli_rejects_unknown_config_key(tmp_path, content):
     cfg_path = tmp_path / "bad.cfg"
     if content is not None:
         cfg_path.write_text(content, encoding="utf-8")
-    assert main(["--config", str(cfg_path)]) == 2
+    with mock.patch("grassatlas.verify.cli.run_suite") as run:
+        assert main(["--config", str(cfg_path)]) == 2
+    assert not run.called
 
 
 @pytest.mark.parametrize("tolerance, outcomes, pinned, expected, worst", [
