@@ -8,6 +8,11 @@ coordinate rows, the row blocks of M^{-1} for M = [B_F | B_G], not projectors:
 every chart coordinate and transition block is a product against them.  No
 subspace holds an n x n projector either; distances between subspaces are read
 from n x k residuals of one basis off the other.
+
+Coordinate subspaces, spanned by standard basis vectors as the polarization
+blocks H_minus and H_plus are, are handled exactly: the complement of one is the
+slice of the remaining coordinates, and a split chart on a complementary pair of
+them has 0/1 diagonal projections, so neither takes a factorization.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from .operators import (Operator, _require_finite, _require_orthonormal, as_matrix,
-                        oblique_projections)
+from .operators import (Operator, _coordinate_rows, _require_finite, _require_orthonormal,
+                        as_matrix, oblique_projections)
 
 DEFAULT_TOL_DOMAIN = 1e-8
 DEFAULT_TOL_EQ = 1e-10
@@ -63,9 +68,20 @@ class Subspace:
         return self.basis.cols
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement within the ambient space."""
-        full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
-        return Subspace(full[:, self.dim:])
+        """Orthogonal complement within the ambient space.
+
+        A coordinate subspace gets the slice of the remaining coordinates, in
+        increasing order, exactly; any other basis is completed by a full QR.
+        """
+        rows = _coordinate_rows(self.basis.matrix)
+        if rows is None:
+            full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
+            return Subspace(full[:, self.dim:])
+        free = np.ones(self.ambient_dim, dtype=bool)
+        free[rows] = False
+        basis = np.zeros((self.ambient_dim, self.ambient_dim - self.dim), dtype=complex)
+        basis[np.flatnonzero(free), np.arange(basis.shape[1])] = 1.0
+        return Subspace(basis)
 
     def distance_to(self, other: "Subspace") -> float:
         """Operator-norm distance |P_F - P_G|_2 between the orthogonal projectors.

@@ -8,8 +8,11 @@ times chart construction (``ChartId.hilbert`` and a split ``ChartId``) and, with
 source and target charts of each flavor, ``chart_forward``, ``transition_base``,
 ``transition_tangent``, ``transition_cotangent``, ``pushforward_factors``,
 ``pushforward_tensor`` and ``pushforward`` (factors, then the tensor map, on one
-point).  It also times ``membership_report`` of a perturbed H_plus in the square
-polarized model, and ``Subspace.distance_to`` between two perturbed k-subspaces.
+point).  It also times both chart constructors on the coordinate blocks of the
+(n - k, k) polarized model, ``ChartId.hilbert[coordinate]`` on H_plus and
+``ChartId.split[coordinate]`` on (H_plus, H_minus), ``membership_report`` of a
+perturbed H_plus in that model, and ``Subspace.distance_to`` between two
+perturbed k-subspaces.
 Every transition call starts from a fresh chart point, so none is served by
 the transition its point memoized on an earlier call, and every membership and
 distance call gets fresh subspace and model objects, so no state an object kept
@@ -76,6 +79,9 @@ def _layers(n: int) -> dict:
     model = ga.PolarizedModel(n - k, k)
     w, near, far = (perturbed(b).basis.matrix
                     for b in (model.h_plus.basis.matrix, base, base))
+    layers["ChartId.hilbert[coordinate]"] = lambda: partial(ga.ChartId.hilbert, model.h_plus)
+    layers["ChartId.split[coordinate]"] = lambda: partial(ga.ChartId, model.h_plus,
+                                                          model.h_minus)
     layers["membership_report"] = lambda: partial(
         ga.membership_report, ga.Subspace(w), ga.PolarizedModel(n - k, k), 1.0)
     layers["Subspace.distance_to"] = lambda: partial(ga.Subspace(near).distance_to,

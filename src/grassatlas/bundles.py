@@ -196,7 +196,7 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     if not residual <= bound:
         raise FactorMismatch(
             f"factors deviate from the tangent fiber map by {residual:.3e} relative "
-            f"(bound {bound:.1e})")
+            f"(bound {bound:.1e})", residual=residual, bound=bound)
     return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
 
 

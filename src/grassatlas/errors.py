@@ -1,5 +1,7 @@
 """Exception hierarchy for the grassatlas toolkit."""
 
+from functools import partial
+
 
 class GrassAtlasError(Exception):
     """Base class for all toolkit errors."""
@@ -40,7 +42,21 @@ class ChartMismatch(GrassAtlasError):
 
 
 class FactorMismatch(GrassAtlasError):
-    """Supplied multiplier factors do not reproduce the fiber transition map."""
+    """Supplied multiplier factors do not reproduce the fiber transition map.
+
+    ``residual`` is the relative residual the factors left and ``bound`` the
+    bound it failed; a NaN residual fails every bound.
+    """
+
+    def __init__(self, message: str, *, residual: float, bound: float):
+        super().__init__(message)
+        self.residual = residual
+        self.bound = bound
+
+    def __reduce__(self):
+        # copy and pickle rebuild an exception from its args, which omit the
+        # keyword-only fields
+        return partial(type(self), residual=self.residual, bound=self.bound), self.args
 
 
 class LadderMismatch(GrassAtlasError):

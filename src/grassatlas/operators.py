@@ -3,7 +3,10 @@
 All scalars are complex; real input is embedded.  Singular values always come
 from an SVD of the matrix itself, never from eigenvalues of ``T^H T``.  Split
 conditioning comes from SVDs of the cross block ``B_F^H B_G`` and of the
-residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.
+residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.  A coordinate
+basis, whose columns are distinct standard basis vectors, is recognized exactly
+(:func:`_coordinate_rows`): it needs no orthonormality product, and a
+complementary coordinate pair has 0/1 diagonal oblique projections.
 """
 
 from __future__ import annotations
@@ -27,8 +30,31 @@ def _require_finite(mat: np.ndarray, what: str = "basis") -> None:
         raise ValueError(f"{what} has non-finite entries")
 
 
+def _coordinate_rows(mat: np.ndarray) -> np.ndarray | None:
+    """Row of each column when every column of ``mat`` is a distinct e_r with entry exactly 1.
+
+    Returns ``None`` for any other matrix; a dense one is turned away on its
+    first column, before the whole matrix is read.  The row mask stands in for
+    ``np.unique``, which would import ``numpy.ma``.
+    """
+    n, k = mat.shape
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    if np.count_nonzero(mat[:, 0]) != 1:
+        return None
+    nonzero = mat != 0
+    rows = nonzero.argmax(axis=0)
+    if np.count_nonzero(nonzero) != k or not (mat[rows, np.arange(k)] == 1).all():
+        return None
+    taken = np.zeros(n, dtype=bool)
+    taken[rows] = True
+    return rows if np.count_nonzero(taken) == k else None
+
+
 def _require_orthonormal(mat: np.ndarray) -> None:
     """Raise ``ValueError`` unless the columns of ``mat`` are finite and orthonormal."""
+    if _coordinate_rows(mat) is not None:
+        return  # distinct standard basis vectors: exactly orthonormal, no Gram product
     _require_finite(mat)
     k = mat.shape[1]
     if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
@@ -276,7 +302,8 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
     ``onto_f + onto_g = I``, ``onto_f^2 = onto_f``, range F and kernel G.
     Raises :class:`SplitFailure` when :func:`split_conditioning` is at or below
     ``DEFAULT_TOL_SPLIT``, and ``ValueError`` when a plain array basis is not
-    orthonormal.
+    orthonormal.  A complementary pair of coordinate subspaces is exact: each
+    projection is the 0/1 diagonal over its own coordinates, with no solve.
     """
     cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space
     bf, bg = as_matrix(f), as_matrix(g)
@@ -286,6 +313,12 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
     if cond <= DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=DEFAULT_TOL_SPLIT)
+    rows_f = _coordinate_rows(bf)
+    if rows_f is not None and _coordinate_rows(bg) is not None:
+        # [B_F | B_G] is a permutation; the conditioning check left the rows disjoint
+        diag = np.zeros(n, dtype=complex)
+        diag[rows_f] = 1.0
+        return Operator(np.diag(diag)), Operator(np.diag(1.0 - diag))
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 

@@ -76,13 +76,15 @@ class PolarizedModel:
 
     @cached_property
     def h_minus(self) -> Subspace:
-        eye = np.eye(self.ambient_dim)
-        return Subspace(eye[:, : self.n_minus])
+        basis = np.zeros((self.ambient_dim, self.n_minus), dtype=complex)
+        np.fill_diagonal(basis, 1.0)
+        return Subspace(basis)
 
     @cached_property
     def h_plus(self) -> Subspace:
-        eye = np.eye(self.ambient_dim)
-        return Subspace(eye[:, self.n_minus:])
+        basis = np.zeros((self.ambient_dim, self.n_plus), dtype=complex)
+        np.fill_diagonal(basis[self.n_minus:], 1.0)
+        return Subspace(basis)
 
     def __repr__(self) -> str:
         return f"PolarizedModel(n_minus={self.n_minus}, n_plus={self.n_plus})"

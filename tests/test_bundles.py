@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -433,8 +435,12 @@ def test_factor_check_rejects_perturbed_factors(n, k, eps, which):
     ga.pushforward_tensor(tc, factors, dst)
     s, t = (f.matrix for f in factors)
     perturbed = (s + eps * np.eye(k), t) if which == "S" else (s, t + eps * np.eye(n - k))
-    with pytest.raises(FactorMismatch):
+    with pytest.raises(FactorMismatch) as exc:
         ga.pushforward_tensor(tc, tuple(map(ga.Operator, perturbed)), dst)
+    assert exc.value.residual > exc.value.bound > 0
+    restored = pickle.loads(pickle.dumps(exc.value))
+    assert (str(restored), restored.residual, restored.bound) == (
+        str(exc.value), exc.value.residual, exc.value.bound)
 
 
 def _log_uniform_at_low(low, high, rng, size=None):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import grassatlas as ga
 from grassatlas.errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
+from grassatlas.operators import _coordinate_rows
 
 
 def _rng(seed):
@@ -170,6 +171,74 @@ def test_oblique_projection_identities_seeded():
         assert np.linalg.norm(pf + pg - np.eye(n), 2) <= 1e-12 * scale
         assert_allclose(pf @ bf, bf, atol=1e-12)       # range contains F
         assert_allclose(pf @ bg, 0 * bg, atol=1e-12)   # kernel contains G
+
+
+# ---------------------------------------------------------------------------
+# coordinate bases
+
+def _coordinate_slice(n, rows):
+    basis = np.zeros((n, len(rows)), dtype=complex)
+    basis[rows, np.arange(len(rows))] = 1.0
+    return basis
+
+
+def _edited_slice(entry, value):
+    basis = _coordinate_slice(6, [4, 0, 2])
+    basis[entry] = value
+    return basis
+
+
+# 1 + 1e-16 rounds to 1.0 in double precision, so the next double above 1 and
+# 1 + 1e-16j stand for an entry a hair off 1
+@pytest.mark.parametrize("basis, rows", [
+    (_coordinate_slice(6, [4, 0, 2]), [4, 0, 2]),
+    (_coordinate_slice(6, [3]), [3]),
+    (_coordinate_slice(6, [5, 1, 0, 4, 2]), [5, 1, 0, 4, 2]),
+    (_coordinate_slice(1, [0]), [0]),
+    (_coordinate_slice(6, [4, 0, 2]).real, [4, 0, 2]),
+    (_coordinate_slice(6, []), []),
+    (_coordinate_slice(6, [4, 0, 4]), None),
+    (_edited_slice((4, 0), -1.0), None),
+    (_edited_slice((4, 0), 1j), None),
+    (_edited_slice((4, 0), 1.0 + 1e-16j), None),
+    (_edited_slice((4, 0), np.nextafter(1.0, 2.0)), None),
+    (_edited_slice((1, 0), 1e-300), None),
+    (_edited_slice((3, 1), 1.0), None),
+    (_edited_slice((4, 0), 0.0), None),
+    (_edited_slice((0, 1), 0.0), None),
+    (ga.haar_frame(6, 3, _rng(0)), None),
+], ids=["permuted", "k1", "k-n-minus-1", "n1", "real", "k0", "repeated-row", "minus-one",
+        "imaginary-unit", "1+1e-16j", "1+ulp", "second-nonzero-first-column",
+        "second-nonzero-later-column", "zero-first-column", "zero-later-column", "haar"])
+def test_coordinate_rows(basis, rows):
+    found = _coordinate_rows(basis)
+    if rows is None:
+        assert found is None
+    else:
+        assert np.array_equal(found, rows)
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (4, 0)], ids=["off-the-one", "on-the-one"])
+def test_coordinate_basis_holding_a_nan_is_refused(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        ga.Subspace(_edited_slice(entry, np.nan))
+
+
+def test_overlapping_coordinate_pair_is_a_split_failure():
+    f, g = ga.Subspace(_coordinate_slice(4, [0, 1])), ga.Subspace(_coordinate_slice(4, [1, 2]))
+    with pytest.raises(SplitFailure):
+        ga.oblique_projections(f, g)
+    with pytest.raises(SplitFailure):
+        ga.ChartId(f, g)
+
+
+def test_oblique_projections_of_a_coordinate_pair_match_the_solve():
+    bf, bg = _coordinate_slice(7, [5, 0, 3]), _coordinate_slice(7, [6, 2, 1, 4])
+    inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(7))
+    onto_f, onto_g = ga.oblique_projections(ga.Subspace(bf), ga.Subspace(bg))
+    assert np.array_equal(onto_f.matrix, bf @ inv[:3])
+    assert np.array_equal(onto_g.matrix, bg @ inv[3:])
+    assert np.array_equal(onto_f.matrix, np.diag([1, 0, 0, 1, 0, 1, 0]))
 
 
 # ---------------------------------------------------------------------------

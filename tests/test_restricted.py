@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import grassatlas as ga
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
+from grassatlas.operators import _coordinate_rows
 from grassatlas.restricted import _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
 from grassatlas.verify.oracles import projector_diff_norm
@@ -25,6 +26,33 @@ def test_polarized_model_projector_identities():
     b_minus, b_plus = m.h_minus.basis.matrix, m.h_plus.basis.matrix
     assert_allclose(np.hstack([b_minus, b_plus]), np.eye(6), atol=1e-15)
     assert_allclose(b_plus.conj().T @ b_minus, np.zeros((3, 3)), atol=1e-15)
+
+
+@pytest.mark.parametrize("n_minus, n_plus", [(3, 3), (2, 5), (6, 1)])
+def test_polarization_blocks_are_exact_coordinate_slices(n_minus, n_plus):
+    m = ga.PolarizedModel(n_minus, n_plus)
+    assert np.array_equal(_coordinate_rows(m.h_minus.basis.matrix), np.arange(n_minus))
+    assert np.array_equal(_coordinate_rows(m.h_plus.basis.matrix), n_minus + np.arange(n_plus))
+    assert np.array_equal(m.h_plus.complement().basis.matrix, m.h_minus.basis.matrix)
+    assert np.array_equal(m.h_minus.complement().basis.matrix, m.h_plus.basis.matrix)
+
+
+def test_split_chart_on_the_polarization_has_the_solve_route_rows():
+    m = ga.PolarizedModel(3, 5)
+    bf, bg = m.h_plus.basis.matrix, m.h_minus.basis.matrix
+    inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(8))
+    rows_f, rows_g = ga.ChartId(m.h_plus, m.h_minus)._rows
+    assert np.array_equal(rows_f, bf.conj().T @ (bf @ inv[:5]))
+    assert np.array_equal(rows_g, bg.conj().T @ (bg @ inv[5:]))
+
+
+@pytest.mark.parametrize("virtual_dim", [-2, -1, 0, 1, 2])
+def test_zero_profile_centre_complement_matches_the_qr_complement(virtual_dim):
+    center, _ = _graph_point(_model(4), ga.DecayProfile.zero(), virtual_dim, 0)
+    assert _coordinate_rows(center.basis.matrix) is not None
+    full, _ = np.linalg.qr(center.basis.matrix, mode="complete")
+    qr_complement = ga.Subspace(full[:, center.dim:])
+    assert center.complement().distance_to(qr_complement) <= 1e-15
 
 
 def test_polarized_model_mode_indexing():
