@@ -256,20 +256,19 @@ def _solve_in_domain(chart: ChartId, top: np.ndarray, bottom: np.ndarray,
     return coord
 
 
-def _restricted_projection(h: Subspace, chart: ChartId) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate matrices of the chart projections restricted to H.
+def _restricted_basis(h: Subspace, chart: ChartId) -> np.ndarray:
+    """H's basis, once H shares the chart's ambient space and the dimension of F.
 
-    Returns (C, D): C holds F-basis coefficients of the F-component of the
-    columns of H's basis, D the G-basis coefficients of the G-component.
+    The chart rows map it to the chart projections restricted to H: C = rows_F B_H
+    holds the F-basis coefficients of the F-components of its columns, and
+    D = rows_G B_H the G-basis coefficients of the G-components.
     """
     if h.ambient_dim != chart.ambient_dim:
         raise DimensionMismatch("subspace and chart live in different ambient spaces")
     if h.dim != chart.f.dim:
         raise DimensionMismatch(
             f"subspace dim {h.dim} differs from chart dim {chart.f.dim}")
-    rows_f, rows_g = chart._rows
-    bh = h.basis.matrix
-    return rows_f @ bh, rows_g @ bh
+    return h.basis.matrix
 
 
 def in_chart_domain(h: Subspace, chart: ChartId,
@@ -279,8 +278,7 @@ def in_chart_domain(h: Subspace, chart: ChartId,
     The conditioning is the smallest singular value of that restriction in
     orthonormal bases; the domain boundary is decided against ``tol_domain``.
     """
-    c, _ = _restricted_projection(h, chart)
-    cond = _domain_conditioning(c)
+    cond = _domain_conditioning(chart._rows[0] @ _restricted_basis(h, chart))
     return DomainCheck(cond > _domain_tol(tol_domain), cond)
 
 
@@ -291,9 +289,9 @@ def chart_forward(h: Subspace, chart: ChartId,
     Realizes A = (projection onto G)|_H composed with the inverse of
     (projection onto F)|_H, expressed in the chart's coordinate bases.
     """
-    c, d = _restricted_projection(h, chart)
+    (rows_f, rows_g), bh = chart._rows, _restricted_basis(h, chart)
     # B_H c^{-1} = B_F + B_G A is the graph of the coordinate A = d c^{-1} being solved for
-    return ChartPoint(chart, _solve_in_domain(chart, c, d, tol_domain,
+    return ChartPoint(chart, _solve_in_domain(chart, rows_f @ bh, rows_g @ bh, tol_domain,
                                               "subspace is outside the chart domain"))
 
 

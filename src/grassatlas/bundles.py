@@ -33,6 +33,15 @@ from .errors import ChartMismatch, DimensionMismatch, FactorMismatch, PairingMis
 from .operators import Operator, _require_finite, as_matrix
 
 
+def _fiber_matrix(value, shape: tuple[int, int], what: str) -> Operator:
+    """``value`` as a finite Operator of the fiber's ``shape``."""
+    op = value if isinstance(value, Operator) else Operator(value)
+    if op.shape != shape:
+        raise DimensionMismatch(f"{what} must have shape {shape}, got {op.shape}")
+    _require_finite(op.matrix, what)
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class TangentVector:
     """Tangent direction attached to a chart point."""
@@ -41,14 +50,8 @@ class TangentVector:
     direction: Operator
 
     def __post_init__(self):
-        direction = self.direction if isinstance(self.direction, Operator) \
-            else Operator(self.direction)
-        if direction.shape != self.at.coord.shape:
-            raise DimensionMismatch(
-                f"tangent direction must have shape {self.at.coord.shape}, "
-                f"got {direction.shape}")
-        _require_finite(direction.matrix, "tangent direction")
-        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "direction", _fiber_matrix(
+            self.direction, self.at.coord.shape, "tangent direction"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +62,8 @@ class Covector:
     form: Operator
 
     def __post_init__(self):
-        form = self.form if isinstance(self.form, Operator) else Operator(self.form)
-        expected = (self.at.coord.cols, self.at.coord.rows)
-        if form.shape != expected:
-            raise DimensionMismatch(
-                f"covector must have the transposed shape {expected}, got {form.shape}")
-        _require_finite(form.matrix, "covector")
-        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "form", _fiber_matrix(
+            self.form, self.at.coord.shape[::-1], "covector"))
 
 
 @dataclass(frozen=True, eq=False)

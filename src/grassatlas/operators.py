@@ -148,6 +148,13 @@ class SingularTail:
             raise ValueError("tail norms must be nonnegative")
 
 
+def _require_growth(shapes) -> None:
+    """Raise :class:`LadderMismatch` unless each rung's shape grows and neither side shrinks."""
+    for (r0, c0), (r1, c1) in zip(shapes, shapes[1:]):
+        if r1 < r0 or c1 < c0 or (r1, c1) == (r0, c0):
+            raise LadderMismatch(f"ladder shapes must increase, got {shapes}")
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorLadder:
     """Increasing family of operators, each the exact top-left block of the next."""
@@ -159,10 +166,7 @@ class OperatorLadder:
         object.__setattr__(self, "operators", ops)
         if not ops:
             raise ValueError("ladder must contain at least one operator")
-        shapes = [op.shape for op in ops]
-        for (r0, c0), (r1, c1) in zip(shapes, shapes[1:]):
-            if r1 < r0 or c1 < c0 or (r1, c1) == (r0, c0):
-                raise LadderMismatch(f"ladder shapes must increase, got {shapes}")
+        _require_growth([op.shape for op in ops])
         for small, large in zip(ops, ops[1:]):
             block = large.matrix[: small.rows, : small.cols]
             if not np.array_equal(small.matrix, block):
@@ -175,7 +179,7 @@ class OperatorLadder:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Prescribed singular-value decay: geometric ratio, power law, or zero."""
+    """Prescribed singular-value decay: geometric ratio, power law, or zero; checked when built."""
 
     kind: str
     param: float = 0.0
@@ -192,7 +196,7 @@ class DecayProfile:
     def zero(cls) -> "DecayProfile":
         return cls("zero")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind == "geometric":
             if not 0.0 < self.param < 1.0:
                 raise BadProfile(f"geometric ratio must satisfy 0 < r < 1, got {self.param}")
@@ -204,7 +208,6 @@ class DecayProfile:
 
     def values(self, count: int, skip: int = 0) -> np.ndarray:
         """First ``count`` values of the decay sequence after dropping ``skip`` leading ones."""
-        self.validate()
         k = np.arange(skip + 1, skip + count + 1, dtype=float)
         if self.kind == "geometric":
             return self.param ** (k - 1.0)
@@ -232,6 +235,13 @@ def operator_norm(op) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
+def _schatten_norm_index(p: float) -> float:
+    """The Schatten index as a float, once it is finite and >= 1."""
+    if not 1.0 <= float(p) < math.inf:
+        raise ValueError(f"schatten index must be finite and >= 1, got {p}")
+    return float(p)
+
+
 def schatten_norm(op, p: float) -> SchattenReport:
     """Schatten p-norm report of an operator.
 
@@ -247,9 +257,7 @@ def schatten_norm(op, p: float) -> SchattenReport:
     SchattenReport
         Holds ``p``, the norm ``(sum sigma_k^p)^(1/p)`` and the singular values.
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"schatten index must be finite and >= 1, got {p}")
+    p = _schatten_norm_index(p)
     sv = singular_values(op)
     value = float(np.sum(sv ** p) ** (1.0 / p)) if sv.size else 0.0
     return SchattenReport(p=p, value=value, singular_values=sv)
@@ -355,7 +363,6 @@ def decay_operator(rows: int, cols: int, profile: DecayProfile, seed: int) -> Op
     The left/right singular frames are Haar-distributed given the seed, so
     repeated calls with equal arguments reproduce the entries bit for bit.
     """
-    profile.validate()
     rows, cols = int(rows), int(cols)
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be nonnegative")

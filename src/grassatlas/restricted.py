@@ -32,8 +32,8 @@ from .atlas import ChartId, ChartPoint, Subspace, chart_forward
 from .bundles import Covector, transition_cotangent
 from .errors import (ChartDomainViolation, DimensionMismatch, LadderMismatch,
                      PredualUnavailable)
-from .operators import (DecayProfile, Operator, OperatorLadder, schatten_norm,
-                        singular_tail_sum, singular_values)
+from .operators import (DecayProfile, Operator, OperatorLadder, _schatten_norm_index,
+                        _require_growth, schatten_norm, singular_tail_sum, singular_values)
 
 _RANK_TOL = 1e-10
 
@@ -86,6 +86,10 @@ class PolarizedModel:
         np.fill_diagonal(basis[self.n_minus:], 1.0)
         return Subspace(basis)
 
+    def _require_ambient(self, w: Subspace) -> None:
+        if w.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("subspace does not live in the model's ambient space")
+
     def __repr__(self) -> str:
         return f"PolarizedModel(n_minus={self.n_minus}, n_plus={self.n_plus})"
 
@@ -104,15 +108,13 @@ class RestrictedPoint:
 
 def virtual_dimension(w: Subspace, model: PolarizedModel) -> int:
     """Index proxy of the projection W -> H_plus: at a truncation, dim W - n_plus."""
-    if w.ambient_dim != model.ambient_dim:
-        raise DimensionMismatch("subspace does not live in the model's ambient space")
+    model._require_ambient(w)
     return w.dim - model.n_plus
 
 
 def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel) -> int:
     """Same index computed as dim ker - dim coker of the projection by rank counts."""
-    if w.ambient_dim != model.ambient_dim:
-        raise DimensionMismatch("subspace does not live in the model's ambient space")
+    model._require_ambient(w)
     sv = singular_values(w.basis.matrix[model.n_minus:])
     rank = int(np.sum(sv > _RANK_TOL))
     kernel = w.dim - rank
@@ -145,13 +147,11 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     H_plus are coordinate blocks, so ``minus_map = B_-^H B_W`` and
     ``plus_map = B_+^H B_W`` are row slices of B_W.
     """
-    if w.ambient_dim != model.ambient_dim:
-        raise DimensionMismatch("subspace does not live in the model's ambient space")
+    virtual_dim = virtual_dimension(w, model)
     p = float(p)
     bw = w.basis.matrix
     minus_map, plus_map = bw[:model.n_minus], bw[model.n_minus:]
     minus = schatten_norm(minus_map, p)
-    virtual_dim = virtual_dimension(w, model)
     sv = singular_values(plus_map)
     above = sv[sv > _RANK_TOL]
     plus_conditioning = float(above[-1]) if above.size else 0.0
@@ -159,6 +159,13 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     return RestrictedPoint(
         w=w, p=p, diff_norm=float(powers ** (1.0 / p)), virtual_dim=virtual_dim,
         plus_conditioning=plus_conditioning, minus_norm=minus.value)
+
+
+def _ladder_weights(profile: DecayProfile, count: int, entropy) -> np.ndarray:
+    """Decay values past the first at seeded phases, prefix-stable: this makes ladder rungs nest."""
+    phases = np.random.default_rng(np.random.SeedSequence(entropy)).uniform(
+        0.0, 2.0 * math.pi, count)
+    return profile.values(count, skip=1) * np.exp(1j * phases)
 
 
 def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
@@ -171,7 +178,6 @@ def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
     virtual dimension.  Phases are drawn prefix-stably, so growing the model
     extends the graph matrix by exact top-left embedding.
     """
-    profile.validate()
     shift = int(virtual_dim)
     if shift > model.n_minus or -shift > model.n_plus:
         raise DimensionMismatch(
@@ -179,12 +185,7 @@ def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
     lead = max(0, shift)
     drop = max(0, -shift)
     pairs = min(model.n_plus - drop, model.n_minus - lead)
-    weights = np.zeros(0, dtype=complex)
-    if pairs > 0:
-        sigma = profile.values(pairs, skip=1)
-        phases = np.random.default_rng(np.random.SeedSequence(seed)).uniform(
-            0.0, 2.0 * math.pi, pairs)
-        weights = sigma * np.exp(1j * phases)
+    weights = _ladder_weights(profile, pairs, seed)
     kept = model.n_plus - drop
     # columns: e_{-1}..e_{-lead}, then e_{+(drop+1)}..e_{+n_plus}, the first
     # ``pairs`` of them tilted toward e_{-(lead+1)}.. and renormalized
@@ -236,9 +237,7 @@ def build_truncation_ladder(dims, p: float, profile: DecayProfile,
     dims = tuple((int(nm), int(np_)) for nm, np_ in dims)
     if len(dims) < 2:
         raise LadderMismatch("a ladder needs at least two rungs")
-    for (m0, p0), (m1, p1) in zip(dims, dims[1:]):
-        if m1 < m0 or p1 < p0 or (m0, p0) == (m1, p1):
-            raise LadderMismatch(f"ladder dims must increase, got {dims}")
+    _require_growth(dims)
     models = tuple(PolarizedModel(nm, np_) for nm, np_ in dims)
     points, graphs = [], []
     for model in models:
@@ -337,20 +336,15 @@ class PreservationReport:
 
 def _schatten_index(p: float) -> float:
     """The Schatten index as a float: 0 (compact class, tail diagnostics) or finite >= 1."""
-    if not (float(p) == 0.0 or 1.0 <= float(p) < math.inf):
-        raise ValueError(f"schatten index must be 0 or finite and >= 1, got {p}")
-    return float(p)
+    p = float(p)
+    return p if p == 0.0 else _schatten_norm_index(p)
 
 
 def _decay_form(k_f: int, k_g: int, profile: DecayProfile, seed: int) -> np.ndarray:
     """Diagonal covector matrix with prefix-stable phases and decaying weights."""
     m = min(k_f, k_g)
     mu = np.zeros((k_f, k_g), dtype=complex)
-    if m:
-        sigma = profile.values(m, skip=1)
-        phases = np.random.default_rng(np.random.SeedSequence([seed, 211])).uniform(
-            0.0, 2.0 * math.pi, m)
-        mu[np.arange(m), np.arange(m)] = sigma * np.exp(1j * phases)
+    mu[np.arange(m), np.arange(m)] = _ladder_weights(profile, m, [seed, 211])
     return mu
 
 

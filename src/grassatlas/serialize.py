@@ -28,15 +28,41 @@ def operator_to_json(op: Operator) -> dict:
     return {"rows": mat.shape[0], "cols": mat.shape[1], "scalar": "complex", "data": data}
 
 
+def _field(obj, key: str):
+    """``obj[key]`` of a JSON object; a payload that is no object or lacks ``key`` raises."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _list_field(obj, key: str) -> list:
+    value = _field(obj, key)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def operator_from_json(obj: dict) -> Operator:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    """Read the matrix wire format; a malformed payload raises ``ValueError`` naming its field."""
+    shape = []
+    for key in ("rows", "cols"):
+        value = _field(obj, key)
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"field {key!r} must be a nonnegative integer, got {value!r}")
+        shape.append(int(value))
     if obj.get("scalar") != "complex":
         raise ValueError(f"unsupported scalar field {obj.get('scalar')!r}")
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return Operator(flat.reshape(rows, cols))
+    data = _list_field(obj, "data")
+    if len(data) != shape[0] * shape[1]:
+        raise ValueError(f"field 'data' needs {shape[0] * shape[1]} entries, got {len(data)}")
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError):
+        # canonical_json writes a non-finite number as null
+        raise ValueError("field 'data' must hold [re, im] pairs of numbers") from None
+    return Operator(flat.reshape(shape))
 
 
 def operator_from_csv(source) -> Operator:
@@ -84,8 +110,8 @@ def chart_to_json(chart: ChartId) -> dict:
 
 
 def chart_from_json(obj: dict) -> ChartId:
-    return ChartId(subspace_from_json(obj["f"]), subspace_from_json(obj["g"]),
-                   flavor=obj["flavor"])
+    return ChartId(subspace_from_json(_field(obj, "f")), subspace_from_json(_field(obj, "g")),
+                   flavor=_field(obj, "flavor"))
 
 
 def chart_point_to_json(pt: ChartPoint) -> dict:
@@ -93,7 +119,8 @@ def chart_point_to_json(pt: ChartPoint) -> dict:
 
 
 def chart_point_from_json(obj: dict) -> ChartPoint:
-    return ChartPoint(chart_from_json(obj["chart"]), operator_from_json(obj["coord"]))
+    return ChartPoint(chart_from_json(_field(obj, "chart")),
+                      operator_from_json(_field(obj, "coord")))
 
 
 def tangent_to_json(v: TangentVector) -> dict:
@@ -101,8 +128,8 @@ def tangent_to_json(v: TangentVector) -> dict:
 
 
 def tangent_from_json(obj: dict) -> TangentVector:
-    return TangentVector(chart_point_from_json(obj["at"]),
-                         operator_from_json(obj["direction"]))
+    return TangentVector(chart_point_from_json(_field(obj, "at")),
+                         operator_from_json(_field(obj, "direction")))
 
 
 def covector_to_json(c: Covector) -> dict:
@@ -111,7 +138,8 @@ def covector_to_json(c: Covector) -> dict:
 
 def covector_from_json(obj: dict) -> Covector:
     """Read ``{"at", "form"}``; any other key, as in older payloads, is ignored."""
-    return Covector(chart_point_from_json(obj["at"]), operator_from_json(obj["form"]))
+    return Covector(chart_point_from_json(_field(obj, "at")),
+                    operator_from_json(_field(obj, "form")))
 
 
 def tensor_covector_to_json(tc: TensorCovector) -> dict:
@@ -121,9 +149,9 @@ def tensor_covector_to_json(tc: TensorCovector) -> dict:
 
 
 def tensor_covector_from_json(obj: dict) -> TensorCovector:
-    terms = tuple((_vector_from_json(t["x"]), _vector_from_json(t["y"]))
-                  for t in obj["terms"])
-    return TensorCovector(chart_point_from_json(obj["at"]), terms)
+    terms = tuple((_vector_from_json(_field(t, "x")), _vector_from_json(_field(t, "y")))
+                  for t in _list_field(obj, "terms"))
+    return TensorCovector(chart_point_from_json(_field(obj, "at")), terms)
 
 
 def canonical_json(obj) -> str:

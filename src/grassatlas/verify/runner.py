@@ -56,8 +56,8 @@ class CheckResult:
     max_abs_error: float
     tolerance: float
     passed: bool
-    worst_seed: str | None = None
-    raised: str | None = None
+    worst_seed: str | None
+    raised: str | None
 
     def to_dict(self) -> dict:
         entry = {"name": self.name, "trials": self.trials,

@@ -48,8 +48,6 @@ SETTABLE = {
     "grassatlas.verify.runner:SuiteConfig.seed",
     "grassatlas.verify.runner:SuiteConfig.tolerances",
     "grassatlas.verify.runner:SuiteConfig.ladder",
-    "grassatlas.verify.runner:CheckResult.worst_seed",
-    "grassatlas.verify.runner:CheckResult.raised",
     "grassatlas.verify.runner:emit_report.format",
 }
 

@@ -363,7 +363,7 @@ def test_decay_operator_rejects_bad_profiles():
     with pytest.raises(BadProfile):
         ga.decay_operator(4, 4, ga.DecayProfile.power(0.5), seed=0)
     with pytest.raises(BadProfile):
-        ga.DecayProfile("odd").validate()
+        ga.DecayProfile("odd")
 
 
 # ---------------------------------------------------------------------------

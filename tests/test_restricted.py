@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import grassatlas as ga
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
 from grassatlas.operators import _coordinate_rows
-from grassatlas.restricted import _graph_point
+from grassatlas.restricted import _decay_form, _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
 from grassatlas.verify.oracles import projector_diff_norm
 
@@ -210,6 +210,23 @@ def test_ladder_embedding_is_bit_exact():
                                         ga.DecayProfile.geometric(0.5), 1, seed=4)
     for small, large in zip(ladder.graph_maps, ladder.graph_maps[1:]):
         assert np.array_equal(small.matrix, large.matrix[: small.rows, : small.cols])
+
+
+_PROFILES = [ga.DecayProfile.geometric(0.5), ga.DecayProfile.power(1.1), ga.DecayProfile.zero()]
+
+
+# the prefix-stable draw nests the rungs; the graph maps are also checked by OperatorLadder
+@pytest.mark.parametrize("profile", _PROFILES, ids=["geometric", "power", "zero"])
+def test_ladder_embedding_nests_covectors_and_graph_weights(profile):
+    for k, big in ((1, 2), (3, 8), (8, 40)):
+        for seed in (0, 9):
+            form = _decay_form(big, big, profile, seed)
+            assert form[:k, :k].tobytes() == _decay_form(k, k, profile, seed).tobytes()
+            graph = _graph_point(ga.PolarizedModel(big, big), profile, 0, seed)[1].matrix
+            small = _graph_point(ga.PolarizedModel(k, k), profile, 0, seed)[1].matrix
+            assert graph[:k, :k].tobytes() == small.tobytes()
+            # the weights sit on the diagonal; the two draws use distinct seeds
+            assert np.array_equal(np.diag(graph), np.diag(form)) == (profile.kind == "zero")
 
 
 def _graph_basis_by_columns(model, weights, lead, drop):

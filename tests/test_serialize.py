@@ -38,6 +38,35 @@ def test_operator_json_rejects_bad_payloads():
             {"rows": 2, "cols": 2, "scalar": "complex", "data": [[1.0, 0.0]]})
 
 
+_ONE = {"rows": 1, "cols": 1, "scalar": "complex", "data": [[1.0, 0.0]]}
+
+
+# every malformed payload raises ValueError naming its field, never KeyError or TypeError
+@pytest.mark.parametrize("read, payload, field", [
+    (serialize.operator_from_json, {"rows": 1, "cols": 1, "scalar": "complex"}, "data"),
+    (serialize.operator_from_json, {"cols": 1, "scalar": "complex", "data": []}, "rows"),
+    (serialize.operator_from_json, dict(_ONE, rows=None), "rows"),
+    (serialize.operator_from_json, dict(_ONE, cols=-1), "cols"),
+    (serialize.operator_from_json, dict(_ONE, data=None), "data"),
+    # canonical_json writes NaN as null
+    (serialize.operator_from_json, dict(_ONE, data=[[None, 0.0]]), "data"),
+    (serialize.operator_from_json, dict(_ONE, data=[[1.0]]), "data"),
+    (serialize.operator_from_json, [1.0, 0.0], "rows"),
+    (serialize.operator_from_json, None, "rows"),
+    (serialize.covector_from_json, {"at": 1}, "chart"),
+    (serialize.covector_from_json, {"form": _ONE}, "at"),
+    (serialize.chart_from_json, {"f": _ONE, "g": _ONE}, "flavor"),
+    (serialize.tangent_from_json, "payload", "at"),
+    (serialize.tensor_covector_from_json, {"terms": None}, "terms"),
+    (serialize.tensor_covector_from_json, {"terms": [{"x": _ONE}]}, "y"),
+], ids=["no-data", "no-rows", "null-rows", "negative-cols", "null-data", "null-entry",
+        "short-entry", "list", "none", "at-not-object", "no-at", "no-flavor",
+        "string", "null-terms", "no-y"])
+def test_readers_raise_value_error_naming_the_field(read, payload, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        read(payload)
+
+
 def test_operator_csv_import(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("1.0,2.0\n3.5,-4.0\n", encoding="utf-8")
