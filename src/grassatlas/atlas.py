@@ -305,9 +305,7 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
     """
     if chart.flavor != "hilbert":
         raise ValueError("projector-formula chart requires the hilbert flavor")
-    if h.ambient_dim != chart.ambient_dim or h.dim != chart.f.dim:
-        raise DimensionMismatch("subspace does not match the chart dimensions")
-    bh = h.basis.matrix
+    bh = _restricted_basis(h, chart)
     proj = bh @ bh.conj().T
     proj = (proj + proj.conj().T) / 2.0
     bv = chart.f.basis.matrix

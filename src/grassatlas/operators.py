@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -83,10 +84,6 @@ class Operator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def adjoint(self) -> "Operator":
-        """Hermitian adjoint (conjugate transpose); used for orthogonal projectors."""
-        return Operator(self.matrix.conj().T)
-
     def transpose(self) -> "Operator":
         """Bilinear dual with respect to the trace pairing (plain transpose)."""
         return Operator(self.matrix.T)
@@ -110,22 +107,28 @@ def as_matrix(value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchattenReport:
-    """Singular value summary of an operator at a fixed Schatten index."""
+    """Singular values at a fixed Schatten index: the one place they become a norm."""
 
     p: float
-    value: float
     singular_values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _schatten_norm_index(self.p))
         sv = np.asarray(self.singular_values, dtype=float)
         sv.setflags(write=False)
         object.__setattr__(self, "singular_values", sv)
         if sv.size and (np.any(sv < 0) or np.any(np.diff(sv) > 0)):
             raise ValueError("singular values must be nonnegative and nonincreasing")
-        if self.p >= 1:
-            recomputed = float(np.sum(sv ** self.p) ** (1.0 / self.p)) if sv.size else 0.0
-            if abs(recomputed - self.value) > 1e-12 * (1.0 + abs(recomputed)):
-                raise ValueError("reported value inconsistent with singular values")
+
+    @property
+    def power_sum(self) -> float:
+        """The p-th power sum ``sum sigma_k^p``; 0.0 for an empty spectrum."""
+        return float(np.sum(self.singular_values ** self.p))
+
+    @property
+    def value(self) -> float:
+        """The Schatten p-norm ``(sum sigma_k^p)^(1/p)``."""
+        return self.power_sum ** (1.0 / self.p)
 
     def __repr__(self) -> str:
         return f"SchattenReport(p={self.p}, value={self.value:.6g}, k={self.singular_values.size})"
@@ -224,9 +227,28 @@ def singular_values(op) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
+def _require_int(value, name: str) -> int:
+    """``value`` as an int; a float, even a whole one, is refused rather than truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_cutoff(cutoff) -> int:
+    """The tail cutoff as an int, once it is a nonnegative integer."""
+    cutoff = _require_int(cutoff, "cutoff")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+    return cutoff
+
+
 def singular_tail_sum(op, cutoff: int) -> float:
-    """Sum of the singular values past the first ``cutoff``: ``sum_{k > cutoff} sigma_k``."""
-    return float(np.sum(singular_values(op)[cutoff:]))
+    """Sum of the singular values past the first ``cutoff``: ``sum_{k > cutoff} sigma_k``.
+
+    ``cutoff`` must be a nonnegative integer; any other raises ``ValueError``.
+    """
+    return float(np.sum(singular_values(op)[_require_cutoff(cutoff):]))
 
 
 def operator_norm(op) -> float:
@@ -255,12 +277,10 @@ def schatten_norm(op, p: float) -> SchattenReport:
     Returns
     -------
     SchattenReport
-        Holds ``p``, the norm ``(sum sigma_k^p)^(1/p)`` and the singular values.
+        Holds ``p`` and the singular values, from which it derives the norm
+        ``(sum sigma_k^p)^(1/p)``.
     """
-    p = _schatten_norm_index(p)
-    sv = singular_values(op)
-    value = float(np.sum(sv ** p) ** (1.0 / p)) if sv.size else 0.0
-    return SchattenReport(p=p, value=value, singular_values=sv)
+    return SchattenReport(p=p, singular_values=singular_values(op))
 
 
 def split_conditioning(f, g) -> float:
@@ -339,9 +359,7 @@ def compactness_tail(family, cutoff: int) -> SingularTail:
     """
     if not isinstance(family, OperatorLadder):
         family = OperatorLadder(tuple(family))
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    cutoff = _require_cutoff(cutoff)
     tails = tuple(singular_tail_sum(op, cutoff) for op in family.operators)
     return SingularTail(dims=family.sizes, tail_norms=tails, cutoff=cutoff)
 
@@ -363,7 +381,8 @@ def decay_operator(rows: int, cols: int, profile: DecayProfile, seed: int) -> Op
     The left/right singular frames are Haar-distributed given the seed, so
     repeated calls with equal arguments reproduce the entries bit for bit.
     """
-    rows, cols = int(rows), int(cols)
+    rows, cols = _require_int(rows, "rows"), _require_int(cols, "cols")
+    seed = _require_int(seed, "seed")
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be nonnegative")
     m = min(rows, cols)

@@ -32,8 +32,9 @@ from .atlas import ChartId, ChartPoint, Subspace, chart_forward
 from .bundles import Covector, transition_cotangent
 from .errors import (ChartDomainViolation, DimensionMismatch, LadderMismatch,
                      PredualUnavailable)
-from .operators import (DecayProfile, Operator, OperatorLadder, _schatten_norm_index,
-                        _require_growth, schatten_norm, singular_tail_sum, singular_values)
+from .operators import (DecayProfile, Operator, OperatorLadder, _require_cutoff,
+                        _require_growth, _require_int, _schatten_norm_index, schatten_norm,
+                        singular_tail_sum, singular_values)
 
 _RANK_TOL = 1e-10
 
@@ -47,7 +48,7 @@ class PolarizedModel:
     """
 
     def __init__(self, n_minus: int, n_plus: int):
-        n_minus, n_plus = int(n_minus), int(n_plus)
+        n_minus, n_plus = _require_int(n_minus, "n_minus"), _require_int(n_plus, "n_plus")
         if n_minus < 1 or n_plus < 1:
             raise DimensionMismatch("both polarization blocks need dimension >= 1")
         self.n_minus = n_minus
@@ -56,23 +57,6 @@ class PolarizedModel:
     @property
     def ambient_dim(self) -> int:
         return self.n_minus + self.n_plus
-
-    def mode_index(self, mode: int) -> int:
-        """Ambient index of basis mode ``e_mode`` (negative or positive, never 0)."""
-        if mode == 0:
-            raise ValueError("mode labels are nonzero integers")
-        if mode < 0:
-            if -mode > self.n_minus:
-                raise DimensionMismatch(f"mode {mode} outside the minus block")
-            return -mode - 1
-        if mode > self.n_plus:
-            raise DimensionMismatch(f"mode {mode} outside the plus block")
-        return self.n_minus + mode - 1
-
-    def basis_vector(self, mode: int) -> np.ndarray:
-        vec = np.zeros(self.ambient_dim, dtype=complex)
-        vec[self.mode_index(mode)] = 1.0
-        return vec
 
     @cached_property
     def h_minus(self) -> Subspace:
@@ -112,11 +96,16 @@ def virtual_dimension(w: Subspace, model: PolarizedModel) -> int:
     return w.dim - model.n_plus
 
 
+def _plus_spectrum(w: Subspace, model: PolarizedModel) -> np.ndarray:
+    """Singular values of the projection W -> H_plus above the rank threshold."""
+    sv = singular_values(w.basis.matrix[model.n_minus:])
+    return sv[sv > _RANK_TOL]
+
+
 def virtual_dimension_by_rank(w: Subspace, model: PolarizedModel) -> int:
     """Same index computed as dim ker - dim coker of the projection by rank counts."""
     model._require_ambient(w)
-    sv = singular_values(w.basis.matrix[model.n_minus:])
-    rank = int(np.sum(sv > _RANK_TOL))
+    rank = _plus_spectrum(w, model).size
     kernel = w.dim - rank
     cokernel = model.n_plus - rank
     return kernel - cokernel
@@ -148,17 +137,12 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     ``plus_map = B_+^H B_W`` are row slices of B_W.
     """
     virtual_dim = virtual_dimension(w, model)
-    p = float(p)
-    bw = w.basis.matrix
-    minus_map, plus_map = bw[:model.n_minus], bw[model.n_minus:]
-    minus = schatten_norm(minus_map, p)
-    sv = singular_values(plus_map)
-    above = sv[sv > _RANK_TOL]
-    plus_conditioning = float(above[-1]) if above.size else 0.0
-    powers = 2.0 * np.sum(minus.singular_values ** p) - virtual_dim
+    minus = schatten_norm(w.basis.matrix[:model.n_minus], p)
+    above = _plus_spectrum(w, model)
+    powers = 2.0 * minus.power_sum - virtual_dim
     return RestrictedPoint(
-        w=w, p=p, diff_norm=float(powers ** (1.0 / p)), virtual_dim=virtual_dim,
-        plus_conditioning=plus_conditioning, minus_norm=minus.value)
+        w=w, p=minus.p, diff_norm=powers ** (1.0 / minus.p), virtual_dim=virtual_dim,
+        plus_conditioning=float(above[-1]) if above.size else 0.0, minus_norm=minus.value)
 
 
 def _ladder_weights(profile: DecayProfile, count: int, entropy) -> np.ndarray:
@@ -178,7 +162,7 @@ def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
     virtual dimension.  Phases are drawn prefix-stably, so growing the model
     extends the graph matrix by exact top-left embedding.
     """
-    shift = int(virtual_dim)
+    shift, seed = _require_int(virtual_dim, "virtual_dim"), _require_int(seed, "seed")
     if shift > model.n_minus or -shift > model.n_plus:
         raise DimensionMismatch(
             f"virtual dimension {shift} unreachable in {model!r}")
@@ -234,7 +218,9 @@ class TruncationLadder:
 def build_truncation_ladder(dims, p: float, profile: DecayProfile,
                             virtual_dim: int = 0, seed: int = 0) -> TruncationLadder:
     """Build a ladder from one decay profile; rungs must nest bit for bit."""
-    dims = tuple((int(nm), int(np_)) for nm, np_ in dims)
+    dims = tuple((_require_int(nm, "dims entry"), _require_int(np_, "dims entry"))
+                 for nm, np_ in dims)
+    virtual_dim, seed = _require_int(virtual_dim, "virtual_dim"), _require_int(seed, "seed")
     if len(dims) < 2:
         raise LadderMismatch("a ladder needs at least two rungs")
     _require_growth(dims)
@@ -247,7 +233,7 @@ def build_truncation_ladder(dims, p: float, profile: DecayProfile,
     # raises LadderMismatch unless each graph is the exact top-left block of the next
     nested = OperatorLadder(tuple(graphs))
     return TruncationLadder(dims=dims, p=float(p), profile=profile,
-                            virtual_dim=int(virtual_dim), seed=int(seed),
+                            virtual_dim=virtual_dim, seed=seed,
                             models=models, points=tuple(points), graph_maps=nested.operators)
 
 
@@ -309,7 +295,11 @@ class RungResult:
     mu_norm: float
     mu_prime_norm: float
     constant: float
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        """A rung's constant is NaN exactly when it was skipped."""
+        return math.isnan(self.constant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +348,7 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
         mu = _decay_form(src.f.dim, src.g.dim, profile, seed)
         pushed = transition_cotangent(Covector(at, Operator(mu)), dst)
     except ChartDomainViolation:
-        return RungResult(dim, math.nan, math.nan, math.nan, skipped=True)
+        return RungResult(dim, math.nan, math.nan, math.nan)
     if p == 0.0:
         n_in = singular_tail_sum(mu, tail_cutoff)
         n_out = singular_tail_sum(pushed.form, tail_cutoff)
@@ -366,7 +356,7 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
         n_in = schatten_norm(mu, p).value
         n_out = schatten_norm(pushed.form, p).value
     if n_in == 0.0:
-        return RungResult(dim, n_in, n_out, math.nan, skipped=True)
+        return RungResult(dim, n_in, n_out, math.nan)
     return RungResult(dim, n_in, n_out, n_out / n_in)
 
 
@@ -377,13 +367,15 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
 
     Per rung: generate a covector of the ladder's decay profile at the family's
     base point, push it through the cotangent transition, and record the p-norm
-    ratio (for p >= 1) or the singular-tail ratio (p = 0).  Here p is the index
+    ratio (for p >= 1) or the ratio of singular tails past ``tail_cutoff``, a
+    nonnegative integer (p = 0).  Here p is the index
     the covector is measured at, not the tangent class: the predual of ``L_q``,
     q > 1, is measured at ``p = q*``.  The experiment passes when the constant
     stabilizes: relative spread over the top three rungs at most 0.05.  Rungs
     whose charts fail the domain check are skipped.
     """
-    p = _schatten_index(p)
+    p, tail_cutoff = _schatten_index(p), _require_cutoff(tail_cutoff)
+    seed = _require_int(seed, "seed")
     rungs = [_rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
              for model, point in ladder]
     constants = [r.constant for r in rungs if not r.skipped]

@@ -19,7 +19,7 @@ import numpy as np
 from ..atlas import (DEFAULT_TOL_DOMAIN, ChartId, Subspace, chart_forward,
                      chart_forward_projector, chart_inverse, in_chart_domain,
                      transition_base)
-from ..bundles import (Covector, TangentVector, TensorCovector,
+from ..bundles import (Covector, TangentVector, TensorCovector, _absmax,
                        pushforward_factors, pushforward_tensor, tensor_pairing,
                        tensor_to_operator, trace_pairing, transition_cotangent,
                        transition_tangent)
@@ -41,7 +41,7 @@ class CheckDef:
     suite: str
     tolerance: float
     fn: Callable
-    pinned_trials: int | None = None
+    pinned_trials: int | None
 
 
 _REGISTRY: list[CheckDef] = []
@@ -60,10 +60,6 @@ def registry() -> tuple[CheckDef, ...]:
 
 def _subspace_dim(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, n))
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max(initial=0.0))
 
 
 def _chart_chain(rng, n, k, count=3, scale=0.4):
@@ -130,7 +126,7 @@ def _roundtrip_fiber(cfg, trial, rng, n):
     chart = random_chart(n, _subspace_dim(rng, n), rng)
     pt = random_chart_point(chart, rng)
     back = chart_forward(chart_inverse(pt), chart)
-    return _max_abs(back.coord.matrix - pt.coord.matrix)
+    return _absmax(back.coord.matrix - pt.coord.matrix)
 
 
 @_check("chart_roundtrip_subspace", "atlas", 1e-10)
@@ -145,7 +141,7 @@ def _transition_consistency(cfg, trial, rng, n):
     pt, (_, dst) = _chart_chain(rng, n, _subspace_dim(rng, n), count=2, scale=0.5)
     direct = transition_base(pt, dst)
     oracle = chart_forward(chart_inverse(pt), dst)
-    return _max_abs(direct.coord.matrix - oracle.coord.matrix)
+    return _absmax(direct.coord.matrix - oracle.coord.matrix)
 
 
 @_check("transition_cocycle", "atlas", 1e-9)
@@ -153,8 +149,8 @@ def _transition_cocycle(cfg, trial, rng, n):
     pt, (_, c2, c3) = _chart_chain(rng, n, _subspace_dim(rng, n))
     through = transition_base(transition_base(pt, c2), c3)
     direct = transition_base(pt, c3)
-    scale = 1.0 + _max_abs(direct.coord.matrix)
-    return _max_abs(through.coord.matrix - direct.coord.matrix) / scale
+    scale = 1.0 + _absmax(direct.coord.matrix)
+    return _absmax(through.coord.matrix - direct.coord.matrix) / scale
 
 
 @_check("chart_covering", "atlas", 0.0)
@@ -172,7 +168,7 @@ def _hilbert_specialization(cfg, trial, rng, n):
     chart = random_chart_containing(w, rng, flavor="hilbert")
     general = chart_forward(w, chart)
     projector_route = chart_forward_projector(w, chart)
-    return _max_abs(general.coord.matrix - projector_route.coord.matrix)
+    return _absmax(general.coord.matrix - projector_route.coord.matrix)
 
 
 @_check("near_boundary_errors", "atlas", 0.0)
@@ -241,8 +237,8 @@ def _cotangent_contravariance(cfg, trial, rng, n):
     mu = Covector(pt, Operator(random_fiber_matrix(c1.f.dim, c1.g.dim, rng)))
     through = transition_cotangent(transition_cotangent(mu, c2), c3)
     direct = transition_cotangent(mu, c3)
-    scale = 1.0 + _max_abs(direct.form.matrix)
-    return _max_abs(through.form.matrix - direct.form.matrix) / scale
+    scale = 1.0 + _absmax(direct.form.matrix)
+    return _absmax(through.form.matrix - direct.form.matrix) / scale
 
 
 @_check("tensor_commuting_square", "bundles", 1e-10)
@@ -256,8 +252,8 @@ def _tensor_commuting_square(cfg, trial, rng, n):
     factors = pushforward_factors(pt, dst)
     tensor_route = tensor_to_operator(pushforward_tensor(tc, factors, dst))
     operator_route = transition_cotangent(tensor_to_operator(tc), dst)
-    scale = 1.0 + _max_abs(operator_route.form.matrix)
-    return _max_abs(tensor_route.form.matrix - operator_route.form.matrix) / scale
+    scale = 1.0 + _absmax(operator_route.form.matrix)
+    return _absmax(tensor_route.form.matrix - operator_route.form.matrix) / scale
 
 
 @_check("pairing_bilinearity", "bundles", 1e-12)

@@ -8,12 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, GrassAtlasError
+from ..operators import _require_int
 from ..sampling import derive_rng
 from ..serialize import canonical_json
 from . import checks as _checks
 
 SUITES = ("atlas", "bundles", "restricted", "all")
 FORMATS = ("json", "text")
+
+
+def _config_int(value, name: str) -> int:
+    try:
+        return _require_int(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -26,8 +34,11 @@ class SuiteConfig:
     ladder: tuple[int, ...] = (16, 32, 64, 128)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "ladder", tuple(int(d) for d in self.ladder))
+        object.__setattr__(self, "dims", tuple(_config_int(d, "dims entry") for d in self.dims))
+        object.__setattr__(self, "ladder",
+                           tuple(_config_int(d, "ladder entry") for d in self.ladder))
+        object.__setattr__(self, "trials", _config_int(self.trials, "trials"))
+        object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
         object.__setattr__(self, "tolerances", dict(self.tolerances))
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose one of {SUITES}")

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas.errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
-from grassatlas.operators import _coordinate_rows
+from grassatlas.errors import (BadProfile, ConfigError, DimensionMismatch, LadderMismatch,
+                               SplitFailure)
+from grassatlas.operators import _coordinate_rows, singular_tail_sum
+from grassatlas.verify.runner import SuiteConfig
 
 
 def _rng(seed):
@@ -270,6 +272,15 @@ def test_schatten_norm_rejects_bad_index():
 def test_schatten_report_zero_operator():
     rep = ga.schatten_norm(np.zeros((3, 3)), 1)
     assert rep.value == 0.0
+    assert ga.SchattenReport(p=2, singular_values=np.zeros(0)).value == 0.0
+
+
+def test_schatten_report_derives_value_from_power_sum():
+    rep = ga.SchattenReport(p=3, singular_values=np.array([2.0, 1.0]))
+    assert rep.p == 3.0 and rep.power_sum == 9.0
+    assert rep.value == 9.0 ** (1.0 / 3.0)
+    with pytest.raises(ValueError):
+        ga.SchattenReport(p=0.5, singular_values=np.array([1.0]))
 
 
 def test_operator_norm_examples():
@@ -371,9 +382,9 @@ def test_decay_operator_rejects_bad_profiles():
 
 def test_schatten_report_validates_consistency():
     with pytest.raises(ValueError):
-        ga.SchattenReport(p=1.0, value=99.0, singular_values=np.array([1.0, 0.5]))
+        ga.SchattenReport(p=1.0, singular_values=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        ga.SchattenReport(p=1.0, value=1.5, singular_values=np.array([0.5, 1.0]))
+        ga.SchattenReport(p=1.0, singular_values=np.array([1.0, -0.5]))
 
 
 def test_singular_tail_validates_dims():
@@ -389,8 +400,58 @@ def test_operator_is_immutable():
         op.matrix[0, 0] = 5.0
 
 
-def test_operator_adjoint_and_transpose():
+def test_operator_transpose():
     mat = np.array([[1 + 2j, 3.0], [0.0, 4 - 1j]])
     op = ga.Operator(mat)
-    assert_allclose(op.adjoint().matrix, mat.conj().T)
     assert_allclose(op.transpose().matrix, mat.T)
+
+
+# ---------------------------------------------------------------------------
+# integer and cutoff rules
+
+_GEOMETRIC = ga.DecayProfile.geometric(0.5)
+
+
+def _experiment(**options):
+    def family(model, point):
+        raise AssertionError("a rung was built before the options were checked")
+
+    ladder = ga.build_truncation_ladder([(2, 2), (4, 4)], 1, _GEOMETRIC)
+    return ga.preservation_experiment(ladder, 0, family, **options)
+
+
+def _graph_family_rung(seed):
+    model = ga.PolarizedModel(4, 4)
+    point = ga.generate_restricted_point(model, 1, _GEOMETRIC)
+    return ga.graph_chart_family(0.6, seed)(model, point)
+
+
+@pytest.mark.parametrize("call, error, name", [
+    pytest.param(lambda: ga.PolarizedModel(2.9, 3), ValueError, "n_minus", id="model"),
+    pytest.param(lambda: ga.build_truncation_ladder([(4.5, 4), (8, 8.9)], 1, _GEOMETRIC),
+                 ValueError, "dims entry", id="ladder_dims"),
+    pytest.param(lambda: ga.generate_restricted_point(ga.PolarizedModel(4, 4), 1, _GEOMETRIC,
+                                                      virtual_dim=1.9),
+                 ValueError, "virtual_dim", id="virtual_dim"),
+    pytest.param(lambda: ga.decay_operator(2.5, 3, _GEOMETRIC, seed=0), ValueError, "rows",
+                 id="decay_rows"),
+    pytest.param(lambda: ga.generate_restricted_point(ga.PolarizedModel(4, 4), 1, _GEOMETRIC,
+                                                      seed=1.5),
+                 ValueError, "seed", id="point_seed"),
+    pytest.param(lambda: _graph_family_rung(1.5), ValueError, "seed", id="chart_family_seed"),
+    pytest.param(lambda: ga.decay_operator(0, 3, _GEOMETRIC, seed=1.5), ValueError, "seed",
+                 id="decay_seed"),
+    pytest.param(lambda: SuiteConfig(dims=(4.5,)), ConfigError, "dims entry", id="config_dims"),
+    pytest.param(lambda: SuiteConfig(trials=2.5), ConfigError, "trials", id="config_trials"),
+    pytest.param(lambda: SuiteConfig(seed=1.5), ConfigError, "seed", id="config_seed"),
+    pytest.param(lambda: singular_tail_sum(np.diag([4.0, 3.0, 2.0, 1.0]), -1), ValueError,
+                 "cutoff", id="tail_negative"),
+    pytest.param(lambda: ga.compactness_tail([np.eye(2), np.eye(4)], 1.9), ValueError,
+                 "cutoff", id="tail_fraction"),
+    pytest.param(lambda: _experiment(tail_cutoff=-1), ValueError, "cutoff",
+                 id="experiment_cutoff"),
+    pytest.param(lambda: _experiment(seed=1.5), ValueError, "seed", id="experiment_seed"),
+])
+def test_sizes_seeds_and_cutoffs_are_refused_not_truncated(call, error, name):
+    with pytest.raises(error, match=f"^{name} must be"):
+        call()

@@ -20,6 +20,13 @@ def _model(side=4):
     return ga.PolarizedModel(side, side)
 
 
+def basis_vector(model, mode):
+    """Ambient basis vector e_mode: e_{-1}..e_{-n_minus}, then e_{+1}..e_{+n_plus}."""
+    vec = np.zeros(model.ambient_dim, dtype=complex)
+    vec[-mode - 1 if mode < 0 else model.n_minus + mode - 1] = 1.0
+    return vec
+
+
 def test_polarized_model_projector_identities():
     # P_+ + P_- = I and P_+ P_- = 0, read through the bases of the two halves
     m = _model(3)
@@ -55,18 +62,6 @@ def test_zero_profile_centre_complement_matches_the_qr_complement(virtual_dim):
     assert center.complement().distance_to(qr_complement) <= 1e-15
 
 
-def test_polarized_model_mode_indexing():
-    m = _model(3)
-    assert m.mode_index(-1) == 0
-    assert m.mode_index(-3) == 2
-    assert m.mode_index(1) == 3
-    assert m.mode_index(3) == 5
-    with pytest.raises(ValueError):
-        m.mode_index(0)
-    with pytest.raises(DimensionMismatch):
-        m.mode_index(4)
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -82,7 +77,7 @@ def test_membership_at_plus_block():
 def test_membership_one_mode_swapped():
     # W = (H_plus minus e_{+1}) plus e_{-1}: rank-two projector difference
     m = _model()
-    cols = [m.basis_vector(-1)] + [m.basis_vector(k) for k in range(2, 5)]
+    cols = [basis_vector(m, -1)] + [basis_vector(m, k) for k in range(2, 5)]
     w = ga.Subspace(np.column_stack(cols))
     report = ga.membership_report(w, m, 1)
     assert report.diff_norm == pytest.approx(2.0, abs=1e-12)
@@ -91,7 +86,7 @@ def test_membership_one_mode_swapped():
 
 def test_membership_one_extra_negative_mode():
     m = _model()
-    cols = [m.basis_vector(-1)] + [m.basis_vector(k) for k in range(1, 5)]
+    cols = [basis_vector(m, -1)] + [basis_vector(m, k) for k in range(1, 5)]
     w = ga.Subspace(np.column_stack(cols))
     report = ga.membership_report(w, m, 1)
     assert report.virtual_dim == 1
@@ -139,7 +134,7 @@ def test_membership_rejects_foreign_subspace():
 def test_virtual_dimension_examples():
     m = _model()
     assert ga.virtual_dimension(m.h_plus, m) == 0
-    cols = [m.basis_vector(-1)] + [m.basis_vector(k) for k in range(1, 5)]
+    cols = [basis_vector(m, -1)] + [basis_vector(m, k) for k in range(1, 5)]
     assert ga.virtual_dimension(ga.Subspace(np.column_stack(cols)), m) == 1
 
 
@@ -147,8 +142,8 @@ def test_virtual_dimension_rank_route_under_rotation():
     # W = H_plus minus span(e_{+1}), then rotated slightly into e_{-1}
     m = _model()
     theta = 1e-3
-    tilted = math.cos(theta) * m.basis_vector(2) + math.sin(theta) * m.basis_vector(-1)
-    cols = [tilted] + [m.basis_vector(k) for k in range(3, 5)]
+    tilted = math.cos(theta) * basis_vector(m, 2) + math.sin(theta) * basis_vector(m, -1)
+    cols = [tilted] + [basis_vector(m, k) for k in range(3, 5)]
     w = ga.Subspace(np.column_stack(cols))
     assert ga.virtual_dimension(w, m) == -1
     assert ga.virtual_dimension_by_rank(w, m) == -1
@@ -231,12 +226,12 @@ def test_ladder_embedding_nests_covectors_and_graph_weights(profile):
 
 def _graph_basis_by_columns(model, weights, lead, drop):
     """Per-column reference for the graph basis built by _graph_point."""
-    columns = [model.basis_vector(-(j + 1)) for j in range(lead)]
+    columns = [basis_vector(model, -(j + 1)) for j in range(lead)]
     for t in range(model.n_plus - drop):
-        column = model.basis_vector(drop + t + 1)
+        column = basis_vector(model, drop + t + 1)
         if t < weights.size:
             w = weights[t]
-            column = column + w * model.basis_vector(-(lead + t + 1))
+            column = column + w * basis_vector(model, -(lead + t + 1))
             column = column / math.sqrt(1.0 + abs(w) ** 2)
         columns.append(column)
     return np.column_stack(columns) if columns else np.zeros((model.ambient_dim, 0))
@@ -318,7 +313,7 @@ def test_swap_family_base_point_matches_the_mode_loop(t, n_plus):
     point = ga.generate_restricted_point(model, 1, ga.DecayProfile.geometric(0.5))
     src, dst, base = ga.swap_chart_family(t)(model, point)
     scale = 1.0 / math.sqrt(1.0 + abs(t) ** 2)
-    cols = [scale * (model.basis_vector(k + 1) + t * model.basis_vector(-(k + 1)))
+    cols = [scale * (basis_vector(model, k + 1) + t * basis_vector(model, -(k + 1)))
             for k in range(n_plus)]
     loop = np.column_stack(cols)
     assert np.array_equal(base.basis.matrix, loop)
