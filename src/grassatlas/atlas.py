@@ -5,14 +5,21 @@ subspace H complementary to G to the coordinate matrix of the operator F -> G
 whose graph is H.  Two flavors exist: the general split pair, and the Hilbert
 flavor where G is pinned to the orthogonal complement of F.  A chart caches its
 coordinate rows, the row blocks of M^{-1} for M = [B_F | B_G], not projectors:
-every chart coordinate and transition block is a product against them.  No
-subspace holds an n x n projector either; distances between subspaces are read
-from n x k residuals of one basis off the other.
+every chart coordinate and transition block is a product against them, and
+every such product goes through one method, ``ChartId._apply``.  No subspace
+holds an n x n projector either; distances between subspaces are read from
+n x k residuals of one basis off the other.
 
 Coordinate subspaces, spanned by standard basis vectors as the polarization
-blocks H_minus and H_plus are, are handled exactly: the complement of one is the
-slice of the remaining coordinates, and a split chart on a complementary pair of
-them has 0/1 diagonal projections, so neither takes a factorization.
+blocks H_minus and H_plus are, are handled exactly.  A subspace records its
+coordinate rows when it is built.  The complement of one is the slice of the
+remaining coordinates; a split chart on a complementary pair of them has 0/1
+diagonal projections and a split conditioning of exactly 1, and a hilbert chart
+on one has a gap of exactly 0, so none takes a factorization.  A chart side
+whose rows are such a selection, and an operand basis that is one, are applied
+by index: ``X[rows]`` and ``R[:, cols]`` equal the dense products exactly, since
+0/1 entries times finite numbers round nothing (principal angles between
+coordinate subspaces are exactly 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from .operators import (Operator, _coordinate_rows, _require_finite, _require_orthonormal,
+from .operators import (Operator, _require_finite, _require_orthonormal, _rows_overlap,
                         as_matrix, oblique_projections)
 
 DEFAULT_TOL_DOMAIN = 1e-8
@@ -36,7 +43,8 @@ class Subspace:
 
     Equality of subspaces is basis independent: two subspaces coincide when
     their distance |P_F - P_G|_2, read from the basis residual of one off the
-    other, is within ``DEFAULT_TOL_EQ``.
+    other, is within ``DEFAULT_TOL_EQ``.  The basis check records the row of
+    each column when the basis is a coordinate one, and ``None`` otherwise.
     """
 
     def __init__(self, basis):
@@ -44,7 +52,7 @@ class Subspace:
         n, k = mat.shape
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
-        _require_orthonormal(mat)
+        self._coord_rows = _require_orthonormal(mat)
         self.basis = Operator(mat)
 
     @classmethod
@@ -73,7 +81,7 @@ class Subspace:
         A coordinate subspace gets the slice of the remaining coordinates, in
         increasing order, exactly; any other basis is completed by a full QR.
         """
-        rows = _coordinate_rows(self.basis.matrix)
+        rows = self._coord_rows
         if rows is None:
             full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
             return Subspace(full[:, self.dim:])
@@ -108,7 +116,13 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class ChartId:
-    """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors."""
+    """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors.
+
+    Per side, the chart also records the coordinates its rows select, or
+    ``None`` when they are dense.  A hilbert chart's rows are the adjoint bases,
+    so each coordinate side is a selection on its own; a split chart's rows are
+    selections only when F and G are both coordinate.
+    """
 
     f: Subspace
     g: Subspace
@@ -123,19 +137,29 @@ class ChartId:
             raise SplitFailure(
                 f"chart pair dims {self.f.dim} + {self.g.dim} do not fill ambient "
                 f"{self.f.ambient_dim}")
-        rows_f, rows_g = self.f.basis.matrix.conj().T, self.g.basis.matrix.conj().T
+        picks = (self.f._coord_rows, self.g._coord_rows)
+        coordinate = all(rows is not None for rows in picks)
+        # the adjoint bases: the hilbert rows, and the left factor of the split rows
+        object.__setattr__(self, "_rows", (self.f.basis.matrix.conj().T,
+                                           self.g.basis.matrix.conj().T))
+        object.__setattr__(self, "_picks", picks)
         if self.flavor == "hilbert":
             # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine
             # of the largest principal angle between G and F-perp; past the check M
-            # is unitary and its inverse rows are the adjoint bases
-            gap = np.linalg.norm(rows_f @ self.g.basis.matrix, 2)
+            # is unitary and its inverse rows are the adjoint bases.  Two coordinate
+            # bases share a coordinate (gap 1) or are orthogonal (gap 0).
+            gap = (float(_rows_overlap(*picks, self.ambient_dim)) if coordinate
+                   else np.linalg.norm(self._apply(0, self.g), 2))
             if gap > DEFAULT_TOL_EQ:
                 raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
         else:
-            # raises SplitFailure when the pair is numerically singular
+            # raises SplitFailure when the pair is numerically singular; a
+            # coordinate side selects its rows of the 0/1 diagonal projection
             onto_f, onto_g = oblique_projections(self.f, self.g)
-            rows_f, rows_g = rows_f @ onto_f.matrix, rows_g @ onto_g.matrix
-        object.__setattr__(self, "_rows", (rows_f, rows_g))
+            object.__setattr__(self, "_rows", (self._apply(0, onto_f.matrix),
+                                               self._apply(1, onto_g.matrix)))
+            if not coordinate:
+                object.__setattr__(self, "_picks", (None, None))
 
     @classmethod
     def hilbert(cls, v: Subspace) -> "ChartId":
@@ -145,15 +169,35 @@ class ChartId:
         """The chart on (G, F), with no new factorization.
 
         [B_G | B_F] is [B_F | B_G] with its column blocks swapped, so its inverse
-        has this chart's coordinate rows swapped.  Every check of construction is
-        symmetric in (F, G): the dimensions, the hilbert gap |B_F^H B_G|_2 and the
-        split conditioning, so each still holds.
+        has this chart's coordinate rows swapped, and so are the coordinates
+        they select.  Every check of construction is symmetric in (F, G): the
+        dimensions, the hilbert gap |B_F^H B_G|_2 and the split conditioning, so
+        each still holds.
         """
         chart = object.__new__(ChartId)
         for name, value in (("f", self.g), ("g", self.f), ("flavor", self.flavor),
-                            ("_rows", self._rows[::-1])):
+                            ("_rows", self._rows[::-1]), ("_picks", self._picks[::-1])):
             object.__setattr__(chart, name, value)
         return chart
+
+    def _apply(self, side: int, operand: Subspace | np.ndarray) -> np.ndarray:
+        """The coordinate rows of ``side`` (0 for F, 1 for G) times a subspace's basis or a matrix.
+
+        The one place a chart's rows meet a matrix.  A side whose rows select
+        coordinates reads the operand's rows, ``X[rows]``; a coordinate subspace
+        operand reads the chart rows' columns, ``R[:, cols]``.  Either equals the
+        dense product exactly.
+        """
+        picks, rows = self._picks[side], self._rows[side]
+        if isinstance(operand, Subspace):
+            mat, cols = operand.basis.matrix, operand._coord_rows
+        else:
+            mat, cols = operand, None
+        if picks is not None:
+            return mat[picks]
+        if cols is not None:
+            return rows[:, cols]
+        return rows @ mat
 
     @property
     def ambient_dim(self) -> int:
@@ -256,19 +300,18 @@ def _solve_in_domain(chart: ChartId, top: np.ndarray, bottom: np.ndarray,
     return coord
 
 
-def _restricted_basis(h: Subspace, chart: ChartId) -> np.ndarray:
-    """H's basis, once H shares the chart's ambient space and the dimension of F.
+def _require_restrictable(h: Subspace, chart: ChartId) -> None:
+    """Raise :class:`DimensionMismatch` unless H shares the chart's ambient space and dim F.
 
-    The chart rows map it to the chart projections restricted to H: C = rows_F B_H
-    holds the F-basis coefficients of the F-components of its columns, and
-    D = rows_G B_H the G-basis coefficients of the G-components.
+    The chart rows then map H's basis to the chart projections restricted to H:
+    C = rows_F B_H holds the F-basis coefficients of the F-components of its
+    columns, and D = rows_G B_H the G-basis coefficients of the G-components.
     """
     if h.ambient_dim != chart.ambient_dim:
         raise DimensionMismatch("subspace and chart live in different ambient spaces")
     if h.dim != chart.f.dim:
         raise DimensionMismatch(
             f"subspace dim {h.dim} differs from chart dim {chart.f.dim}")
-    return h.basis.matrix
 
 
 def in_chart_domain(h: Subspace, chart: ChartId,
@@ -278,7 +321,8 @@ def in_chart_domain(h: Subspace, chart: ChartId,
     The conditioning is the smallest singular value of that restriction in
     orthonormal bases; the domain boundary is decided against ``tol_domain``.
     """
-    cond = _domain_conditioning(chart._rows[0] @ _restricted_basis(h, chart))
+    _require_restrictable(h, chart)
+    cond = _domain_conditioning(chart._apply(0, h))
     return DomainCheck(cond > _domain_tol(tol_domain), cond)
 
 
@@ -289,10 +333,10 @@ def chart_forward(h: Subspace, chart: ChartId,
     Realizes A = (projection onto G)|_H composed with the inverse of
     (projection onto F)|_H, expressed in the chart's coordinate bases.
     """
-    (rows_f, rows_g), bh = chart._rows, _restricted_basis(h, chart)
+    _require_restrictable(h, chart)
     # B_H c^{-1} = B_F + B_G A is the graph of the coordinate A = d c^{-1} being solved for
-    return ChartPoint(chart, _solve_in_domain(chart, rows_f @ bh, rows_g @ bh, tol_domain,
-                                              "subspace is outside the chart domain"))
+    return ChartPoint(chart, _solve_in_domain(chart, chart._apply(0, h), chart._apply(1, h),
+                                              tol_domain, "subspace is outside the chart domain"))
 
 
 def chart_forward_projector(h: Subspace, chart: ChartId,
@@ -305,7 +349,8 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
     """
     if chart.flavor != "hilbert":
         raise ValueError("projector-formula chart requires the hilbert flavor")
-    bh = _restricted_basis(h, chart)
+    _require_restrictable(h, chart)
+    bh = h.basis.matrix
     proj = bh @ bh.conj().T
     proj = (proj + proj.conj().T) / 2.0
     bv = chart.f.basis.matrix
@@ -332,9 +377,8 @@ def _graph(chart: ChartId, coord: np.ndarray) -> np.ndarray:
 
 def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
     """Coordinate blocks of the destination projections against source bases."""
-    rows_f, rows_g = dst._rows
-    bf, bg = src.f.basis.matrix, src.g.basis.matrix
-    return rows_f @ bf, rows_f @ bg, rows_g @ bf, rows_g @ bg
+    return (dst._apply(0, src.f), dst._apply(0, src.g), dst._apply(1, src.f),
+            dst._apply(1, src.g))
 
 
 class _Forward(NamedTuple):

@@ -12,7 +12,10 @@ point).  It also times both chart constructors on the coordinate blocks of the
 (n - k, k) polarized model, ``ChartId.hilbert[coordinate]`` on H_plus and
 ``ChartId.split[coordinate]`` on (H_plus, H_minus), ``membership_report`` of a
 perturbed H_plus in that model, and ``Subspace.distance_to`` between two
-perturbed k-subspaces.
+perturbed k-subspaces.  On the swap pair of the (k, k) polarized model, which is
+the (n - k, k) model at even n, with the point at coordinate t I, it times
+``chart_forward[coordinate]`` and ``transition_cotangent[coordinate]``: every
+chart row there selects coordinates.
 Every transition call starts from a fresh chart point, so none is served by
 the transition its point memoized on an earlier call, and every membership and
 distance call gets fresh subspace and model objects, so no state an object kept
@@ -49,6 +52,7 @@ REPEATS = 7
 SEED = 0
 PERTURBATION = 0.05
 POINT_SCALE = 0.1
+SWAP_T = 1.5 + 0.5j
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
@@ -86,7 +90,23 @@ def _layers(n: int) -> dict:
         ga.membership_report, ga.Subspace(w), ga.PolarizedModel(n - k, k), 1.0)
     layers["Subspace.distance_to"] = lambda: partial(ga.Subspace(near).distance_to,
                                                      ga.Subspace(far))
+    layers.update(_coordinate_layers(k, rng))
     return layers
+
+
+def _coordinate_layers(k: int, rng: np.random.Generator) -> dict:
+    """Coordinate and cotangent factories on the swap pair of the (k, k) polarized model."""
+    square = ga.PolarizedModel(k, k)
+    point = ga.generate_restricted_point(square, 1, ga.DecayProfile.zero())
+    src, dst, base = ga.swap_chart_family(SWAP_T)(square, point)
+    coord = ga.chart_forward(base, src).coord
+    form = ga.Operator(_cgauss(rng, (k, k)))
+    return {
+        "chart_forward[coordinate]": lambda: partial(ga.chart_forward, base, src),
+        "transition_cotangent[coordinate]":
+            lambda: partial(ga.transition_cotangent, ga.Covector(ga.ChartPoint(src, coord), form),
+                            dst),
+    }
 
 
 def _transition_layers(flavor: str, src: ga.ChartId, dst: ga.ChartId,

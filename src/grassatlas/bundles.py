@@ -153,8 +153,8 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     reuses the transition evaluated here.
     """
     fwd = _invertible_transition(pt, target, tol_domain)
-    (rows_f, rows_g), bg = pt.chart._rows, target.g.basis.matrix
-    return Operator(fwd.denom), Operator(rows_g @ bg - pt.coord.matrix @ (rows_f @ bg))
+    b_r, d_r = (pt.chart._apply(side, target.g) for side in (0, 1))
+    return Operator(fwd.denom), Operator(d_r - pt.coord.matrix @ b_r)
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],

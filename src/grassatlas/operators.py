@@ -5,8 +5,10 @@ from an SVD of the matrix itself, never from eigenvalues of ``T^H T``.  Split
 conditioning comes from SVDs of the cross block ``B_F^H B_G`` and of the
 residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.  A coordinate
 basis, whose columns are distinct standard basis vectors, is recognized exactly
-(:func:`_coordinate_rows`): it needs no orthonormality product, and a
-complementary coordinate pair has 0/1 diagonal oblique projections.
+(:func:`_coordinate_rows`): it needs no orthonormality product, a
+complementary coordinate pair has 0/1 diagonal oblique projections, and any
+coordinate pair has split conditioning exactly 1 or 0.  A subspace keeps the
+rows it was recognized with, so functions given one read that record.
 """
 
 from __future__ import annotations
@@ -52,14 +54,34 @@ def _coordinate_rows(mat: np.ndarray) -> np.ndarray | None:
     return rows if np.count_nonzero(taken) == k else None
 
 
-def _require_orthonormal(mat: np.ndarray) -> None:
-    """Raise ``ValueError`` unless the columns of ``mat`` are finite and orthonormal."""
-    if _coordinate_rows(mat) is not None:
-        return  # distinct standard basis vectors: exactly orthonormal, no Gram product
+def _require_orthonormal(mat: np.ndarray) -> np.ndarray | None:
+    """Raise ``ValueError`` unless the columns of ``mat`` are finite and orthonormal.
+
+    Returns the :func:`_coordinate_rows` of ``mat``, the scan that spares a
+    coordinate basis the Gram product, so a caller can keep it.
+    """
+    rows = _coordinate_rows(mat)
+    if rows is not None:
+        return rows  # distinct standard basis vectors: exactly orthonormal, no Gram product
     _require_finite(mat)
     k = mat.shape[1]
     if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
         raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
+    return None
+
+
+def _coordinate_record(value, mat: np.ndarray) -> np.ndarray | None:
+    """The coordinate rows of ``value``'s basis ``mat``: a subspace's own record, else a scan."""
+    if isinstance(getattr(value, "basis", None), Operator):
+        return value._coord_rows
+    return _coordinate_rows(mat)
+
+
+def _rows_overlap(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> bool:
+    """Whether two sets of coordinate rows in an n-dimensional space share a row."""
+    taken = np.zeros(n, dtype=bool)
+    taken[rows_f] = True
+    return bool(taken[rows_g].any())
 
 
 class Operator:
@@ -122,12 +144,17 @@ class SchattenReport:
 
     @property
     def power_sum(self) -> float:
-        """The p-th power sum ``sum sigma_k^p``; 0.0 for an empty spectrum."""
+        """The p-th power sum ``sum sigma_k^p``; 0.0 for an empty spectrum, none at p = inf."""
+        if self.p == math.inf:
+            raise ValueError("the Schatten power sum has no meaning at p = inf")
         return float(np.sum(self.singular_values ** self.p))
 
     @property
     def value(self) -> float:
-        """The Schatten p-norm ``(sum sigma_k^p)^(1/p)``."""
+        """The Schatten p-norm ``(sum sigma_k^p)^(1/p)``; sigma_max at p = inf, 0.0 if empty."""
+        if self.p == math.inf:
+            sv = self.singular_values
+            return float(sv[0]) if sv.size else 0.0
         return self.power_sum ** (1.0 / self.p)
 
     def __repr__(self) -> str:
@@ -258,9 +285,9 @@ def operator_norm(op) -> float:
 
 
 def _schatten_norm_index(p: float) -> float:
-    """The Schatten index as a float, once it is finite and >= 1."""
-    if not 1.0 <= float(p) < math.inf:
-        raise ValueError(f"schatten index must be finite and >= 1, got {p}")
+    """The Schatten index as a float, once it is >= 1; ``math.inf`` is the operator norm."""
+    if not 1.0 <= float(p) <= math.inf:
+        raise ValueError(f"schatten index must be >= 1 or inf, got {p}")
     return float(p)
 
 
@@ -272,13 +299,13 @@ def schatten_norm(op, p: float) -> SchattenReport:
     op : Operator or array_like
         The operator whose singular spectrum is summarized.
     p : float
-        Schatten index, finite and >= 1.
+        Schatten index, >= 1; ``math.inf`` gives the operator norm.
 
     Returns
     -------
     SchattenReport
         Holds ``p`` and the singular values, from which it derives the norm
-        ``(sum sigma_k^p)^(1/p)``.
+        ``(sum sigma_k^p)^(1/p)``, or sigma_max at p = inf.
     """
     return SchattenReport(p=p, singular_values=singular_values(op))
 
@@ -299,7 +326,9 @@ def split_conditioning(f, g) -> float:
     1 - s loses digits, so sin(theta_min) is read as the smallest singular value
     of the residual B_g - B_f X of G off F, or of B_f - B_g X^H when F is the
     thinner side (Knyazev & Argentati, SISC 2002).  An empty side gives 1.0, an
-    empty space 0.0.
+    empty space 0.0.  Two coordinate bases have principal angles 0 and pi/2 only,
+    so their value is exactly 1.0 when their rows are disjoint and 0.0 when
+    they share one, read from the rows with no product and no SVD.
     """
     bf, bg = as_matrix(f), as_matrix(g)
     if bf.shape[0] != bg.shape[0]:
@@ -315,6 +344,9 @@ def split_conditioning(f, g) -> float:
         return 0.0
     if kf == 0 or kg == 0:
         return 1.0
+    rows_f, rows_g = _coordinate_record(f, bf), _coordinate_record(g, bg)
+    if rows_f is not None and rows_g is not None:
+        return 0.0 if _rows_overlap(rows_f, rows_g, n) else 1.0
     cross = bf.conj().T @ bg
     s = float(np.linalg.svd(cross, compute_uv=False)[0])
     if s <= math.sqrt(0.5):
@@ -341,8 +373,8 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
     if cond <= DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=DEFAULT_TOL_SPLIT)
-    rows_f = _coordinate_rows(bf)
-    if rows_f is not None and _coordinate_rows(bg) is not None:
+    rows_f = _coordinate_record(f, bf)
+    if rows_f is not None and _coordinate_record(g, bg) is not None:
         # [B_F | B_G] is a permutation; the conditioning check left the rows disjoint
         diag = np.zeros(n, dtype=complex)
         diag[rows_f] = 1.0

@@ -14,9 +14,10 @@ fiber is the predual of that class: L_{p*} (1/p + 1/p* = 1) for p > 1, where
 reflexivity makes it equal to the cotangent fiber; K at p = 1, since K* = L_1;
 none at p = 0, since K is not a dual space.  A finite truncation stores the
 same matrix in every case, so the class is read from p and no covector carries
-it.  :func:`membership_report` reads p as the tangent class;
+it.  :func:`membership_report` reads p as the tangent class, finite and >= 1;
 :func:`preservation_experiment` takes p as the Schatten index at which it
-measures the covector and its push, with the tail statistic at p = 0.
+measures the covector and its push, with the tail statistic at p = 0 and the
+operator norm at p = inf, the norm of K, the predual of L_1.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     H_plus are coordinate blocks, so ``minus_map = B_-^H B_W`` and
     ``plus_map = B_+^H B_W`` are row slices of B_W.
     """
+    if _schatten_norm_index(p) == math.inf:
+        # the identity below reads a power sum, which p = inf does not have
+        raise ValueError("membership_report needs a finite schatten index, got inf")
     virtual_dim = virtual_dimension(w, model)
     minus = schatten_norm(w.basis.matrix[:model.n_minus], p)
     above = _plus_spectrum(w, model)
@@ -325,7 +329,7 @@ class PreservationReport:
 
 
 def _schatten_index(p: float) -> float:
-    """The Schatten index as a float: 0 (compact class, tail diagnostics) or finite >= 1."""
+    """The Schatten index as a float: 0 (compact class, tail diagnostics), >= 1 or inf."""
     p = float(p)
     return p if p == 0.0 else _schatten_norm_index(p)
 
@@ -367,10 +371,11 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
 
     Per rung: generate a covector of the ladder's decay profile at the family's
     base point, push it through the cotangent transition, and record the p-norm
-    ratio (for p >= 1) or the ratio of singular tails past ``tail_cutoff``, a
-    nonnegative integer (p = 0).  Here p is the index
+    ratio (for p >= 1, the operator norm at p = inf) or the ratio of singular
+    tails past ``tail_cutoff``, a nonnegative integer (p = 0).  Here p is the index
     the covector is measured at, not the tangent class: the predual of ``L_q``,
-    q > 1, is measured at ``p = q*``.  The experiment passes when the constant
+    q > 1, is measured at ``p = q*``, and K, the predual of ``L_1``, at
+    ``p = inf``.  The experiment passes when the constant
     stabilizes: relative spread over the top three rungs at most 0.05.  Rungs
     whose charts fail the domain check are skipped.
     """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -39,7 +40,11 @@ class SuiteConfig:
                            tuple(_config_int(d, "ladder entry") for d in self.ladder))
         object.__setattr__(self, "trials", _config_int(self.trials, "trials"))
         object.__setattr__(self, "seed", _config_int(self.seed, "seed"))
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
+        try:
+            object.__setattr__(self, "tolerances", dict(self.tolerances))
+        except (TypeError, ValueError):
+            raise ConfigError(f"tolerances must map check names to bounds, got "
+                              f"{self.tolerances!r}") from None
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose one of {SUITES}")
         if self.trials < 1:
@@ -56,8 +61,9 @@ class SuiteConfig:
             if name not in known:
                 raise ConfigError(f"tolerance override for unknown check {name!r}")
             # an infinite bound would pass every trial, a raising one included
-            if not (tol > 0 and math.isfinite(tol)):
-                raise ConfigError(f"tolerance for {name!r} must be positive and finite")
+            if not (isinstance(tol, Real) and tol > 0 and math.isfinite(tol)):
+                raise ConfigError(f"tolerance for {name!r} must be a positive finite number, "
+                                  f"got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,21 @@ def _coordinate_chart():
     return ga.ChartId(ga.Subspace(np.eye(2)[:, :1]), ga.Subspace(np.eye(2)[:, 1:]))
 
 
+def _count_linalg(monkeypatch):
+    """Record the name of every numpy.linalg factorization, solve or norm called from now on."""
+    calls = []
+
+    def counting(func):
+        def wrapper(*args, **kwargs):
+            calls.append(func.__name__)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "solve", "qr", "norm", "inv", "eigh", "lstsq", "pinv", "det"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -300,16 +315,7 @@ def test_opposite_chart_matches_a_fresh_factorization(monkeypatch, flavor, n):
     rng = _rng(700 + n)
     chart = _random_chart(n, n // 2, rng, flavor)
     fresh = ga.ChartId(chart.g, chart.f, flavor)
-    calls = []
-
-    def counting(func):
-        def wrapper(*args, **kwargs):
-            calls.append(func.__name__)
-            return func(*args, **kwargs)
-        return wrapper
-
-    for name in ("svd", "solve", "qr", "norm", "inv"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    calls = _count_linalg(monkeypatch)
     opposite = chart.opposite()
     monkeypatch.undo()
     assert not calls
@@ -417,22 +423,82 @@ def _projector_coordinates(h, chart):
             chart.g.basis.matrix.conj().T @ (onto_g @ bh))
 
 
+def _chart(kind, n, k, rng):
+    """A random chart of flavor ``kind``, or a chart on the (n - k, k) polarization blocks."""
+    if kind in ("split", "hilbert"):
+        return _random_chart(n, k, rng, kind)
+    model = ga.PolarizedModel(n - k, k)
+    if kind == "coordinate-split":
+        return ga.ChartId(model.h_plus, model.h_minus)
+    return ga.ChartId.hilbert(model.h_plus)
+
+
+# the last three cases put a coordinate chart on the destination side (its rows
+# select coordinates) or on the source side (its bases are 0/1 operands)
 @pytest.mark.parametrize("n", [8, 32])
 @pytest.mark.parametrize("flavors", [("split", "split"), ("hilbert", "split"),
-                                     ("split", "hilbert")])
+                                     ("split", "hilbert"), ("split", "coordinate-split"),
+                                     ("split", "coordinate-hilbert"),
+                                     ("coordinate-hilbert", "hilbert")])
 def test_coordinate_rows_match_projector_formulas(n, flavors):
-    from grassatlas.atlas import _restricted_basis, _transition_blocks
+    from grassatlas.atlas import _transition_blocks
     rng = _rng(7000 + n)
     k = n // 2 - 1
-    src, dst = (_random_chart(n, k, rng, flavor) for flavor in flavors)
-    for got, want in zip(_transition_blocks(src, dst), _projector_blocks(src, dst)):
+    src, dst = (_chart(kind, n, k, rng) for kind in flavors)
+    # split rows are B^H P, so both block routes multiply in the same order, and
+    # a coordinate chart's projections are 0/1, so every product against them is exact
+    coordinate = "coordinate" in flavors[1]
+    exact = dst.flavor == "split" or coordinate
+    dense = [rows @ sub.basis.matrix for rows in dst._rows for sub in (src.f, src.g)]
+    for got, want, product in zip(_transition_blocks(src, dst), _projector_blocks(src, dst),
+                                  dense):
         assert np.abs(got - want).max() <= 1e-12
-        # split rows are B^H P, so both routes multiply in the same order
-        assert dst.flavor == "hilbert" or np.array_equal(got, want)
+        assert not exact or np.array_equal(got, want)
+        assert np.array_equal(got, product)
     h = random_subspace(n, k, rng)
-    bh = _restricted_basis(h, dst)
-    for got, want in zip((rows @ bh for rows in dst._rows), _projector_coordinates(h, dst)):
+    for side, want in enumerate(_projector_coordinates(h, dst)):
+        got = dst._apply(side, h)
         assert np.abs(got - want).max() <= 1e-12
+        assert not coordinate or np.array_equal(got, want)
+        assert np.array_equal(got, dst._rows[side] @ h.basis.matrix)
+
+
+def test_coordinate_charts_take_no_factorization(monkeypatch):
+    m = ga.PolarizedModel(5, 5)
+    h_plus, h_minus = m.h_plus, m.h_minus
+    calls = _count_linalg(monkeypatch)
+    split, hilbert = ga.ChartId(h_plus, h_minus), ga.ChartId.hilbert(h_plus)
+    cond = ga.split_conditioning(h_plus, h_minus)
+    monkeypatch.undo()
+    assert not calls
+    assert cond == 1.0
+    assert split._picks[0] is h_plus._coord_rows and split._picks[1] is h_minus._coord_rows
+    assert hilbert.g.is_same(h_minus)
+    assert np.array_equal(split._rows[0], h_plus.basis.matrix.conj().T)
+    assert np.array_equal(split._rows[1], h_minus.basis.matrix.conj().T)
+
+
+@pytest.mark.parametrize("flavor", ["split", "hilbert"])
+def test_overlapping_coordinate_pair_is_refused(flavor):
+    eye = np.eye(4)
+    f, g = ga.Subspace(eye[:, [0, 1]]), ga.Subspace(eye[:, [1, 2]])
+    assert ga.split_conditioning(f, g) == 0.0
+    with pytest.raises(SplitFailure) as exc:
+        ga.ChartId(f, g, flavor)
+    if flavor == "split":
+        assert exc.value.conditioning == 0.0
+
+
+def test_coordinate_side_of_a_mixed_split_chart_is_dense():
+    # a split chart's rows select coordinates only when both sides are coordinate
+    rng = _rng(7200)
+    f = ga.Subspace(np.eye(6)[:, :3])
+    g = ga.Subspace.from_span(np.eye(6)[:, 3:] + 0.3 * rng.standard_normal((6, 3)))
+    h = random_subspace(6, 3, rng)
+    for chart in (ga.ChartId(f, g), ga.ChartId(g, f)):
+        assert chart._picks == (None, None)
+        for side in (0, 1):
+            assert np.array_equal(chart._apply(side, h), chart._rows[side] @ h.basis.matrix)
 
 
 def test_hilbert_rows_match_split_chart_within_gap():

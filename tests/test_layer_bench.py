@@ -5,7 +5,8 @@ import pytest
 from grassatlas import atlas, bench
 
 LAYERS = {"ChartId.hilbert", "ChartId.split", "ChartId.hilbert[coordinate]",
-          "ChartId.split[coordinate]", "membership_report", "Subspace.distance_to",
+          "ChartId.split[coordinate]", "chart_forward[coordinate]",
+          "transition_cotangent[coordinate]", "membership_report", "Subspace.distance_to",
           *(f"{layer}[{flavor}]"
             for layer in ("chart_forward", "transition_base", "transition_tangent",
                           "transition_cotangent", "pushforward_factors", "pushforward_tensor",

@@ -266,7 +266,19 @@ def test_schatten_norm_rejects_bad_index():
     with pytest.raises(ValueError):
         ga.schatten_norm(np.eye(2), 0.5)
     with pytest.raises(ValueError):
-        ga.schatten_norm(np.eye(2), math.inf)
+        ga.schatten_norm(np.eye(2), math.nan)
+
+
+# p = inf is the operator norm, the norm of the compact class K
+def test_schatten_norm_at_infinity_is_the_operator_norm():
+    t = _gauss(_rng(5), 6, 4)
+    rep = ga.schatten_norm(t, math.inf)
+    assert rep.p == math.inf
+    assert rep.value == ga.operator_norm(t)
+    assert ga.SchattenReport(p=math.inf, singular_values=np.zeros(0)).value == 0.0
+    assert ga.schatten_norm(np.zeros((3, 2)), math.inf).value == 0.0
+    with pytest.raises(ValueError, match="power sum"):
+        rep.power_sum
 
 
 def test_schatten_report_zero_operator():

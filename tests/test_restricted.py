@@ -296,6 +296,27 @@ def test_preservation_identity_family_constant_one():
         assert rung.constant == pytest.approx(1.0, abs=1e-12)
 
 
+def test_preservation_at_infinity_measures_the_operator_norm():
+    # the swap push is mu -> -t^2 mu, so every norm, the operator norm too, scales by |t|^2
+    t = 1.5 + 0.5j
+    ladder = ga.build_truncation_ladder([(4, 4), (8, 8), (12, 12)], 1,
+                                        ga.DecayProfile.geometric(0.5), 0, seed=2)
+    report = ga.preservation_experiment(ladder, math.inf, ga.swap_chart_family(t), seed=4)
+    assert report.p == math.inf and report.passed
+    for rung in report.per_rung:
+        assert abs(rung.constant - abs(t) ** 2) <= 1e-8
+
+
+def test_membership_refuses_infinity_before_any_svd(monkeypatch):
+    m = _model()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    with pytest.raises(ValueError, match="finite schatten index"):
+        ga.membership_report(m.h_plus, m, math.inf)
+    assert not calls
+
+
 def test_preservation_swap_family_matches_modulus_squared():
     t = 1.5 + 0.5j
     ladder = ga.build_truncation_ladder([(4, 4), (8, 8), (12, 12)], 1,
@@ -384,9 +405,9 @@ def test_precotangent_refused_for_compact_class():
         ga.precotangent_covector(pt, mu, p=0)
 
 
-# one rule for the Schatten index: 0 (tail diagnostics) or finite and >= 1
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5, -1.0],
-                         ids=["nan", "inf", "-inf", "half", "negative"])
+# one rule for the Schatten index: 0 (tail diagnostics), >= 1, or inf (operator norm)
+@pytest.mark.parametrize("p", [math.nan, -math.inf, 0.5, -1.0],
+                         ids=["nan", "-inf", "half", "negative"])
 def test_schatten_index_is_zero_or_finite_and_at_least_one(p):
     m = _model()
     chart = ga.ChartId.hilbert(m.h_plus)

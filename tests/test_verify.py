@@ -106,6 +106,11 @@ def test_config_validation_errors():
         SuiteConfig(tolerances={"made_up_check": 1e-6})
     with pytest.raises(ConfigError):
         SuiteConfig(tolerances={"chart_covering": -1.0})
+    # from the Python API, not parsed by the CLI: a string bound and no mapping at all
+    with pytest.raises(ConfigError, match="chart_covering"):
+        SuiteConfig(tolerances={"chart_covering": "1e-3"})
+    with pytest.raises(ConfigError, match="tolerances"):
+        SuiteConfig(tolerances=None)
 
 
 def test_cli_writes_report_and_exit_codes(tmp_path):
