@@ -16,10 +16,14 @@ coordinate rows when it is built.  The complement of one is the slice of the
 remaining coordinates; a split chart on a complementary pair of them has 0/1
 diagonal projections and a split conditioning of exactly 1, and a hilbert chart
 on one has a gap of exactly 0, so none takes a factorization.  A chart side
-whose rows are such a selection, and an operand basis that is one, are applied
-by index: ``X[rows]`` and ``R[:, cols]`` equal the dense products exactly, since
-0/1 entries times finite numbers round nothing (principal angles between
-coordinate subspaces are exactly 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).
+whose rows are such a selection stores its indices only, and it and an operand
+basis that is one are applied by index: ``X[picks]`` and ``R[:, cols]`` equal
+the dense products exactly, since 0/1 entries times finite numbers round
+nothing (principal angles between coordinate subspaces are exactly 0 or pi/2;
+Bjorck & Golub, Math. Comp. 1973).  A transition between two coordinate
+charts is index reads too: its blocks a, b, c, d are 0/1 selections, so
+a + b A and c + d A are rows of the graph B_F + B_G A, and A' b is a column
+gather of A', each bit for bit the dense product.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ class Subspace:
         free[rows] = False
         basis = np.zeros((self.ambient_dim, self.ambient_dim - self.dim), dtype=complex)
         basis[np.flatnonzero(free), np.arange(basis.shape[1])] = 1.0
+        basis.setflags(write=False)  # so the subspace keeps it, uncopied
         return Subspace(basis)
 
     def distance_to(self, other: "Subspace") -> float:
@@ -114,14 +119,28 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _side_rows(side: Subspace, projection: np.ndarray | None) -> np.ndarray | None:
+    """The rows B^H P a chart keeps for a side with basis B and projection P.
+
+    With no P, the hilbert rows B^H, which a coordinate side does not keep: it
+    selects its coordinates instead.  With P, the rows of a split chart that is
+    not on two coordinate bases; a coordinate side of one reads its rows of P.
+    """
+    rows = side._coord_rows
+    if projection is None:
+        return None if rows is not None else side.basis.matrix.conj().T
+    return projection[rows] if rows is not None else side.basis.matrix.conj().T @ projection
+
+
 @dataclass(frozen=True, eq=False)
 class ChartId:
     """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors.
 
-    Per side, the chart also records the coordinates its rows select, or
-    ``None`` when they are dense.  A hilbert chart's rows are the adjoint bases,
-    so each coordinate side is a selection on its own; a split chart's rows are
-    selections only when F and G are both coordinate.
+    Per side, the chart records either the coordinates its rows select, in
+    ``_picks``, or the dense rows, in ``_rows``; the other entry is ``None``.
+    A hilbert chart's rows are the adjoint bases, so each coordinate side is a
+    selection on its own; a split chart's rows are selections only when F and
+    G are both coordinate.
     """
 
     f: Subspace
@@ -139,11 +158,9 @@ class ChartId:
                 f"{self.f.ambient_dim}")
         picks = (self.f._coord_rows, self.g._coord_rows)
         coordinate = all(rows is not None for rows in picks)
-        # the adjoint bases: the hilbert rows, and the left factor of the split rows
-        object.__setattr__(self, "_rows", (self.f.basis.matrix.conj().T,
-                                           self.g.basis.matrix.conj().T))
         object.__setattr__(self, "_picks", picks)
         if self.flavor == "hilbert":
+            object.__setattr__(self, "_rows", (_side_rows(self.f, None), _side_rows(self.g, None)))
             # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine
             # of the largest principal angle between G and F-perp; past the check M
             # is unitary and its inverse rows are the adjoint bases.  Two coordinate
@@ -152,14 +169,16 @@ class ChartId:
                    else np.linalg.norm(self._apply(0, self.g), 2))
             if gap > DEFAULT_TOL_EQ:
                 raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
-        else:
-            # raises SplitFailure when the pair is numerically singular; a
-            # coordinate side selects its rows of the 0/1 diagonal projection
-            onto_f, onto_g = oblique_projections(self.f, self.g)
-            object.__setattr__(self, "_rows", (self._apply(0, onto_f.matrix),
-                                               self._apply(1, onto_g.matrix)))
-            if not coordinate:
-                object.__setattr__(self, "_picks", (None, None))
+            return
+        # raises SplitFailure when the pair is numerically singular
+        onto_f, onto_g = oblique_projections(self.f, self.g)
+        if coordinate:
+            # each row block of the 0/1 diagonal projection selects its own coordinates
+            object.__setattr__(self, "_rows", (None, None))
+            return
+        object.__setattr__(self, "_rows", (_side_rows(self.f, onto_f.matrix),
+                                           _side_rows(self.g, onto_g.matrix)))
+        object.__setattr__(self, "_picks", (None, None))
 
     @classmethod
     def hilbert(cls, v: Subspace) -> "ChartId":
@@ -184,9 +203,9 @@ class ChartId:
         """The coordinate rows of ``side`` (0 for F, 1 for G) times a subspace's basis or a matrix.
 
         The one place a chart's rows meet a matrix.  A side whose rows select
-        coordinates reads the operand's rows, ``X[rows]``; a coordinate subspace
-        operand reads the chart rows' columns, ``R[:, cols]``.  Either equals the
-        dense product exactly.
+        coordinates keeps no rows and reads the operand's rows, ``X[picks]``; a
+        coordinate subspace operand reads the chart rows' columns, ``R[:, cols]``.
+        Either equals the dense product exactly.
         """
         picks, rows = self._picks[side], self._rows[side]
         if isinstance(operand, Subspace):
@@ -261,8 +280,12 @@ def _outside(what: str, cond: float, tol: float) -> ChartDomainViolation:
 
 
 def _coordinate_bound(coord: np.ndarray) -> float:
-    """1/(sqrt(k) + |A|_F) <= 1/|B_F + B_G A|_2 for a k-column A; an empty graph reads +inf."""
-    size = math.sqrt(coord.shape[1]) + float(np.linalg.norm(coord))
+    """1/(sqrt(k) + |A|_F) <= 1/|B_F + B_G A|_2 for a k-column A; an empty graph reads +inf.
+
+    A finite A whose |A|_F overflows reads a bound of 0.0, which passes nothing.
+    """
+    with np.errstate(over="ignore"):
+        size = math.sqrt(coord.shape[1]) + float(np.linalg.norm(coord))
     return 1.0 / size if size else math.inf
 
 
@@ -381,18 +404,86 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
             dst._apply(1, src.g))
 
 
-class _Forward(NamedTuple):
-    """What the bundle maps read of a forward transition: A', denom = a + b A, b and d."""
+def _positions(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per coordinate of a chart on two coordinate bases: whether F holds it, and its column there.
 
-    coord: np.ndarray
-    denom: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
+    ``rows_f`` and ``rows_g`` are the coordinate rows of B_F and B_G, which
+    partition range(n).  Coordinate r is column ``where[r]`` of B_F when
+    ``on_f[r]``, else of B_G.
+    """
+    on_f = np.zeros(n, dtype=bool)
+    on_f[rows_f] = True
+    where = np.empty(n, dtype=np.intp)
+    where[rows_f] = np.arange(rows_f.size)
+    where[rows_g] = np.arange(rows_g.size)
+    return on_f, where
+
+
+def _graph_rows(on_f: np.ndarray, where: np.ndarray, coord: np.ndarray,
+                picks: np.ndarray) -> np.ndarray:
+    """Rows ``picks`` of the graph B_F + B_G A of a point (chart, A) on two coordinate bases.
+
+    Graph row r is e_j when r is column j of B_F, and A[l] when it is column l
+    of B_G (:func:`_positions`).  A's rows are added to zeros, which reads a -0
+    entry as +0 just as the dense a + b A does, so the rows equal that product
+    bit for bit.
+    """
+    hit = on_f[picks]
+    rows = np.zeros((picks.size, coord.shape[1]), dtype=complex)
+    rows[np.flatnonzero(hit), where[picks[hit]]] = 1.0
+    rows[~hit] += coord[where[picks[~hit]]]
+    return rows
+
+
+def _by_index(src: ChartId, target: ChartId) -> bool:
+    """Whether both source bases and both target sides are coordinate: every block is 0/1."""
+    return (src.f._coord_rows is not None and src.g._coord_rows is not None
+            and target._picks[0] is not None and target._picks[1] is not None)
+
+
+class _Forward:
+    """What the bundle maps read of a forward transition: A', denom = a + b A and left = d - A' b.
+
+    ``left`` is made on its first read and kept; ``transition_base`` never
+    reads it.  ``blocks`` holds the dense b and d until then, or ``None``
+    between two coordinate charts, whose b and d select coordinates
+    (:func:`_by_index`).
+    """
+
+    def __init__(self, coord: np.ndarray, denom: np.ndarray, src: ChartId, target: ChartId,
+                 blocks: tuple[np.ndarray, np.ndarray] | None):
+        self.coord, self.denom = coord, denom
+        self._src, self._target = src, target
+        self._blocks, self._left = blocks, None
 
     @property
     def left(self) -> np.ndarray:
-        """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}."""
-        return self.d - self.coord @ self.b
+        """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}.
+
+        Between coordinate charts, column j of b is e_l when the source's G
+        coordinate rows_G[j] is the target's F coordinate l, and 0 when it is a
+        target G coordinate i, where d has its one 1 in column j, at row i.  So
+        A' b gathers columns of A', subtracted from zeros as from the dense d,
+        and no product is taken.
+        """
+        # the blocks are read before left and dropped after it is stored, so a
+        # concurrent first read that finds them dropped finds left made
+        blocks, left = self._blocks, self._left
+        if left is not None:
+            return left
+        if blocks is not None:
+            b, d = blocks
+            left = d - self.coord @ b
+        else:
+            on_f, where = _positions(*self._target._picks, self._target.ambient_dim)
+            rows_g = self._src.g._coord_rows
+            hit = on_f[rows_g]
+            left = np.zeros((rows_g.size, rows_g.size), dtype=complex)
+            left[:, hit] -= self.coord[:, where[rows_g[hit]]]
+            left[where[rows_g[~hit]], np.flatnonzero(~hit)] = 1.0
+        self._left = left
+        self._blocks = None
+        return left
 
 
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
@@ -402,6 +493,9 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     graph denom^{-1} = B_F' + B_G' A' is the graph of the target point (target, A'):
     with graph = Q R, the domain block X = denom R^{-1} has X^{-1} = Q^H (B_F' + B_G' A'),
     and the coordinate being solved for decides the domain (:func:`_solve_in_domain`).
+    Between two coordinate charts denom and numer are the graph's rows that the
+    target's sides select, read by index (:func:`_graph_rows`); otherwise they
+    are a + b A and c + d A from the dense blocks.
 
     The point holds the record of its last (target, tolerance); every input is
     frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
@@ -416,11 +510,18 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     if src.f.dim != target.f.dim:
         raise DimensionMismatch(
             f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
-    a, b, c, d = _transition_blocks(src, target)
     coord = pt.coord.matrix
-    denom = a + b @ coord
-    fwd = _Forward(_solve_in_domain(target, denom, c + d @ coord, tol,
-                                    "graph leaves the target chart domain"), denom, b, d)
+    if _by_index(src, target):
+        on_f, where = _positions(src.f._coord_rows, src.g._coord_rows, src.ambient_dim)
+        denom = _graph_rows(on_f, where, coord, target._picks[0])
+        numer = _graph_rows(on_f, where, coord, target._picks[1])
+        blocks = None
+    else:
+        a, b, c, d = _transition_blocks(src, target)
+        denom, numer, blocks = a + b @ coord, c + d @ coord, (b, d)
+    fwd = _Forward(_solve_in_domain(target, denom, numer, tol,
+                                    "graph leaves the target chart domain"),
+                   denom, src, target, blocks)
     object.__setattr__(pt, "_forward", (target, tol, fwd))
     return fwd
 

@@ -20,11 +20,13 @@ Every transition call starts from a fresh chart point, so none is served by
 the transition its point memoized on an earlier call, and every membership and
 distance call gets fresh subspace and model objects, so no state an object kept
 from an earlier call serves a repeat.  Each layer
-runs once untimed, then ``REPEATS`` timed calls; the median, interquartile range
-and minimum in milliseconds go under ``columns[LABEL]`` of the output file,
-next to the numpy and BLAS versions, the CPU count and the thread pins.
-Columns already in the file are kept, so one file holds the timings of several
-checkouts.
+runs once untimed, then ``REPEATS`` timed calls, then once more untimed under
+``tracemalloc``; the median, interquartile range and minimum in milliseconds,
+and that call's peak of traced memory in MiB (``peak_mb``), go under
+``columns[LABEL]`` of the output file, next to the numpy and BLAS versions, the
+CPU count and the thread pins.  Columns already in the file are kept, so one
+file holds the timings of several checkouts; columns written before
+``peak_mb`` was recorded simply lack it.
 
 The thread pins are recorded, not set: BLAS reads them when numpy is first
 imported, which happens before this module runs.
@@ -39,6 +41,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -148,7 +151,7 @@ def _transition_layers(flavor: str, src: ga.ChartId, dst: ga.ChartId,
 
 
 def _time(prepare) -> dict:
-    """Time the calls ``prepare()`` returns: one untimed, then ``REPEATS`` timed."""
+    """Time the calls ``prepare()`` returns: one untimed, ``REPEATS`` timed, one traced."""
     prepare()()
     samples = []
     for _ in range(REPEATS):
@@ -157,7 +160,18 @@ def _time(prepare) -> dict:
         call()
         samples.append((time.perf_counter() - start) * 1e3)
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median_ms": float(median), "iqr_ms": float(q3 - q1), "min_ms": float(min(samples))}
+    return {"median_ms": float(median), "iqr_ms": float(q3 - q1), "min_ms": float(min(samples)),
+            "peak_mb": _peak_mb(prepare())}
+
+
+def _peak_mb(call) -> float:
+    """Peak traced memory, in MiB, that ``call`` allocates; what it was handed is not counted."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _environment() -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 from . import atlas
 from .atlas import ChartId, ChartPoint
 from .errors import ChartMismatch, DimensionMismatch, FactorMismatch, PairingMismatch
-from .operators import Operator, _require_finite, as_matrix
+from .operators import Operator, _frozen, _require_finite, as_matrix
 
 
 def _fiber_matrix(value, shape: tuple[int, int], what: str) -> Operator:
@@ -77,14 +77,12 @@ class TensorCovector:
         kf, kg = self.at.coord.cols, self.at.coord.rows
         cleaned = []
         for x, y in self.terms:
-            x = np.asarray(x, dtype=complex).reshape(-1)
-            y = np.asarray(y, dtype=complex).reshape(-1)
+            # kept or copied by the Operator rule, so no caller array is aliased or frozen
+            x, y = _frozen(x, complex).reshape(-1), _frozen(y, complex).reshape(-1)
             if x.size != kf or y.size != kg:
                 raise DimensionMismatch(
                     f"tensor term shapes ({x.size}, {y.size}) do not match chart ({kf}, {kg})")
             _require_finite(np.concatenate((x, y)), "tensor term")
-            x.setflags(write=False)
-            y.setflags(write=False)
             cleaned.append((x, y))
         object.__setattr__(self, "terms", tuple(cleaned))
 

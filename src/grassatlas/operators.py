@@ -9,6 +9,12 @@ basis, whose columns are distinct standard basis vectors, is recognized exactly
 complementary coordinate pair has 0/1 diagonal oblique projections, and any
 coordinate pair has split conditioning exactly 1 or 0.  A subspace keeps the
 rows it was recognized with, so functions given one read that record.
+
+Arrays are kept or copied by one rule (:func:`_frozen`): an array that owns
+its data, is C-contiguous, of the wanted dtype and already read-only is kept
+as it is, and anything else is copied and the copy made read-only, so a
+caller's writable array is never aliased.  A builder that wraps an array it
+has just made freezes it first, and the array is not copied again.
 """
 
 from __future__ import annotations
@@ -84,14 +90,28 @@ def _rows_overlap(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> bool:
     return bool(taken[rows_g].any())
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only C-contiguous array of ``dtype`` that no caller can write.
+
+    The one keep-or-copy rule: an ndarray that owns its data, is C-contiguous,
+    of ``dtype`` and already read-only is kept; anything else is copied, and
+    the copy is made read-only.
+    """
+    if (type(value) is np.ndarray and value.dtype == dtype and value.flags.owndata
+            and value.flags.c_contiguous and not value.flags.writeable):
+        return value
+    arr = np.array(value, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 class Operator:
-    """Immutable dense complex matrix."""
+    """Immutable dense complex matrix; its entries are kept or copied by :func:`_frozen`."""
 
     def __init__(self, matrix):
-        mat = np.array(matrix, dtype=complex, order="C")
+        mat = _frozen(matrix, complex)
         if mat.ndim != 2:
             raise ValueError(f"operator entries must form a 2-D array, got shape {mat.shape}")
-        mat.setflags(write=False)
         self.matrix = mat
 
     @property
@@ -136,8 +156,7 @@ class SchattenReport:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _schatten_norm_index(self.p))
-        sv = np.asarray(self.singular_values, dtype=float)
-        sv.setflags(write=False)
+        sv = _frozen(self.singular_values, float)
         object.__setattr__(self, "singular_values", sv)
         if sv.size and (np.any(sv < 0) or np.any(np.diff(sv) > 0)):
             raise ValueError("singular values must be nonnegative and nonincreasing")
@@ -378,7 +397,10 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
         # [B_F | B_G] is a permutation; the conditioning check left the rows disjoint
         diag = np.zeros(n, dtype=complex)
         diag[rows_f] = 1.0
-        return Operator(np.diag(diag)), Operator(np.diag(1.0 - diag))
+        onto_f, onto_g = np.diag(diag), np.diag(1.0 - diag)
+        onto_f.setflags(write=False)
+        onto_g.setflags(write=False)
+        return Operator(onto_f), Operator(onto_g)
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 

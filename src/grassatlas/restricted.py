@@ -22,6 +22,7 @@ operator norm at p = inf, the norm of K, the predual of L_1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,12 +64,14 @@ class PolarizedModel:
     def h_minus(self) -> Subspace:
         basis = np.zeros((self.ambient_dim, self.n_minus), dtype=complex)
         np.fill_diagonal(basis, 1.0)
+        basis.setflags(write=False)  # so the subspace keeps it, uncopied
         return Subspace(basis)
 
     @cached_property
     def h_plus(self) -> Subspace:
         basis = np.zeros((self.ambient_dim, self.n_plus), dtype=complex)
         np.fill_diagonal(basis[self.n_minus:], 1.0)
+        basis.setflags(write=False)
         return Subspace(basis)
 
     def _require_ambient(self, w: Subspace) -> None:
@@ -263,9 +266,13 @@ def swap_chart_family(t: complex) -> ChartFamily:
     Blockwise copy of the one-dimensional swap chart: at the base point with
     coordinate ``t I`` the cotangent transition is multiplication by ``-t^2``,
     so the measured constant is ``|t|^2`` at every rung.  Needs a square
-    polarization; the base point always sits in the zero component.
+    polarization; the base point always sits in the zero component.  A
+    non-finite or zero t is refused with ``ValueError``; a t so large that the
+    base point leaves the source chart's domain skips its rungs.
     """
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise ValueError(f"swap family needs a finite t, got {t!r}")
     if t == 0:
         raise ValueError("swap family needs t != 0")
 
@@ -273,7 +280,7 @@ def swap_chart_family(t: complex) -> ChartFamily:
         if model.n_minus != model.n_plus:
             raise DimensionMismatch("swap family needs a square polarization")
         src = ChartId(model.h_plus, model.h_minus)
-        scale = 1.0 / math.sqrt(1.0 + abs(t) ** 2)
+        scale = 1.0 / math.hypot(1.0, abs(t))  # |t|**2 would overflow past about 1e154
         # column k is scale (e_{+(k+1)} + t e_{-(k+1)}), read off the two identity slices
         base = scale * (model.h_plus.basis.matrix + t * model.h_minus.basis.matrix)
         return src, src.opposite(), Subspace(base)

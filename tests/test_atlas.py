@@ -423,6 +423,15 @@ def _projector_coordinates(h, chart):
             chart.g.basis.matrix.conj().T @ (onto_g @ bh))
 
 
+def _dense_rows(chart):
+    """Each side's rows computed here, dense: B^H on a hilbert chart, B^H P on a split one."""
+    sides = (chart.f, chart.g)
+    if chart.flavor == "hilbert":
+        return [side.basis.matrix.conj().T for side in sides]
+    projections = ga.oblique_projections(chart.f, chart.g)
+    return [side.basis.matrix.conj().T @ proj.matrix for side, proj in zip(sides, projections)]
+
+
 def _chart(kind, n, k, rng):
     """A random chart of flavor ``kind``, or a chart on the (n - k, k) polarization blocks."""
     if kind in ("split", "hilbert"):
@@ -449,7 +458,14 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     # a coordinate chart's projections are 0/1, so every product against them is exact
     coordinate = "coordinate" in flavors[1]
     exact = dst.flavor == "split" or coordinate
-    dense = [rows @ sub.basis.matrix for rows in dst._rows for sub in (src.f, src.g)]
+    rows = _dense_rows(dst)
+    # a coordinate side keeps its picks only, and a dense side the rows computed here
+    for side in (0, 1):
+        if coordinate:
+            assert dst._rows[side] is None and dst._picks[side] is not None
+        else:
+            assert np.array_equal(dst._rows[side], rows[side])
+    dense = [side_rows @ sub.basis.matrix for side_rows in rows for sub in (src.f, src.g)]
     for got, want, product in zip(_transition_blocks(src, dst), _projector_blocks(src, dst),
                                   dense):
         assert np.abs(got - want).max() <= 1e-12
@@ -460,7 +476,7 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
         got = dst._apply(side, h)
         assert np.abs(got - want).max() <= 1e-12
         assert not coordinate or np.array_equal(got, want)
-        assert np.array_equal(got, dst._rows[side] @ h.basis.matrix)
+        assert np.array_equal(got, rows[side] @ h.basis.matrix)
 
 
 def test_coordinate_charts_take_no_factorization(monkeypatch):
@@ -474,8 +490,14 @@ def test_coordinate_charts_take_no_factorization(monkeypatch):
     assert cond == 1.0
     assert split._picks[0] is h_plus._coord_rows and split._picks[1] is h_minus._coord_rows
     assert hilbert.g.is_same(h_minus)
-    assert np.array_equal(split._rows[0], h_plus.basis.matrix.conj().T)
-    assert np.array_equal(split._rows[1], h_minus.basis.matrix.conj().T)
+    # no side keeps rows; each applies as the dense rows B^H P and B^H computed here
+    x = _rng(7300).standard_normal((10, 3)) + 1j * _rng(7301).standard_normal((10, 3))
+    for chart in (split, hilbert):
+        assert chart._rows == (None, None)
+        for side, rows in enumerate(_dense_rows(chart)):
+            assert np.array_equal(chart._apply(side, x), rows @ x)
+    assert np.array_equal(split._apply(0, np.eye(10)), h_plus.basis.matrix.conj().T)
+    assert np.array_equal(split._apply(1, np.eye(10)), h_minus.basis.matrix.conj().T)
 
 
 @pytest.mark.parametrize("flavor", ["split", "hilbert"])
@@ -499,6 +521,51 @@ def test_coordinate_side_of_a_mixed_split_chart_is_dense():
         assert chart._picks == (None, None)
         for side in (0, 1):
             assert np.array_equal(chart._apply(side, h), chart._rows[side] @ h.basis.matrix)
+
+
+def _dense_record(pt, dst):
+    """A', denom and left of the forward transition by the dense block formulas."""
+    a, b, c, d = atlas._transition_blocks(pt.chart, dst)
+    coord = pt.coord.matrix
+    denom = a + b @ coord
+    moved = np.linalg.solve(denom.T, (c + d @ coord).T).T
+    return moved, denom, d - moved @ b
+
+
+def _coordinate_pair(case, t):
+    """A chart point on two coordinate bases and a target chart with two coordinate sides."""
+    if case.startswith("swap"):
+        model = ga.PolarizedModel(int(case[4:]), int(case[4:]))
+        point = ga.generate_restricted_point(model, 1, ga.DecayProfile.zero())
+        src, dst, base = ga.swap_chart_family(t)(model, point)
+        return ga.chart_forward(base, src), dst
+    # scattered rows: the target's F holds one source F and two source G coordinates
+    eye = np.eye(7)
+    src = ga.ChartId(ga.Subspace(eye[:, [0, 3, 5]]), ga.Subspace(eye[:, [6, 1, 2, 4]]))
+    dst = ga.ChartId.hilbert(ga.Subspace(eye[:, [4, 3, 1]]))
+    rng = _rng(7400)
+    coord = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return ga.ChartPoint(src, t * coord), dst
+
+
+@pytest.mark.parametrize("t", [1.5 + 0.5j, 1e-3, 1e3 + 2j])
+@pytest.mark.parametrize("case", ["swap4", "swap16", "swap128", "scattered"])
+def test_coordinate_record_is_the_dense_block_record_bit_for_bit(monkeypatch, case, t):
+    pt, dst = _coordinate_pair(case, t)
+    builds = []
+    build = atlas._transition_blocks
+    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: builds.append(1) or build(*args))
+    fwd = atlas._forward_transition(pt, dst, None)
+    left = fwd.left
+    assert fwd.left is left and not builds  # read by index, and made once
+    monkeypatch.undo()
+    # signed zeros and memory order included: every 0/1 product rounds nothing
+    for got, want in zip((fwd.coord, fwd.denom, left), _dense_record(pt, dst)):
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    mu = _rng(7401).standard_normal(pt.coord.shape[::-1]).astype(complex)
+    pushed = ga.transition_cotangent(ga.Covector(pt, mu), dst).form.matrix
+    assert np.array_equal(pushed, np.linalg.solve(left.T, (fwd.denom @ mu).T).T)
 
 
 def test_hilbert_rows_match_split_chart_within_gap():

@@ -108,6 +108,20 @@ def test_fiber_data_rejects_non_finite_entries(value):
             ga.TensorCovector(pt, ((np.ones(2), np.ones(4)), (x, y)))
 
 
+def test_tensor_covector_keeps_its_own_terms():
+    src, pt, dst = _transition_instance(_rng(21), 6, 2)
+    x, y = np.ones(2, dtype=complex), np.ones((4, 1), dtype=complex)
+    tc = ga.TensorCovector(pt, ((x, y),))
+    x[0] = y[0, 0] = 99.0
+    assert x.flags.writeable and y.flags.writeable
+    kept_x, kept_y = tc.terms[0]
+    assert kept_x[0] == 1.0 and kept_y[0] == 1.0 and kept_y.shape == (4,)
+    assert not kept_x.flags.writeable and not kept_y.flags.writeable
+    frozen = np.ones(2, dtype=complex)
+    frozen.setflags(write=False)
+    assert np.shares_memory(ga.TensorCovector(pt, ((frozen, y),)).terms[0][0], frozen)
+
+
 def test_tangent_vector_shape_validation():
     chart = _coordinate_chart()
     pt = ga.ChartPoint(chart, ga.Operator([[0.0]]))

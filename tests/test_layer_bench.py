@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from grassatlas import atlas, bench
@@ -28,8 +29,28 @@ def test_layer_bench_schema_at_n8(tmp_path):
     for per_n in column["layers"].values():
         assert set(per_n) == {"8"}
         stats = per_n["8"]
-        assert set(stats) == {"median_ms", "iqr_ms", "min_ms"}
+        assert set(stats) == {"median_ms", "iqr_ms", "min_ms", "peak_mb"}
         assert 0 < stats["min_ms"] <= stats["median_ms"] and stats["iqr_ms"] >= 0
+        assert stats["peak_mb"] > 0
+
+
+def test_layer_bench_extends_a_file_written_before_peak_mb(tmp_path):
+    out = tmp_path / "bench.json"
+    old = {"median_ms": 1.0, "iqr_ms": 0.1, "min_ms": 0.9}
+    out.write_text(json.dumps({"schema": 1, "columns": {"parent": {
+        "env": {}, "layers": {"ChartId.hilbert": {"8": old}}}}}))
+    assert bench.main(["--n", "8", "--out", str(out), "--label", "change"]) == 0
+    columns = json.loads(out.read_text())["columns"]
+    assert columns["parent"]["layers"]["ChartId.hilbert"]["8"] == old
+    assert "peak_mb" in columns["change"]["layers"]["ChartId.hilbert"]["8"]
+
+
+def test_layer_bench_peak_counts_what_the_call_allocates():
+    # a chart on the coordinate blocks keeps its picks only: at n = 64 the 64 x 32
+    # complement basis (32 KiB) is what it allocates, with no adjoint rows beside it
+    stats = bench._time(bench._layers(64)["ChartId.hilbert[coordinate]"])
+    assert 32 / 1024 <= stats["peak_mb"] < 64 / 1024
+    assert bench._peak_mb(lambda: np.ones(2 ** 17)) >= 1.0
 
 
 def test_layer_bench_times_fresh_points(monkeypatch):

@@ -295,6 +295,14 @@ def test_schatten_report_derives_value_from_power_sum():
         ga.SchattenReport(p=0.5, singular_values=np.array([1.0]))
 
 
+def test_schatten_report_leaves_the_callers_values_alone():
+    sv = np.array([2.0, 1.0])
+    rep = ga.SchattenReport(p=1, singular_values=sv)
+    assert sv.flags.writeable
+    sv[0] = 5.0
+    assert rep.value == 3.0 and not rep.singular_values.flags.writeable
+
+
 def test_operator_norm_examples():
     assert ga.operator_norm(np.eye(5)) == pytest.approx(1.0)
     assert ga.operator_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
@@ -410,6 +418,38 @@ def test_operator_is_immutable():
     op = ga.Operator(np.eye(2))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_operator_copies_a_writable_array_and_keeps_a_frozen_owned_one():
+    writable = np.ones((2, 3), dtype=complex)
+    op = ga.Operator(writable)
+    writable[0, 0] = 99.0
+    assert op.matrix[0, 0] == 1.0 and writable.flags.writeable
+    frozen = np.ones((2, 3), dtype=complex)
+    frozen.setflags(write=False)
+    assert ga.Operator(frozen).matrix is frozen
+    # a read-only view may alias a writable base; a real or Fortran-ordered array
+    # is not what an Operator holds: each is copied
+    view = writable[:, :2]
+    view.setflags(write=False)
+    real = np.ones((2, 3))
+    fortran = np.asfortranarray(np.ones((3, 2), dtype=complex))
+    for other in (view, real, fortran):
+        other.setflags(write=False)
+        kept = ga.Operator(other).matrix
+        assert kept is not other and not np.shares_memory(kept, other)
+        assert kept.flags.owndata and kept.flags.c_contiguous and not kept.flags.writeable
+        assert np.array_equal(kept, other)
+
+
+def test_coordinate_oblique_projections_are_wrapped_uncopied(monkeypatch):
+    made = []
+    diag = np.diag
+    monkeypatch.setattr(np, "diag", lambda v: made.append(diag(v)) or made[-1])
+    m = ga.PolarizedModel(2, 3)
+    onto_f, onto_g = ga.oblique_projections(m.h_plus, m.h_minus)
+    assert onto_f.matrix is made[0] and onto_g.matrix is made[1]
+    assert np.array_equal(onto_f.matrix, np.diag([0, 0, 1, 1, 1]))
 
 
 def test_operator_transpose():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,9 +49,13 @@ def test_split_chart_on_the_polarization_has_the_solve_route_rows():
     m = ga.PolarizedModel(3, 5)
     bf, bg = m.h_plus.basis.matrix, m.h_minus.basis.matrix
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(8))
-    rows_f, rows_g = ga.ChartId(m.h_plus, m.h_minus)._rows
-    assert np.array_equal(rows_f, bf.conj().T @ (bf @ inv[:5]))
-    assert np.array_equal(rows_g, bg.conj().T @ (bg @ inv[5:]))
+    chart = ga.ChartId(m.h_plus, m.h_minus)
+    # the chart keeps its picks only, and applies as the solve route's rows B^H P
+    assert chart._rows == (None, None)
+    x = _rng(48).standard_normal((8, 4)) + 1j * _rng(49).standard_normal((8, 4))
+    for side, rows in enumerate((bf.conj().T @ (bf @ inv[:5]), bg.conj().T @ (bg @ inv[5:]))):
+        assert np.array_equal(chart._apply(side, np.eye(8)), rows)
+        assert np.array_equal(chart._apply(side, x), rows @ x)
 
 
 @pytest.mark.parametrize("virtual_dim", [-2, -1, 0, 1, 2])
@@ -333,13 +338,28 @@ def test_swap_family_base_point_matches_the_mode_loop(t, n_plus):
     model = _model(n_plus)
     point = ga.generate_restricted_point(model, 1, ga.DecayProfile.geometric(0.5))
     src, dst, base = ga.swap_chart_family(t)(model, point)
-    scale = 1.0 / math.sqrt(1.0 + abs(t) ** 2)
+    scale = 1.0 / math.hypot(1.0, abs(t))
     cols = [scale * (basis_vector(model, k + 1) + t * basis_vector(model, -(k + 1)))
             for k in range(n_plus)]
     loop = np.column_stack(cols)
     assert np.array_equal(base.basis.matrix, loop)
     assert base.basis.matrix.tobytes() == loop.tobytes()  # signed zeros too
     assert (dst.f, dst.g) == (src.g, src.f)
+
+
+@pytest.mark.parametrize("t", [math.nan, complex(1.0, math.inf), -math.inf])
+def test_swap_family_refuses_a_non_finite_t(t):
+    with pytest.raises(ValueError, match=re.escape(f"finite t, got {complex(t)!r}")):
+        ga.swap_chart_family(t)
+
+
+@pytest.mark.parametrize("t", [1e200, -3e154j])
+def test_swap_family_skips_the_rungs_of_a_huge_t(t):
+    # |t|**2 overflows past about 1.3e154; the scale 1/hypot(1, |t|) does not, and the
+    # base point then sits outside the source chart's domain, so every rung is skipped
+    ladder = ga.build_truncation_ladder([(2, 2), (4, 4)], 1, ga.DecayProfile.geometric(0.5))
+    report = ga.preservation_experiment(ladder, 1, ga.swap_chart_family(t))
+    assert all(rung.skipped for rung in report.per_rung) and not report.passed
 
 
 def test_preservation_graph_family_stabilizes():
