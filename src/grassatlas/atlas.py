@@ -15,15 +15,15 @@ blocks H_minus and H_plus are, are handled exactly.  A subspace records its
 coordinate rows when it is built.  The complement of one is the slice of the
 remaining coordinates; a split chart on a complementary pair of them has 0/1
 diagonal projections and a split conditioning of exactly 1, and a hilbert chart
-on one has a gap of exactly 0, so none takes a factorization.  A chart side
-whose rows are such a selection stores its indices only, and it and an operand
-basis that is one are applied by index: ``X[picks]`` and ``R[:, cols]`` equal
-the dense products exactly, since 0/1 entries times finite numbers round
-nothing (principal angles between coordinate subspaces are exactly 0 or pi/2;
-Bjorck & Golub, Math. Comp. 1973).  A transition between two coordinate
-charts is index reads too: its blocks a, b, c, d are 0/1 selections, so
-a + b A and c + d A are rows of the graph B_F + B_G A, and A' b is a column
-gather of A', each bit for bit the dense product.
+on one has a gap of exactly 0, so none takes a factorization.  A chart side's
+record is the index vector of the coordinates its rows select, or its dense
+rows; index records and coordinate operands are applied by index, ``X[picks]``
+and ``R[:, cols]``, exactly the dense products, since 0/1 entries times finite
+numbers round nothing (principal angles between coordinate subspaces are 0 or
+pi/2; Bjorck & Golub, Math. Comp. 1973).  A transition into a chart whose two
+sides select coordinates builds no blocks: a + b A and c + d A are rows of the
+source graph B_F + B_G A (:func:`_graph`).  Between coordinate charts d - A' b
+and the reverse L_r = d_r - A b_r are column gathers (:func:`_left`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ class Subspace:
         if mat.shape[1] and (diag.size < mat.shape[1]
                              or np.any(diag <= mat.shape[0] * np.finfo(float).eps * diag.max(initial=0.0))):
             raise ValueError("spanning matrix is numerically rank deficient")
+        q.setflags(write=False)  # so the subspace keeps it, uncopied
         return cls(q)
 
     @property
@@ -119,16 +120,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _side_rows(side: Subspace, projection: np.ndarray | None) -> np.ndarray | None:
-    """The rows B^H P a chart keeps for a side with basis B and projection P.
+def _record(side: Subspace, projection: np.ndarray | None) -> np.ndarray:
+    """One side's rows of M^{-1}: B^H P with its split projection P, else the adjoint B^H.
 
-    With no P, the hilbert rows B^H, which a coordinate side does not keep: it
-    selects its coordinates instead.  With P, the rows of a split chart that is
-    not on two coordinate bases; a coordinate side of one reads its rows of P.
+    A coordinate B^H is kept as the indices it selects, and B^H P read as those rows of P.
     """
     rows = side._coord_rows
     if projection is None:
-        return None if rows is not None else side.basis.matrix.conj().T
+        return rows if rows is not None else side.basis.matrix.conj().T
     return projection[rows] if rows is not None else side.basis.matrix.conj().T @ projection
 
 
@@ -136,11 +135,11 @@ def _side_rows(side: Subspace, projection: np.ndarray | None) -> np.ndarray | No
 class ChartId:
     """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors.
 
-    Per side, the chart records either the coordinates its rows select, in
-    ``_picks``, or the dense rows, in ``_rows``; the other entry is ``None``.
-    A hilbert chart's rows are the adjoint bases, so each coordinate side is a
-    selection on its own; a split chart's rows are selections only when F and
-    G are both coordinate.
+    ``_rows`` holds one record per side (:func:`_record`): the index vector of
+    the coordinates its rows select, or the dense block of rows.  A hilbert
+    chart's rows are the adjoint bases, so each coordinate side is a selection
+    on its own; a split chart's rows are selections only when F and G are both
+    coordinate.
     """
 
     f: Subspace
@@ -156,29 +155,26 @@ class ChartId:
             raise SplitFailure(
                 f"chart pair dims {self.f.dim} + {self.g.dim} do not fill ambient "
                 f"{self.f.ambient_dim}")
-        picks = (self.f._coord_rows, self.g._coord_rows)
-        coordinate = all(rows is not None for rows in picks)
-        object.__setattr__(self, "_picks", picks)
-        if self.flavor == "hilbert":
-            object.__setattr__(self, "_rows", (_side_rows(self.f, None), _side_rows(self.g, None)))
-            # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine
-            # of the largest principal angle between G and F-perp; past the check M
-            # is unitary and its inverse rows are the adjoint bases.  Two coordinate
-            # bases share a coordinate (gap 1) or are orthogonal (gap 0).
-            gap = (float(_rows_overlap(*picks, self.ambient_dim)) if coordinate
-                   else np.linalg.norm(self._apply(0, self.g), 2))
-            if gap > DEFAULT_TOL_EQ:
-                raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
+        coordinate = self.f._coord_rows is not None and self.g._coord_rows is not None
+        onto_f = onto_g = None
+        if self.flavor == "split":
+            # raises SplitFailure when the pair is numerically singular
+            projections = oblique_projections(self.f, self.g)
+            if not coordinate:
+                onto_f, onto_g = projections[0].matrix, projections[1].matrix
+        # with no projection the rows are the adjoint bases, the inverse rows of M
+        # when it is a permutation (two coordinate bases) or unitary (hilbert)
+        object.__setattr__(self, "_rows", (_record(self.f, onto_f), _record(self.g, onto_g)))
+        if self.flavor == "split":
             return
-        # raises SplitFailure when the pair is numerically singular
-        onto_f, onto_g = oblique_projections(self.f, self.g)
-        if coordinate:
-            # each row block of the 0/1 diagonal projection selects its own coordinates
-            object.__setattr__(self, "_rows", (None, None))
-            return
-        object.__setattr__(self, "_rows", (_side_rows(self.f, onto_f.matrix),
-                                           _side_rows(self.g, onto_g.matrix)))
-        object.__setattr__(self, "_picks", (None, None))
+        # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine of
+        # the largest principal angle between G and F-perp; past the check M is
+        # unitary.  Two coordinate bases share a coordinate (gap 1) or are
+        # orthogonal (gap 0).
+        gap = (float(_rows_overlap(*self._rows, self.ambient_dim)) if coordinate
+               else np.linalg.norm(self._apply(0, self.g), 2))
+        if gap > DEFAULT_TOL_EQ:
+            raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
 
     @classmethod
     def hilbert(cls, v: Subspace) -> "ChartId":
@@ -195,25 +191,25 @@ class ChartId:
         """
         chart = object.__new__(ChartId)
         for name, value in (("f", self.g), ("g", self.f), ("flavor", self.flavor),
-                            ("_rows", self._rows[::-1]), ("_picks", self._picks[::-1])):
+                            ("_rows", self._rows[::-1])):
             object.__setattr__(chart, name, value)
         return chart
 
     def _apply(self, side: int, operand: Subspace | np.ndarray) -> np.ndarray:
         """The coordinate rows of ``side`` (0 for F, 1 for G) times a subspace's basis or a matrix.
 
-        The one place a chart's rows meet a matrix.  A side whose rows select
-        coordinates keeps no rows and reads the operand's rows, ``X[picks]``; a
-        coordinate subspace operand reads the chart rows' columns, ``R[:, cols]``.
-        Either equals the dense product exactly.
+        The one place a chart's rows meet a matrix.  A side whose record is an
+        index vector reads the operand's rows, ``X[picks]``; a coordinate
+        subspace operand reads the chart rows' columns, ``R[:, cols]``.  Either
+        equals the dense product exactly.
         """
-        picks, rows = self._picks[side], self._rows[side]
+        rows = self._rows[side]
         if isinstance(operand, Subspace):
             mat, cols = operand.basis.matrix, operand._coord_rows
         else:
             mat, cols = operand, None
-        if picks is not None:
-            return mat[picks]
+        if rows.ndim == 1:
+            return mat[rows]
         if cols is not None:
             return rows[:, cols]
         return rows @ mat
@@ -301,7 +297,7 @@ def _require_domain(chart: ChartId, coord: np.ndarray, tol_domain: float | None,
     tol = _domain_tol(tol_domain)
     if _coordinate_bound(coord) > 2.0 * tol:
         return
-    cond = 1.0 / float(np.linalg.norm(_graph(chart, coord), 2))
+    cond = 1.0 / float(np.linalg.norm(_graph(chart, coord, None), 2))
     if cond <= tol:
         raise _outside(what, cond, tol)
 
@@ -389,13 +385,60 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
 
 def chart_inverse(pt: ChartPoint) -> Subspace:
     """Graph of the chart coordinate: span of {f + A f} over the F basis."""
-    q, _ = np.linalg.qr(_graph(pt.chart, pt.coord.matrix))
+    q, _ = np.linalg.qr(_graph(pt.chart, pt.coord.matrix, None))
+    q.setflags(write=False)  # so the subspace keeps it, uncopied
     return Subspace(q)
 
 
-def _graph(chart: ChartId, coord: np.ndarray) -> np.ndarray:
-    """The graph basis B_F + B_G A of the chart point (chart, A), not orthonormalized."""
-    return chart.f.basis.matrix + chart.g.basis.matrix @ coord
+def _slots(chart: ChartId) -> np.ndarray | None:
+    """Column of [B_F | B_G] holding each coordinate; ``None`` unless both bases are coordinate."""
+    rows_f, rows_g = chart.f._coord_rows, chart.g._coord_rows
+    if rows_f is None or rows_g is None:
+        return None
+    slots = np.empty(chart.ambient_dim, dtype=np.intp)
+    slots[rows_f] = np.arange(rows_f.size)
+    slots[rows_g] = np.arange(rows_f.size, slots.size)
+    return slots
+
+
+def _graph(chart: ChartId, coord: np.ndarray, picks: np.ndarray | None) -> np.ndarray:
+    """Rows ``picks`` (all for ``None``) of the graph B_F + B_G A of (chart, A), not orthonormal.
+
+    On two coordinate bases row r is e_j or A[l], as r is column j of B_F or l
+    of B_G (:func:`_slots`); A's rows are added to zeros, which reads -0 as +0
+    just as the dense sum does, so the rows are the dense ones bit for bit.
+    """
+    rows = slice(None) if picks is None else picks
+    slots = _slots(chart)
+    if slots is None:
+        return chart.f.basis.matrix[rows] + chart.g.basis.matrix[rows] @ coord
+    slots, k = slots[rows], chart.f.dim
+    on_f = slots < k
+    graph = np.zeros((slots.size, k), dtype=complex)
+    graph[np.flatnonzero(on_f), slots[on_f]] = 1.0
+    graph[~on_f] += coord[slots[~on_f] - k]
+    return graph
+
+
+def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
+          blocks: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """d - X b for X = ``coord``, with (b, d) the chart's rows applied to ``basis``, or ``blocks``.
+
+    When the chart's bases and ``basis`` are coordinate, column j of b is e_l
+    or 0 as basis coordinate cols[j] is column l of B_F or column i of B_G,
+    where d has its one 1 in column j, at row i.  So X b gathers columns of X,
+    subtracted from zeros as from the dense d, and no product is taken.
+    """
+    slots, cols = _slots(chart), basis._coord_rows
+    if blocks is not None or slots is None or cols is None:
+        b, d = blocks if blocks is not None else (chart._apply(0, basis), chart._apply(1, basis))
+        return d - coord @ b
+    slots, k = slots[cols], chart.f.dim
+    on_f = slots < k
+    left = np.zeros((chart.g.dim, cols.size), dtype=complex)
+    left[:, on_f] -= coord[:, slots[on_f]]
+    left[slots[~on_f] - k, np.flatnonzero(~on_f)] = 1.0
+    return left
 
 
 def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
@@ -404,50 +447,12 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
             dst._apply(1, src.g))
 
 
-def _positions(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per coordinate of a chart on two coordinate bases: whether F holds it, and its column there.
-
-    ``rows_f`` and ``rows_g`` are the coordinate rows of B_F and B_G, which
-    partition range(n).  Coordinate r is column ``where[r]`` of B_F when
-    ``on_f[r]``, else of B_G.
-    """
-    on_f = np.zeros(n, dtype=bool)
-    on_f[rows_f] = True
-    where = np.empty(n, dtype=np.intp)
-    where[rows_f] = np.arange(rows_f.size)
-    where[rows_g] = np.arange(rows_g.size)
-    return on_f, where
-
-
-def _graph_rows(on_f: np.ndarray, where: np.ndarray, coord: np.ndarray,
-                picks: np.ndarray) -> np.ndarray:
-    """Rows ``picks`` of the graph B_F + B_G A of a point (chart, A) on two coordinate bases.
-
-    Graph row r is e_j when r is column j of B_F, and A[l] when it is column l
-    of B_G (:func:`_positions`).  A's rows are added to zeros, which reads a -0
-    entry as +0 just as the dense a + b A does, so the rows equal that product
-    bit for bit.
-    """
-    hit = on_f[picks]
-    rows = np.zeros((picks.size, coord.shape[1]), dtype=complex)
-    rows[np.flatnonzero(hit), where[picks[hit]]] = 1.0
-    rows[~hit] += coord[where[picks[~hit]]]
-    return rows
-
-
-def _by_index(src: ChartId, target: ChartId) -> bool:
-    """Whether both source bases and both target sides are coordinate: every block is 0/1."""
-    return (src.f._coord_rows is not None and src.g._coord_rows is not None
-            and target._picks[0] is not None and target._picks[1] is not None)
-
-
 class _Forward:
     """What the bundle maps read of a forward transition: A', denom = a + b A and left = d - A' b.
 
     ``left`` is made on its first read and kept; ``transition_base`` never
     reads it.  ``blocks`` holds the dense b and d until then, or ``None``
-    between two coordinate charts, whose b and d select coordinates
-    (:func:`_by_index`).
+    when the target's sides select coordinates and no blocks were built.
     """
 
     def __init__(self, coord: np.ndarray, denom: np.ndarray, src: ChartId, target: ChartId,
@@ -460,27 +465,14 @@ class _Forward:
     def left(self) -> np.ndarray:
         """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}.
 
-        Between coordinate charts, column j of b is e_l when the source's G
-        coordinate rows_G[j] is the target's F coordinate l, and 0 when it is a
-        target G coordinate i, where d has its one 1 in column j, at row i.  So
-        A' b gathers columns of A', subtracted from zeros as from the dense d,
-        and no product is taken.
+        b and d are the target's rows applied to the source's B_G (:func:`_left`).
         """
         # the blocks are read before left and dropped after it is stored, so a
         # concurrent first read that finds them dropped finds left made
         blocks, left = self._blocks, self._left
         if left is not None:
             return left
-        if blocks is not None:
-            b, d = blocks
-            left = d - self.coord @ b
-        else:
-            on_f, where = _positions(*self._target._picks, self._target.ambient_dim)
-            rows_g = self._src.g._coord_rows
-            hit = on_f[rows_g]
-            left = np.zeros((rows_g.size, rows_g.size), dtype=complex)
-            left[:, hit] -= self.coord[:, where[rows_g[hit]]]
-            left[where[rows_g[~hit]], np.flatnonzero(~hit)] = 1.0
+        left = _left(self.coord, self._target, self._src.g, blocks)
         self._left = left
         self._blocks = None
         return left
@@ -493,9 +485,9 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     graph denom^{-1} = B_F' + B_G' A' is the graph of the target point (target, A'):
     with graph = Q R, the domain block X = denom R^{-1} has X^{-1} = Q^H (B_F' + B_G' A'),
     and the coordinate being solved for decides the domain (:func:`_solve_in_domain`).
-    Between two coordinate charts denom and numer are the graph's rows that the
-    target's sides select, read by index (:func:`_graph_rows`); otherwise they
-    are a + b A and c + d A from the dense blocks.
+    When both target sides select coordinates, a + b A and c + d A are the
+    source graph's rows they select (:func:`_graph`) and no blocks are built;
+    otherwise they come from the dense blocks.
 
     The point holds the record of its last (target, tolerance); every input is
     frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
@@ -511,11 +503,9 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
         raise DimensionMismatch(
             f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
     coord = pt.coord.matrix
-    if _by_index(src, target):
-        on_f, where = _positions(src.f._coord_rows, src.g._coord_rows, src.ambient_dim)
-        denom = _graph_rows(on_f, where, coord, target._picks[0])
-        numer = _graph_rows(on_f, where, coord, target._picks[1])
-        blocks = None
+    picks_f, picks_g = target._rows
+    if picks_f.ndim == picks_g.ndim == 1:
+        denom, numer, blocks = _graph(src, coord, picks_f), _graph(src, coord, picks_g), None
     else:
         a, b, c, d = _transition_blocks(src, target)
         denom, numer, blocks = a + b @ coord, c + d @ coord, (b, d)

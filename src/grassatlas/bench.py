@@ -26,7 +26,8 @@ and that call's peak of traced memory in MiB (``peak_mb``), go under
 ``columns[LABEL]`` of the output file, next to the numpy and BLAS versions, the
 CPU count and the thread pins.  Columns already in the file are kept, so one
 file holds the timings of several checkouts; columns written before
-``peak_mb`` was recorded simply lack it.
+``peak_mb`` was recorded simply lack it.  An ``--out`` that is a directory, or
+whose parent directory is missing, is refused before any layer is timed.
 
 The thread pins are recorded, not set: BLAS reads them when numpy is first
 imported, which happens before this module runs.
@@ -213,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="current", help="column name for this run")
     args = parser.parse_args(argv)
 
+    if args.out.is_dir() or not args.out.parent.is_dir():
+        parser.error(f"{args.out} is a directory or its parent directory is missing")
     report = {"schema": 1, "columns": {}}
     if args.out.is_file():
         try:

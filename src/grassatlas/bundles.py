@@ -145,14 +145,14 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     """The operator pair (S, L_r) of the inverse tangent fiber map ``X' -> L_r X' S``.
 
     S = a + b A is the forward ``denom``, and L_r = d_r - A b_r with d_r = R_G B_G'
-    and b_r = R_F B_G' read from the source chart's rows, so L_r is found without
-    inverting the forward ``left``.  Domain checks as in :func:`transition_cotangent`;
-    consumed by :func:`pushforward_tensor`, which on the same point and chart
-    reuses the transition evaluated here.
+    and b_r = R_F B_G' read from the source chart's rows: the reverse chart change's
+    d - A' b (:func:`atlas._left`), a column gather of A between coordinate charts,
+    found without inverting the forward ``left``.  Domain checks as in
+    :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`, which on
+    the same point and chart reuses the transition evaluated here.
     """
     fwd = _invertible_transition(pt, target, tol_domain)
-    b_r, d_r = (pt.chart._apply(side, target.g) for side in (0, 1))
-    return Operator(fwd.denom), Operator(d_r - pt.coord.matrix @ b_r)
+    return Operator(fwd.denom), Operator(atlas._left(pt.coord.matrix, pt.chart, target.g, None))
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],

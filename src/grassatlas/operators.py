@@ -95,7 +95,8 @@ def _frozen(value, dtype) -> np.ndarray:
 
     The one keep-or-copy rule: an ndarray that owns its data, is C-contiguous,
     of ``dtype`` and already read-only is kept; anything else is copied, and
-    the copy is made read-only.
+    the copy is made read-only.  A kept array trusts its caller to hold no
+    writable view taken before it was frozen, which numpy cannot see.
     """
     if (type(value) is np.ndarray and value.dtype == dtype and value.flags.owndata
             and value.flags.c_contiguous and not value.flags.writeable):
@@ -106,7 +107,10 @@ def _frozen(value, dtype) -> np.ndarray:
 
 
 class Operator:
-    """Immutable dense complex matrix; its entries are kept or copied by :func:`_frozen`."""
+    """Immutable dense complex matrix; its entries are kept or copied by :func:`_frozen`.
+
+    A kept array stays immutable only while its caller holds no writable view of it.
+    """
 
     def __init__(self, matrix):
         mat = _frozen(matrix, complex)

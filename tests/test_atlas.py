@@ -59,6 +59,21 @@ def test_subspace_from_span_orthonormalizes():
     assert_allclose(gram, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("build", ["from_span", "chart_inverse"])
+def test_fresh_qr_factor_is_kept_uncopied(monkeypatch, build):
+    # the factor is frozen before it is wrapped, so the keep rule keeps it
+    factors = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kw: factors.append(qr(*args, **kw)) or factors[-1])
+    rng = _rng(60)
+    if build == "from_span":
+        h = ga.Subspace.from_span(rng.standard_normal((6, 3)))
+    else:
+        h = ga.chart_inverse(random_chart_point(random_chart(6, 3, rng), rng))
+    assert h.basis.matrix is factors[-1][0]
+
+
 def test_subspace_from_span_rejects_rank_deficient():
     with pytest.raises(ValueError):
         ga.Subspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
@@ -459,10 +474,10 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     coordinate = "coordinate" in flavors[1]
     exact = dst.flavor == "split" or coordinate
     rows = _dense_rows(dst)
-    # a coordinate side keeps its picks only, and a dense side the rows computed here
-    for side in (0, 1):
+    # a coordinate side's record is its index vector, and a dense side's the rows computed here
+    for side, space in enumerate((dst.f, dst.g)):
         if coordinate:
-            assert dst._rows[side] is None and dst._picks[side] is not None
+            assert dst._rows[side] is space._coord_rows
         else:
             assert np.array_equal(dst._rows[side], rows[side])
     dense = [side_rows @ sub.basis.matrix for side_rows in rows for sub in (src.f, src.g)]
@@ -488,12 +503,13 @@ def test_coordinate_charts_take_no_factorization(monkeypatch):
     monkeypatch.undo()
     assert not calls
     assert cond == 1.0
-    assert split._picks[0] is h_plus._coord_rows and split._picks[1] is h_minus._coord_rows
+    assert split._rows[0] is h_plus._coord_rows and split._rows[1] is h_minus._coord_rows
     assert hilbert.g.is_same(h_minus)
-    # no side keeps rows; each applies as the dense rows B^H P and B^H computed here
+    # every side's record is an index vector; each applies as the dense rows
+    # B^H P and B^H computed here
     x = _rng(7300).standard_normal((10, 3)) + 1j * _rng(7301).standard_normal((10, 3))
     for chart in (split, hilbert):
-        assert chart._rows == (None, None)
+        assert [rows.ndim for rows in chart._rows] == [1, 1]
         for side, rows in enumerate(_dense_rows(chart)):
             assert np.array_equal(chart._apply(side, x), rows @ x)
     assert np.array_equal(split._apply(0, np.eye(10)), h_plus.basis.matrix.conj().T)
@@ -518,8 +534,8 @@ def test_coordinate_side_of_a_mixed_split_chart_is_dense():
     g = ga.Subspace.from_span(np.eye(6)[:, 3:] + 0.3 * rng.standard_normal((6, 3)))
     h = random_subspace(6, 3, rng)
     for chart in (ga.ChartId(f, g), ga.ChartId(g, f)):
-        assert chart._picks == (None, None)
         for side in (0, 1):
+            assert chart._rows[side].ndim == 2
             assert np.array_equal(chart._apply(side, h), chart._rows[side] @ h.basis.matrix)
 
 
@@ -533,7 +549,18 @@ def _dense_record(pt, dst):
 
 
 def _coordinate_pair(case, t):
-    """A chart point on two coordinate bases and a target chart with two coordinate sides."""
+    """A chart point and a target chart with two coordinate sides.
+
+    The source bases are coordinate too, except in the dense cases, whose
+    source is a random split chart.
+    """
+    if case.startswith("dense"):
+        rng = _rng(7402)
+        model = ga.PolarizedModel(4, 3)
+        dst = (ga.ChartId(model.h_plus, model.h_minus) if case == "dense-split"
+               else ga.ChartId.hilbert(model.h_plus))
+        coord = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        return ga.ChartPoint(random_chart(7, 3, rng), t * coord), dst
     if case.startswith("swap"):
         model = ga.PolarizedModel(int(case[4:]), int(case[4:]))
         point = ga.generate_restricted_point(model, 1, ga.DecayProfile.zero())
@@ -549,7 +576,8 @@ def _coordinate_pair(case, t):
 
 
 @pytest.mark.parametrize("t", [1.5 + 0.5j, 1e-3, 1e3 + 2j])
-@pytest.mark.parametrize("case", ["swap4", "swap16", "swap128", "scattered"])
+@pytest.mark.parametrize("case", ["swap4", "swap16", "swap128", "scattered", "dense-split",
+                                  "dense-hilbert"])
 def test_coordinate_record_is_the_dense_block_record_bit_for_bit(monkeypatch, case, t):
     pt, dst = _coordinate_pair(case, t)
     builds = []
@@ -566,6 +594,10 @@ def test_coordinate_record_is_the_dense_block_record_bit_for_bit(monkeypatch, ca
     mu = _rng(7401).standard_normal(pt.coord.shape[::-1]).astype(complex)
     pushed = ga.transition_cotangent(ga.Covector(pt, mu), dst).form.matrix
     assert np.array_equal(pushed, np.linalg.solve(left.T, (fwd.denom @ mu).T).T)
+    # L_r = d_r - A b_r, with b_r and d_r the source rows applied to the target's G
+    b_r, d_r = pt.chart._apply(0, dst.g), pt.chart._apply(1, dst.g)
+    assert ga.pushforward_factors(pt, dst)[1].matrix.tobytes() == (
+        d_r - pt.coord.matrix @ b_r).tobytes()
 
 
 def test_hilbert_rows_match_split_chart_within_gap():

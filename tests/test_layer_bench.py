@@ -78,3 +78,11 @@ def test_layer_bench_refuses_foreign_file(tmp_path):
         bench.main(["--n", "8", "--out", str(out)])
     assert exc.value.code == 2
     assert out.read_text() == "[1, 2]"
+
+
+@pytest.mark.parametrize("out", ["", "missing/bench.json"], ids=["directory", "no-parent"])
+def test_layer_bench_refuses_an_unwritable_out_before_timing(monkeypatch, tmp_path, out):
+    monkeypatch.setattr(bench, "run", lambda sizes: pytest.fail("timed before --out was checked"))
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--n", "8", "--out", str(tmp_path / out)])
+    assert exc.value.code == 2

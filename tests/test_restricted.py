@@ -50,8 +50,9 @@ def test_split_chart_on_the_polarization_has_the_solve_route_rows():
     bf, bg = m.h_plus.basis.matrix, m.h_minus.basis.matrix
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(8))
     chart = ga.ChartId(m.h_plus, m.h_minus)
-    # the chart keeps its picks only, and applies as the solve route's rows B^H P
-    assert chart._rows == (None, None)
+    # each side's record is the index vector of its block, and applies as the
+    # solve route's rows B^H P
+    assert chart._rows[0] is m.h_plus._coord_rows and chart._rows[1] is m.h_minus._coord_rows
     x = _rng(48).standard_normal((8, 4)) + 1j * _rng(49).standard_normal((8, 4))
     for side, rows in enumerate((bf.conj().T @ (bf @ inv[:5]), bg.conj().T @ (bg @ inv[5:]))):
         assert np.array_equal(chart._apply(side, np.eye(8)), rows)
