@@ -3,12 +3,15 @@
 A chart is indexed by an ordered complementary pair (F, G).  The chart sends a
 subspace H complementary to G to the coordinate matrix of the operator F -> G
 whose graph is H.  Two flavors exist: the general split pair, and the Hilbert
-flavor where G is pinned to the orthogonal complement of F.  A chart caches its
-coordinate rows, the row blocks of M^{-1} for M = [B_F | B_G], not projectors:
-every chart coordinate and transition block is a product against them, and
-every such product goes through one method, ``ChartId._apply``.  No subspace
-holds an n x n projector either; distances between subspaces are read from
-n x k residuals of one basis off the other.
+flavor where G is pinned to the orthogonal complement of F.  A chart's
+coordinate rows are the row blocks of M^{-1} for M = [B_F | B_G]: every chart
+coordinate and transition block is a product against them, and every such
+product goes through one method, ``ChartId._apply``.  A chart keeps only what
+its bases do not already hold: a split chart the dense rows B^H P of each side,
+and a hilbert chart nothing, since M is unitary there and its rows are the
+adjoint bases, read from the bases when applied.  No subspace or chart holds an
+n x n projector; distances between subspaces are read from n x k residuals of
+one basis off the other.
 
 Coordinate subspaces, spanned by standard basis vectors as the polarization
 blocks H_minus and H_plus are, are handled exactly.  A subspace records its
@@ -16,14 +19,15 @@ coordinate rows when it is built.  The complement of one is the slice of the
 remaining coordinates; a split chart on a complementary pair of them has 0/1
 diagonal projections and a split conditioning of exactly 1, and a hilbert chart
 on one has a gap of exactly 0, so none takes a factorization.  A chart side's
-record is the index vector of the coordinates its rows select, or its dense
-rows; index records and coordinate operands are applied by index, ``X[picks]``
-and ``R[:, cols]``, exactly the dense products, since 0/1 entries times finite
-numbers round nothing (principal angles between coordinate subspaces are 0 or
-pi/2; Bjorck & Golub, Math. Comp. 1973).  A transition into a chart whose two
-sides select coordinates builds no blocks: a + b A and c + d A are rows of the
-source graph B_F + B_G A (:func:`_graph`).  Between coordinate charts d - A' b
-and the reverse L_r = d_r - A b_r are column gathers (:func:`_left`).
+record is the index vector of the coordinates its rows select, its dense rows,
+or ``None`` when its rows are the adjoint of its own basis.  Index records and
+coordinate operands are applied by index, ``X[picks]`` and ``R[:, cols]``,
+exactly the dense products, since 0/1 entries times finite numbers round
+nothing (principal angles between coordinate subspaces are 0 or pi/2; Bjorck &
+Golub, Math. Comp. 1973).  A transition into a chart whose two sides select
+coordinates builds no blocks: a + b A and c + d A are rows of the source graph
+B_F + B_G A (:func:`_graph`).  Between coordinate charts d - A' b and the
+reverse L_r = d_r - A b_r are column gathers (:func:`_left`).
 """
 
 from __future__ import annotations
@@ -120,26 +124,29 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _record(side: Subspace, projection: np.ndarray | None) -> np.ndarray:
+def _record(side: Subspace, projection: np.ndarray | None) -> np.ndarray | None:
     """One side's rows of M^{-1}: B^H P with its split projection P, else the adjoint B^H.
 
-    A coordinate B^H is kept as the indices it selects, and B^H P read as those rows of P.
+    A coordinate B^H is kept as the indices it selects, and B^H P read as those
+    rows of P.  A dense B^H is not kept at all: the record is ``None``, and
+    :meth:`ChartId._apply` reads the rows from the side's own basis.
     """
     rows = side._coord_rows
     if projection is None:
-        return rows if rows is not None else side.basis.matrix.conj().T
+        return rows
     return projection[rows] if rows is not None else side.basis.matrix.conj().T @ projection
 
 
 @dataclass(frozen=True, eq=False)
 class ChartId:
-    """Ordered complementary pair (F, G) indexing a chart; caches coordinate rows, not projectors.
+    """Ordered complementary pair (F, G) indexing a chart; keeps no projector and no basis copy.
 
     ``_rows`` holds one record per side (:func:`_record`): the index vector of
-    the coordinates its rows select, or the dense block of rows.  A hilbert
-    chart's rows are the adjoint bases, so each coordinate side is a selection
-    on its own; a split chart's rows are selections only when F and G are both
-    coordinate.
+    the coordinates its rows select, the dense block of rows, or ``None`` when
+    the rows are the adjoint of the side's own basis.  A hilbert chart's rows
+    are the adjoint bases, so each of its sides is an index vector or ``None``;
+    a split chart's rows are selections only when F and G are both coordinate,
+    and dense blocks otherwise.
     """
 
     f: Subspace
@@ -163,7 +170,8 @@ class ChartId:
             if not coordinate:
                 onto_f, onto_g = projections[0].matrix, projections[1].matrix
         # with no projection the rows are the adjoint bases, the inverse rows of M
-        # when it is a permutation (two coordinate bases) or unitary (hilbert)
+        # when it is a permutation (two coordinate bases) or unitary (hilbert),
+        # and a record keeps none of them but the coordinates a side selects
         object.__setattr__(self, "_rows", (_record(self.f, onto_f), _record(self.g, onto_g)))
         if self.flavor == "split":
             return
@@ -171,8 +179,8 @@ class ChartId:
         # the largest principal angle between G and F-perp; past the check M is
         # unitary.  Two coordinate bases share a coordinate (gap 1) or are
         # orthogonal (gap 0).
-        gap = (float(_rows_overlap(*self._rows, self.ambient_dim)) if coordinate
-               else np.linalg.norm(self._apply(0, self.g), 2))
+        gap = (float(_rows_overlap(self.f._coord_rows, self.g._coord_rows, self.ambient_dim))
+               if coordinate else np.linalg.norm(self._apply(0, self.g), 2))
         if gap > DEFAULT_TOL_EQ:
             raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
 
@@ -184,10 +192,11 @@ class ChartId:
         """The chart on (G, F), with no new factorization.
 
         [B_G | B_F] is [B_F | B_G] with its column blocks swapped, so its inverse
-        has this chart's coordinate rows swapped, and so are the coordinates
-        they select.  Every check of construction is symmetric in (F, G): the
-        dimensions, the hilbert gap |B_F^H B_G|_2 and the split conditioning, so
-        each still holds.
+        has this chart's coordinate rows swapped, and so are the side records:
+        the coordinates a side selects, its dense rows, or ``None`` for its
+        basis adjoint, which still reads its own side's basis.  Every check of
+        construction is symmetric in (F, G): the dimensions, the hilbert gap
+        |B_F^H B_G|_2 and the split conditioning, so each still holds.
         """
         chart = object.__new__(ChartId)
         for name, value in (("f", self.g), ("g", self.f), ("flavor", self.flavor),
@@ -201,13 +210,18 @@ class ChartId:
         The one place a chart's rows meet a matrix.  A side whose record is an
         index vector reads the operand's rows, ``X[picks]``; a coordinate
         subspace operand reads the chart rows' columns, ``R[:, cols]``.  Either
-        equals the dense product exactly.
+        equals the dense product exactly.  A ``None`` record reads the rows
+        B^H from the side's basis B, as ``B^H X`` or ``B[cols]^H``: the same
+        products a stored copy of B^H would give.
         """
         rows = self._rows[side]
         if isinstance(operand, Subspace):
             mat, cols = operand.basis.matrix, operand._coord_rows
         else:
             mat, cols = operand, None
+        if rows is None:
+            basis = (self.f, self.g)[side].basis.matrix
+            return basis[cols].conj().T if cols is not None else basis.conj().T @ mat
         if rows.ndim == 1:
             return mat[rows]
         if cols is not None:
@@ -432,12 +446,14 @@ def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
     slots, cols = _slots(chart), basis._coord_rows
     if blocks is not None or slots is None or cols is None:
         b, d = blocks if blocks is not None else (chart._apply(0, basis), chart._apply(1, basis))
-        return d - coord @ b
-    slots, k = slots[cols], chart.f.dim
-    on_f = slots < k
-    left = np.zeros((chart.g.dim, cols.size), dtype=complex)
-    left[:, on_f] -= coord[:, slots[on_f]]
-    left[slots[~on_f] - k, np.flatnonzero(~on_f)] = 1.0
+        left = d - coord @ b
+    else:
+        slots, k = slots[cols], chart.f.dim
+        on_f = slots < k
+        left = np.zeros((chart.g.dim, cols.size), dtype=complex)
+        left[:, on_f] -= coord[:, slots[on_f]]
+        left[slots[~on_f] - k, np.flatnonzero(~on_f)] = 1.0
+    left.setflags(write=False)  # so an Operator keeps it, uncopied
     return left
 
 
@@ -503,12 +519,14 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
         raise DimensionMismatch(
             f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
     coord = pt.coord.matrix
-    picks_f, picks_g = target._rows
-    if picks_f.ndim == picks_g.ndim == 1:
+    # a chart's two sides select coordinates exactly when both its bases are coordinate
+    picks_f, picks_g = target.f._coord_rows, target.g._coord_rows
+    if picks_f is not None and picks_g is not None:
         denom, numer, blocks = _graph(src, coord, picks_f), _graph(src, coord, picks_g), None
     else:
         a, b, c, d = _transition_blocks(src, target)
         denom, numer, blocks = a + b @ coord, c + d @ coord, (b, d)
+    denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
     fwd = _Forward(_solve_in_domain(target, denom, numer, tol,
                                     "graph leaves the target chart domain"),
                    denom, src, target, blocks)

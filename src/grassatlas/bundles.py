@@ -147,7 +147,8 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     S = a + b A is the forward ``denom``, and L_r = d_r - A b_r with d_r = R_G B_G'
     and b_r = R_F B_G' read from the source chart's rows: the reverse chart change's
     d - A' b (:func:`atlas._left`), a column gather of A between coordinate charts,
-    found without inverting the forward ``left``.  Domain checks as in
+    found without inverting the forward ``left``.  Both are frozen where they are
+    made, so the pair wraps them uncopied.  Domain checks as in
     :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`, which on
     the same point and chart reuses the transition evaluated here.
     """

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,8 +336,13 @@ def test_opposite_chart_matches_a_fresh_factorization(monkeypatch, flavor, n):
     monkeypatch.undo()
     assert not calls
     assert (opposite.f, opposite.g, opposite.flavor) == (chart.g, chart.f, flavor)
-    for got, want in zip(opposite._rows, fresh._rows):
+    # a hilbert side keeps no rows, so each side's rows are read as the chart applied to I
+    eye = np.eye(n)
+    for side in (0, 1):
+        got, want = opposite._apply(side, eye), fresh._apply(side, eye)
         assert_allclose(got, want, rtol=0, atol=1e-12)
+        if flavor == "hilbert":
+            assert np.array_equal(got, _dense_rows(opposite)[side] @ eye)
 
 
 def test_transition_into_opposite_chart_inverts_coordinate():
@@ -474,12 +480,18 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     coordinate = "coordinate" in flavors[1]
     exact = dst.flavor == "split" or coordinate
     rows = _dense_rows(dst)
-    # a coordinate side's record is its index vector, and a dense side's the rows computed here
+    # a coordinate side's record is its index vector, a dense hilbert side's is None
+    # (its rows are its basis adjoint), and a dense split side's the rows computed here;
+    # each applies to a dense operand as those rows
+    x = _rng(7100 + n).standard_normal((n, 3)) + 1j * _rng(7150 + n).standard_normal((n, 3))
     for side, space in enumerate((dst.f, dst.g)):
         if coordinate:
             assert dst._rows[side] is space._coord_rows
+        elif dst.flavor == "hilbert":
+            assert dst._rows[side] is None
         else:
             assert np.array_equal(dst._rows[side], rows[side])
+        assert np.array_equal(dst._apply(side, x), rows[side] @ x)
     dense = [side_rows @ sub.basis.matrix for side_rows in rows for sub in (src.f, src.g)]
     for got, want, product in zip(_transition_blocks(src, dst), _projector_blocks(src, dst),
                                   dense):
@@ -537,6 +549,56 @@ def test_coordinate_side_of_a_mixed_split_chart_is_dense():
         for side in (0, 1):
             assert chart._rows[side].ndim == 2
             assert np.array_equal(chart._apply(side, h), chart._rows[side] @ h.basis.matrix)
+
+
+def _retained_bytes(build):
+    """``build()`` and the traced bytes still held once it returns, its result included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_hilbert_chart_on_two_dense_bases_keeps_no_array():
+    # M = [B_F | B_G] is unitary, so its rows are the adjoint bases, read from the bases
+    n, k = 128, 64
+    f = random_subspace(n, k, _rng(7500))
+    g = f.complement()
+    chart, retained = _retained_bytes(lambda: ga.ChartId(f, g, "hilbert"))
+    assert chart._rows == (None, None)
+    assert retained < k * k * np.dtype(complex).itemsize
+
+
+def test_hilbert_chart_of_a_subspace_keeps_only_its_complement_basis():
+    n, k = 128, 64
+    v = random_subspace(n, k, _rng(7501))
+    chart, retained = _retained_bytes(lambda: ga.ChartId.hilbert(v))
+    assert chart.f is v and chart._rows == (None, None)
+    assert chart.g.basis.matrix.nbytes <= retained
+    assert retained - chart.g.basis.matrix.nbytes < k * k * np.dtype(complex).itemsize
+
+
+def test_dense_hilbert_side_applies_its_basis_adjoint_bit_for_bit():
+    rng = _rng(7502)
+    n, cols = 12, [7, 2, 9]
+    chart = ga.ChartId.hilbert(random_subspace(n, 5, rng))
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    coordinate = ga.Subspace(np.eye(n)[:, cols])
+    for c in (chart, chart.opposite()):
+        for side, space in enumerate((c.f, c.g)):
+            adjoint = space.basis.matrix.conj().T
+            assert c._rows[side] is None
+            assert np.array_equal(c._apply(side, x), adjoint @ x)
+            # a coordinate operand reads columns of B^H, as the dense product does exactly
+            got = c._apply(side, coordinate)
+            assert got.tobytes(order="A") == adjoint[:, cols].tobytes(order="A")
+            assert np.array_equal(got, adjoint @ coordinate.basis.matrix)
 
 
 def _dense_record(pt, dst):

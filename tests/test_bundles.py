@@ -690,3 +690,21 @@ def test_raised_domain_violation_is_not_memoized(monkeypatch):
     # the raise left the earlier record in place
     assert np.array_equal(ga.transition_base(pt, dst).coord.matrix, moved.coord.matrix)
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize("flavors", [("hilbert", "split"), ("split", "hilbert"),
+                                     ("split", "split"), ("swap", "swap")])
+def test_pushforward_factors_wrap_the_record_and_the_reverse_factor_uncopied(monkeypatch,
+                                                                             flavors):
+    # denom and L_r are frozen where they are made, so the Operator keeps each as it is
+    if flavors[0] == "swap":
+        _, dst, pt = _swap_setup(0.5 - 2.0j)
+    else:
+        pt, dst = _near_chart_pair(8, 3, 986, flavors)
+    made = []
+    left = atlas._left
+    monkeypatch.setattr(atlas, "_left", lambda *args: made.append(left(*args)) or made[-1])
+    s, l_r = ga.pushforward_factors(pt, dst)
+    assert np.shares_memory(s.matrix, pt._forward[2].denom)
+    assert s.matrix is pt._forward[2].denom
+    assert l_r.matrix is made[-1]
