@@ -15,19 +15,22 @@ one basis off the other.
 
 Coordinate subspaces, spanned by standard basis vectors as the polarization
 blocks H_minus and H_plus are, are handled exactly.  A subspace records its
-coordinate rows when it is built.  The complement of one is the slice of the
-remaining coordinates; a split chart on a complementary pair of them has 0/1
-diagonal projections and a split conditioning of exactly 1, and a hilbert chart
-on one has a gap of exactly 0, so none takes a factorization.  A chart side's
-record is the index vector of the coordinates its rows select, its dense rows,
-or ``None`` when its rows are the adjoint of its own basis.  Index records and
-coordinate operands are applied by index, ``X[picks]`` and ``R[:, cols]``,
-exactly the dense products, since 0/1 entries times finite numbers round
-nothing (principal angles between coordinate subspaces are 0 or pi/2; Bjorck &
-Golub, Math. Comp. 1973).  A transition into a chart whose two sides select
-coordinates builds no blocks: a + b A and c + d A are rows of the source graph
-B_F + B_G A (:func:`_graph`).  Between coordinate charts d - A' b and the
-reverse L_r = d_r - A b_r are column gathers (:func:`_left`).
+coordinate rows when it is built, and a coordinate one keeps those rows and
+its shape and no matrix: its basis is built, and not kept, only when read, so
+every reader that needs only rows reads the record first.  The complement of
+one is the slice of the remaining coordinates, built from its rows; a split
+chart on a complementary pair of them has 0/1 diagonal projections and a split
+conditioning of exactly 1, and a hilbert chart on one has a gap of exactly 0,
+so none takes a factorization.  A chart side's record is the index vector of
+the coordinates its rows select, its dense rows, or ``None`` when its rows are
+the adjoint of its own basis.  Index records and coordinate operands are
+applied by index, ``X[picks]`` and ``R[:, cols]``, exactly the dense products,
+since 0/1 entries times finite numbers round nothing (principal angles between
+coordinate subspaces are 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).  A
+transition into a chart whose two sides select coordinates builds no blocks:
+a + b A and c + d A are rows of the source graph B_F + B_G A (:func:`_graph`).
+Between coordinate charts d - A' b and the reverse L_r = d_r - A b_r are
+column gathers (:func:`_left`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class Subspace:
     their distance |P_F - P_G|_2, read from the basis residual of one off the
     other, is within ``DEFAULT_TOL_EQ``.  The basis check records the row of
     each column when the basis is a coordinate one, and ``None`` otherwise.
+    A coordinate subspace keeps only those rows and its shape: its
+    :attr:`basis` is the 0/1 matrix they select, built afresh on each read.
     """
 
     def __init__(self, basis):
@@ -61,7 +66,26 @@ class Subspace:
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
         self._coord_rows = _require_orthonormal(mat)
-        self.basis = Operator(mat)
+        self._shape = (n, k)
+        self._basis = Operator(mat) if self._coord_rows is None else None
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, n: int) -> "Subspace":
+        """The coordinate subspace spanned by e_r for r in ``rows``, distinct rows of an n-space."""
+        space = object.__new__(cls)
+        space._coord_rows, space._shape, space._basis = rows, (n, rows.size), None
+        return space
+
+    @property
+    def basis(self) -> Operator:
+        """The orthonormal basis; a coordinate one is the 0/1 matrix of its rows, never kept."""
+        if self._basis is not None:
+            return self._basis
+        rows = self._coord_rows
+        mat = np.zeros(self._shape, dtype=complex)
+        mat[rows, np.arange(rows.size)] = 1.0
+        mat.setflags(write=False)  # so the operator wraps it, uncopied
+        return Operator(mat)
 
     @classmethod
     def from_span(cls, spanning) -> "Subspace":
@@ -78,11 +102,11 @@ class Subspace:
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.rows
+        return self._shape[0]
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self._shape[1]
 
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space.
@@ -92,14 +116,11 @@ class Subspace:
         """
         rows = self._coord_rows
         if rows is None:
-            full, _ = np.linalg.qr(self.basis.matrix, mode="complete")
+            full = np.linalg.qr(self.basis.matrix, mode="complete")[0]  # R freed at once
             return Subspace(full[:, self.dim:])
         free = np.ones(self.ambient_dim, dtype=bool)
         free[rows] = False
-        basis = np.zeros((self.ambient_dim, self.ambient_dim - self.dim), dtype=complex)
-        basis[np.flatnonzero(free), np.arange(basis.shape[1])] = 1.0
-        basis.setflags(write=False)  # so the subspace keeps it, uncopied
-        return Subspace(basis)
+        return Subspace._from_rows(np.flatnonzero(free), self.ambient_dim)
 
     def distance_to(self, other: "Subspace") -> float:
         """Operator-norm distance |P_F - P_G|_2 between the orthogonal projectors.
@@ -215,18 +236,19 @@ class ChartId:
         products a stored copy of B^H would give.
         """
         rows = self._rows[side]
-        if isinstance(operand, Subspace):
-            mat, cols = operand.basis.matrix, operand._coord_rows
-        else:
-            mat, cols = operand, None
+        subspace = isinstance(operand, Subspace)
+        # the record comes first: a coordinate operand's basis is built only when read
+        cols = operand._coord_rows if subspace else None
         if rows is None:
             basis = (self.f, self.g)[side].basis.matrix
-            return basis[cols].conj().T if cols is not None else basis.conj().T @ mat
-        if rows.ndim == 1:
-            return mat[rows]
-        if cols is not None:
+            if cols is not None:
+                picked = basis[cols]
+                return np.conjugate(picked, out=picked).T
+            return basis.conj().T @ (operand.basis.matrix if subspace else operand)
+        if cols is not None and rows.ndim == 2:
             return rows[:, cols]
-        return rows @ mat
+        mat = operand.basis.matrix if subspace else operand
+        return mat[rows] if rows.ndim == 1 else rows @ mat
 
     @property
     def ambient_dim(self) -> int:
@@ -446,7 +468,8 @@ def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
     slots, cols = _slots(chart), basis._coord_rows
     if blocks is not None or slots is None or cols is None:
         b, d = blocks if blocks is not None else (chart._apply(0, basis), chart._apply(1, basis))
-        left = d - coord @ b
+        left = coord @ b
+        np.subtract(d, left, out=left)
     else:
         slots, k = slots[cols], chart.f.dim
         on_f = slots < k
@@ -525,7 +548,10 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
         denom, numer, blocks = _graph(src, coord, picks_f), _graph(src, coord, picks_g), None
     else:
         a, b, c, d = _transition_blocks(src, target)
-        denom, numer, blocks = a + b @ coord, c + d @ coord, (b, d)
+        denom, numer, blocks = b @ coord, d @ coord, (b, d)
+        denom += a
+        numer += c
+        del a, c  # only b and d are read past the solve
     denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
     fwd = _Forward(_solve_in_domain(target, denom, numer, tol,
                                     "graph leaves the target chart domain"),

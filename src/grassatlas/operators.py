@@ -8,7 +8,8 @@ basis, whose columns are distinct standard basis vectors, is recognized exactly
 (:func:`_coordinate_rows`): it needs no orthonormality product, a
 complementary coordinate pair has 0/1 diagonal oblique projections, and any
 coordinate pair has split conditioning exactly 1 or 0.  A subspace keeps the
-rows it was recognized with, so functions given one read that record.
+rows it was recognized with, so functions given one read that record, and its
+shape, before any matrix: a coordinate subspace builds its basis on each read.
 
 Arrays are kept or copied by one rule (:func:`_frozen`): an array that owns
 its data, is C-contiguous, of the wanted dtype and already read-only is kept
@@ -76,11 +77,24 @@ def _require_orthonormal(mat: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _coordinate_record(value, mat: np.ndarray) -> np.ndarray | None:
-    """The coordinate rows of ``value``'s basis ``mat``: a subspace's own record, else a scan."""
-    if isinstance(getattr(value, "basis", None), Operator):
-        return value._coord_rows
-    return _coordinate_rows(mat)
+def _is_subspace(value) -> bool:
+    # a Subspace, known by its coordinate record (the atlas module imports this one)
+    return hasattr(value, "_coord_rows")
+
+
+def _as_basis(value):
+    """A subspace as it is, its record read before any matrix; anything else as a complex matrix."""
+    return value if _is_subspace(value) else as_matrix(value)
+
+
+def _basis_shape(basis) -> tuple[int, int]:
+    """Shape of an :func:`_as_basis` value: a subspace's, read with no matrix, else the array's."""
+    return (basis.ambient_dim, basis.dim) if _is_subspace(basis) else basis.shape
+
+
+def _coordinate_record(basis) -> np.ndarray | None:
+    """The coordinate rows of an :func:`_as_basis` value: a subspace's record, else a scan."""
+    return basis._coord_rows if _is_subspace(basis) else _coordinate_rows(basis)
 
 
 def _rows_overlap(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> bool:
@@ -353,23 +367,23 @@ def split_conditioning(f, g) -> float:
     so their value is exactly 1.0 when their rows are disjoint and 0.0 when
     they share one, read from the rows with no product and no SVD.
     """
-    bf, bg = as_matrix(f), as_matrix(g)
-    if bf.shape[0] != bg.shape[0]:
+    f, g = _as_basis(f), _as_basis(g)
+    (n, kf), (ng, kg) = _basis_shape(f), _basis_shape(g)
+    if n != ng:
         raise DimensionMismatch("bases live in different ambient spaces")
-    n, kf = bf.shape
-    kg = bg.shape[1]
     if kf + kg != n:
         raise DimensionMismatch(f"dimensions {kf} + {kg} do not fill ambient {n}")
-    for value, mat in ((f, bf), (g, bg)):
-        if not isinstance(getattr(value, "basis", None), Operator):
-            _require_orthonormal(mat)
+    for basis in (f, g):
+        if not _is_subspace(basis):
+            _require_orthonormal(basis)
     if n == 0:
         return 0.0
     if kf == 0 or kg == 0:
         return 1.0
-    rows_f, rows_g = _coordinate_record(f, bf), _coordinate_record(g, bg)
+    rows_f, rows_g = _coordinate_record(f), _coordinate_record(g)
     if rows_f is not None and rows_g is not None:
         return 0.0 if _rows_overlap(rows_f, rows_g, n) else 1.0
+    bf, bg = as_matrix(f), as_matrix(g)
     cross = bf.conj().T @ bg
     s = float(np.linalg.svd(cross, compute_uv=False)[0])
     if s <= math.sqrt(0.5):
@@ -388,16 +402,16 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
     orthonormal.  A complementary pair of coordinate subspaces is exact: each
     projection is the 0/1 diagonal over its own coordinates, with no solve.
     """
+    f, g = _as_basis(f), _as_basis(g)
     cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space
-    bf, bg = as_matrix(f), as_matrix(g)
-    n, kf = bf.shape
+    n, kf = _basis_shape(f)
     if n == 0:
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
     if cond <= DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=DEFAULT_TOL_SPLIT)
-    rows_f = _coordinate_record(f, bf)
-    if rows_f is not None and _coordinate_record(g, bg) is not None:
+    rows_f = _coordinate_record(f)
+    if rows_f is not None and _coordinate_record(g) is not None:
         # [B_F | B_G] is a permutation; the conditioning check left the rows disjoint
         diag = np.zeros(n, dtype=complex)
         diag[rows_f] = 1.0
@@ -405,6 +419,7 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
         onto_f.setflags(write=False)
         onto_g.setflags(write=False)
         return Operator(onto_f), Operator(onto_g)
+    bf, bg = as_matrix(f), as_matrix(g)
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 

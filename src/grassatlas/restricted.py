@@ -46,7 +46,8 @@ class PolarizedModel:
 
     The first ``n_minus`` ambient coordinates span H_minus and the last
     ``n_plus`` span H_plus, so a basis's components in each half are its row
-    slices; :attr:`h_minus` and :attr:`h_plus` hold the two identity slices.
+    slices; :attr:`h_minus` and :attr:`h_plus` are the two coordinate blocks,
+    built from their rows with no n x k matrix.
     """
 
     def __init__(self, n_minus: int, n_plus: int):
@@ -62,17 +63,11 @@ class PolarizedModel:
 
     @cached_property
     def h_minus(self) -> Subspace:
-        basis = np.zeros((self.ambient_dim, self.n_minus), dtype=complex)
-        np.fill_diagonal(basis, 1.0)
-        basis.setflags(write=False)  # so the subspace keeps it, uncopied
-        return Subspace(basis)
+        return Subspace._from_rows(np.arange(self.n_minus), self.ambient_dim)
 
     @cached_property
     def h_plus(self) -> Subspace:
-        basis = np.zeros((self.ambient_dim, self.n_plus), dtype=complex)
-        np.fill_diagonal(basis[self.n_minus:], 1.0)
-        basis.setflags(write=False)
-        return Subspace(basis)
+        return Subspace._from_rows(self.n_minus + np.arange(self.n_plus), self.ambient_dim)
 
     def _require_ambient(self, w: Subspace) -> None:
         if w.ambient_dim != self.ambient_dim:
@@ -191,6 +186,8 @@ def _graph_point(model: PolarizedModel, profile: DecayProfile, virtual_dim: int,
     basis[lead + t, lead + t] += weights * scale
     graph = np.zeros((model.n_minus, model.n_plus), dtype=complex)
     graph[lead + t, drop + t] = weights
+    basis.setflags(write=False)  # so the subspace and the operator keep them, uncopied
+    graph.setflags(write=False)
     return Subspace(basis), Operator(graph)
 
 
@@ -281,8 +278,14 @@ def swap_chart_family(t: complex) -> ChartFamily:
             raise DimensionMismatch("swap family needs a square polarization")
         src = ChartId(model.h_plus, model.h_minus)
         scale = 1.0 / math.hypot(1.0, abs(t))  # |t|**2 would overflow past about 1e154
-        # column k is scale (e_{+(k+1)} + t e_{-(k+1)}), read off the two identity slices
-        base = scale * (model.h_plus.basis.matrix + t * model.h_minus.basis.matrix)
+        # column k is scale (e_{+(k+1)} + t e_{-(k+1)}), set by index on the two blocks'
+        # rows as the dense scale (B_+ + t B_-) rounds it: scale (1 + t 0) is scale, and
+        # scale (0 + t 1) is scale (t + 0), whose + 0 turns a -0 part of t into +0
+        cols = np.arange(model.n_plus)
+        base = np.zeros((model.ambient_dim, model.n_plus), dtype=complex)
+        base[model.n_minus + cols, cols] = scale
+        base[cols, cols] = scale * (t + np.zeros(1, dtype=complex))
+        base.setflags(write=False)  # so the subspace keeps it, uncopied
         return src, src.opposite(), Subspace(base)
     return family
 

@@ -584,6 +584,36 @@ def test_hilbert_chart_of_a_subspace_keeps_only_its_complement_basis():
     assert retained - chart.g.basis.matrix.nbytes < k * k * np.dtype(complex).itemsize
 
 
+def test_coordinate_blocks_and_their_charts_keep_only_indices():
+    # at n = 256 each 256 x 128 0/1 basis would take 0.5 MiB; the blocks, the
+    # hilbert chart's complement and the split chart keep index vectors only
+    model = ga.PolarizedModel(128, 128)
+
+    def build():
+        h_plus, h_minus = model.h_plus, model.h_minus
+        return h_plus, h_minus, ga.ChartId.hilbert(h_plus), ga.ChartId(h_plus, h_minus)
+
+    (h_plus, h_minus, hilbert, split), retained = _retained_bytes(build)
+    assert retained < 16 * 1024
+    assert hilbert.g.is_same(h_minus) and split._rows == (h_plus._coord_rows, h_minus._coord_rows)
+
+
+def test_coordinate_basis_is_the_frozen_dense_matrix_built_on_each_read():
+    eye = np.eye(7, dtype=complex)
+    given = ga.Subspace(eye[:, [5, 0, 3]])
+    model = ga.PolarizedModel(3, 4)
+    for space, want in ((given, eye[:, [5, 0, 3]]), (given.complement(), eye[:, [1, 2, 4, 6]]),
+                        (model.h_minus, eye[:, :3]), (model.h_plus, eye[:, 3:]),
+                        (model.h_plus.complement(), eye[:, :3]),
+                        (ga.Subspace(eye[:, :0]), eye[:, :0])):
+        mat = space.basis.matrix
+        assert not mat.flags.writeable and mat.flags.c_contiguous and mat.dtype == complex
+        assert mat.shape == want.shape == (space.ambient_dim, space.dim)
+        assert mat.tobytes() == np.ascontiguousarray(want).tobytes()
+        # no subspace keeps it: a cache would hold the n x k matrix from the first read on
+        assert space.basis.matrix is not mat
+
+
 def test_dense_hilbert_side_applies_its_basis_adjoint_bit_for_bit():
     rng = _rng(7502)
     n, cols = 12, [7, 2, 9]

@@ -46,10 +46,10 @@ def test_layer_bench_extends_a_file_written_before_peak_mb(tmp_path):
 
 
 def test_layer_bench_peak_counts_what_the_call_allocates():
-    # a chart on the coordinate blocks keeps its picks only: at n = 64 the 64 x 32
-    # complement basis (32 KiB) is what it allocates, with no adjoint rows beside it
+    # a chart on the coordinate blocks keeps its picks only: at n = 64 the complement's
+    # 32 indices are what it allocates, with no 64 x 32 basis (32 KiB) beside them
     stats = bench._time(bench._layers(64)["ChartId.hilbert[coordinate]"])
-    assert 32 / 1024 <= stats["peak_mb"] < 64 / 1024
+    assert 32 * np.dtype(np.intp).itemsize / 2 ** 20 <= stats["peak_mb"] < 4 / 1024
     assert bench._peak_mb(lambda: np.ones(2 ** 17)) >= 1.0
 
 

@@ -323,6 +323,22 @@ def test_membership_refuses_infinity_before_any_svd(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("family", [ga.swap_chart_family(1.5 + 0.5j),
+                                    ga.graph_chart_family(0.6, 3)])
+def test_a_ladder_rung_builds_no_coordinate_basis(monkeypatch, family):
+    # both families chart on H_plus and H_minus; their records are read, never a 0/1 basis
+    ladder = ga.build_truncation_ladder([(4, 4), (128, 128)], 1,
+                                        ga.DecayProfile.geometric(0.6), 0, seed=1)
+    read = []
+    basis = ga.Subspace.basis
+    monkeypatch.setattr(ga.Subspace, "basis",
+                        property(lambda s: read.append(s._coord_rows is not None) or basis.fget(s)))
+    report = ga.preservation_experiment(ladder, 1, family, seed=2)
+    monkeypatch.undo()
+    assert read and not any(read)
+    assert not any(rung.skipped for rung in report.per_rung)
+
+
 def test_preservation_swap_family_matches_modulus_squared():
     t = 1.5 + 0.5j
     ladder = ga.build_truncation_ladder([(4, 4), (8, 8), (12, 12)], 1,
@@ -333,7 +349,7 @@ def test_preservation_swap_family_matches_modulus_squared():
         assert abs(rung.constant - abs(t) ** 2) <= 1e-8
 
 
-@pytest.mark.parametrize("t", [1.5 + 0.5j, -2.0 + 0.0j, -0.3 - 1.2j])
+@pytest.mark.parametrize("t", [1.5 + 0.5j, -2.0 + 0.0j, -0.3 - 1.2j, complex(-0.0, 1.2)])
 @pytest.mark.parametrize("n_plus", [1, 5])
 def test_swap_family_base_point_matches_the_mode_loop(t, n_plus):
     model = _model(n_plus)
