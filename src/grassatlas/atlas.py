@@ -14,20 +14,23 @@ n x n projector; distances between subspaces are read from n x k residuals of
 one basis off the other.
 
 Coordinate subspaces, spanned by standard basis vectors as the polarization
-blocks H_minus and H_plus are, are handled exactly.  A subspace records its
-coordinate rows when it is built, and a coordinate one keeps those rows and
-its shape and no matrix: its basis is built, and not kept, only when read, so
-every reader that needs only rows reads the record first.  The complement of
-one is the slice of the remaining coordinates, built from its rows; a split
-chart on a complementary pair of them has 0/1 diagonal projections and a split
-conditioning of exactly 1, and a hilbert chart on one has a gap of exactly 0,
-so none takes a factorization.  A chart side's record is the index vector of
-the coordinates its rows select, its dense rows, or ``None`` when its rows are
-the adjoint of its own basis.  Index records and coordinate operands are
-applied by index, ``X[picks]`` and ``R[:, cols]``, exactly the dense products,
-since 0/1 entries times finite numbers round nothing (principal angles between
-coordinate subspaces are 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).  A
-transition into a chart whose two sides select coordinates builds no blocks:
+blocks H_minus and H_plus are, are handled exactly.  A subspace recognizes a
+basis whose columns are distinct standard basis vectors when it is built
+(:func:`_coordinate_rows`), which spares it the orthonormality product, and
+records their rows.  A coordinate one keeps those rows and its shape and no
+matrix: its basis is built, and not kept, only when read, so every reader that
+needs only rows, the subspace-pair functions of ``operators`` among them,
+reads the record first.  The complement of one is the slice of the remaining
+coordinates, built from its rows; a split chart on a complementary pair of
+them has 0/1 diagonal projections and a split conditioning of exactly 1, and a
+hilbert chart on one has a gap of exactly 0, so none takes a factorization.
+A chart side's record is the index vector of the coordinates its rows select,
+its dense rows, or ``None`` when its rows are the adjoint of its own basis.
+Index records and coordinate operands are applied by index, ``X[picks]`` and
+``R[:, cols]``, exactly the dense products, since 0/1 entries times finite
+numbers round nothing (principal angles between coordinate subspaces are 0 or
+pi/2; Bjorck & Golub, Math. Comp. 1973).  A transition into a chart whose two
+sides select coordinates builds no blocks:
 a + b A and c + d A are rows of the source graph B_F + B_G A (:func:`_graph`).
 Between coordinate charts d - A' b and the reverse L_r = d_r - A b_r are
 column gathers (:func:`_left`).
@@ -42,11 +45,33 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChartDomainViolation, DimensionMismatch, SplitFailure
-from .operators import (Operator, _require_finite, _require_orthonormal, _rows_overlap,
-                        as_matrix, oblique_projections)
+from .operators import Operator, _require_finite, _rows_overlap, as_matrix, oblique_projections
 
 DEFAULT_TOL_DOMAIN = 1e-8
 DEFAULT_TOL_EQ = 1e-10
+
+_ORTHO_TOL = 1e-12
+
+
+def _coordinate_rows(mat: np.ndarray) -> np.ndarray | None:
+    """Row of each column when every column of ``mat`` is a distinct e_r with entry exactly 1.
+
+    Returns ``None`` for any other matrix; a dense one is turned away on its
+    first column, before the whole matrix is read.  The row mask stands in for
+    ``np.unique``, which would import ``numpy.ma``.
+    """
+    n, k = mat.shape
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
+    if np.count_nonzero(mat[:, 0]) != 1:
+        return None
+    nonzero = mat != 0
+    rows = nonzero.argmax(axis=0)
+    if np.count_nonzero(nonzero) != k or not (mat[rows, np.arange(k)] == 1).all():
+        return None
+    taken = np.zeros(n, dtype=bool)
+    taken[rows] = True
+    return rows if np.count_nonzero(taken) == k else None
 
 
 class Subspace:
@@ -54,8 +79,10 @@ class Subspace:
 
     Equality of subspaces is basis independent: two subspaces coincide when
     their distance |P_F - P_G|_2, read from the basis residual of one off the
-    other, is within ``DEFAULT_TOL_EQ``.  The basis check records the row of
-    each column when the basis is a coordinate one, and ``None`` otherwise.
+    other, is within ``DEFAULT_TOL_EQ``.  The one basis check is here: a
+    coordinate basis (:func:`_coordinate_rows`) is exactly orthonormal and
+    records the row of each column; any other must be finite with
+    orthonormal columns, else ``ValueError``, and records ``None``.
     A coordinate subspace keeps only those rows and its shape: its
     :attr:`basis` is the 0/1 matrix they select, built afresh on each read.
     """
@@ -65,7 +92,11 @@ class Subspace:
         n, k = mat.shape
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
-        self._coord_rows = _require_orthonormal(mat)
+        self._coord_rows = _coordinate_rows(mat)
+        if self._coord_rows is None:  # a coordinate basis needs no Gram product
+            _require_finite(mat)
+            if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
+                raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
         self._shape = (n, k)
         self._basis = Operator(mat) if self._coord_rows is None else None
 

@@ -3,13 +3,12 @@
 All scalars are complex; real input is embedded.  Singular values always come
 from an SVD of the matrix itself, never from eigenvalues of ``T^H T``.  Split
 conditioning comes from SVDs of the cross block ``B_F^H B_G`` and of the
-residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.  A coordinate
-basis, whose columns are distinct standard basis vectors, is recognized exactly
-(:func:`_coordinate_rows`): it needs no orthonormality product, a
-complementary coordinate pair has 0/1 diagonal oblique projections, and any
-coordinate pair has split conditioning exactly 1 or 0.  A subspace keeps the
-rows it was recognized with, so functions given one read that record, and its
-shape, before any matrix: a coordinate subspace builds its basis on each read.
+residual ``B_G - B_F (B_F^H B_G)``, never from a Gram matrix.  The pair
+functions :func:`split_conditioning` and :func:`oblique_projections` take two
+``Subspace`` points, whose bases are orthonormal by construction, and read
+each one's shape and coordinate record before any matrix: a coordinate pair
+has split conditioning exactly 1 or 0, and a complementary one 0/1 diagonal
+oblique projections.
 
 Arrays are kept or copied by one rule (:func:`_frozen`): an array that owns
 its data, is C-contiguous, of the wanted dtype and already read-only is kept
@@ -30,71 +29,12 @@ from .errors import BadProfile, DimensionMismatch, LadderMismatch, SplitFailure
 
 DEFAULT_TOL_SPLIT = 1e-8
 
-_ORTHO_TOL = 1e-12
-
 
 def _require_finite(mat: np.ndarray, what: str = "basis") -> None:
     # a NaN compares False against every tolerance, so the rank and
     # orthonormality checks would pass it
     if not np.isfinite(mat).all():
         raise ValueError(f"{what} has non-finite entries")
-
-
-def _coordinate_rows(mat: np.ndarray) -> np.ndarray | None:
-    """Row of each column when every column of ``mat`` is a distinct e_r with entry exactly 1.
-
-    Returns ``None`` for any other matrix; a dense one is turned away on its
-    first column, before the whole matrix is read.  The row mask stands in for
-    ``np.unique``, which would import ``numpy.ma``.
-    """
-    n, k = mat.shape
-    if k == 0:
-        return np.zeros(0, dtype=np.intp)
-    if np.count_nonzero(mat[:, 0]) != 1:
-        return None
-    nonzero = mat != 0
-    rows = nonzero.argmax(axis=0)
-    if np.count_nonzero(nonzero) != k or not (mat[rows, np.arange(k)] == 1).all():
-        return None
-    taken = np.zeros(n, dtype=bool)
-    taken[rows] = True
-    return rows if np.count_nonzero(taken) == k else None
-
-
-def _require_orthonormal(mat: np.ndarray) -> np.ndarray | None:
-    """Raise ``ValueError`` unless the columns of ``mat`` are finite and orthonormal.
-
-    Returns the :func:`_coordinate_rows` of ``mat``, the scan that spares a
-    coordinate basis the Gram product, so a caller can keep it.
-    """
-    rows = _coordinate_rows(mat)
-    if rows is not None:
-        return rows  # distinct standard basis vectors: exactly orthonormal, no Gram product
-    _require_finite(mat)
-    k = mat.shape[1]
-    if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
-        raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
-    return None
-
-
-def _is_subspace(value) -> bool:
-    # a Subspace, known by its coordinate record (the atlas module imports this one)
-    return hasattr(value, "_coord_rows")
-
-
-def _as_basis(value):
-    """A subspace as it is, its record read before any matrix; anything else as a complex matrix."""
-    return value if _is_subspace(value) else as_matrix(value)
-
-
-def _basis_shape(basis) -> tuple[int, int]:
-    """Shape of an :func:`_as_basis` value: a subspace's, read with no matrix, else the array's."""
-    return (basis.ambient_dim, basis.dim) if _is_subspace(basis) else basis.shape
-
-
-def _coordinate_record(basis) -> np.ndarray | None:
-    """The coordinate rows of an :func:`_as_basis` value: a subspace's record, else a scan."""
-    return basis._coord_rows if _is_subspace(basis) else _coordinate_rows(basis)
 
 
 def _rows_overlap(rows_f: np.ndarray, rows_g: np.ndarray, n: int) -> bool:
@@ -153,12 +93,9 @@ class Operator:
 
 
 def as_matrix(value) -> np.ndarray:
-    """Coerce an Operator, subspace basis, or array-like to a complex 2-D array."""
+    """Coerce an Operator or array-like to a complex 2-D array."""
     if isinstance(value, Operator):
         return value.matrix
-    basis = getattr(value, "basis", None)
-    if isinstance(basis, Operator):
-        return basis.matrix
     mat = np.asarray(value, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {mat.shape}")
@@ -350,12 +287,11 @@ def schatten_norm(op, p: float) -> SchattenReport:
 def split_conditioning(f, g) -> float:
     """Smallest-over-largest singular value of the joint basis block [B_f | B_g].
 
-    The bases must be orthonormal.  A subspace's basis is by construction; a
-    plain array is checked as :class:`Subspace` checks it, and ``ValueError`` is
-    raised when it fails.  With dim F + dim G = n, [B_f | B_g] has singular
-    values sqrt(1 +- sigma_j) of the cross block X = B_f^H B_g, and ones, so
-    with s = |X|_2 = cos(theta_min), theta_min the least principal angle
-    between F and G (Bjorck & Golub, Math. Comp. 1973), the value is
+    ``f`` and ``g`` are ``Subspace`` points, so their bases are orthonormal.
+    With dim F + dim G = n, [B_f | B_g] has singular values sqrt(1 +- sigma_j)
+    of the cross block X = B_f^H B_g, and ones, so with s = |X|_2 =
+    cos(theta_min), theta_min the least principal angle between F and G
+    (Bjorck & Golub, Math. Comp. 1973), the value is
 
         sqrt((1 - s)/(1 + s)) = tan(theta_min/2) = sin(theta_min)/(1 + s).
 
@@ -363,27 +299,23 @@ def split_conditioning(f, g) -> float:
     1 - s loses digits, so sin(theta_min) is read as the smallest singular value
     of the residual B_g - B_f X of G off F, or of B_f - B_g X^H when F is the
     thinner side (Knyazev & Argentati, SISC 2002).  An empty side gives 1.0, an
-    empty space 0.0.  Two coordinate bases have principal angles 0 and pi/2 only,
-    so their value is exactly 1.0 when their rows are disjoint and 0.0 when
-    they share one, read from the rows with no product and no SVD.
+    empty space 0.0.  Two coordinate subspaces have principal angles 0 and pi/2
+    only, so their value is exactly 1.0 when their rows are disjoint and 0.0
+    when they share one, read from their records with no product and no SVD.
     """
-    f, g = _as_basis(f), _as_basis(g)
-    (n, kf), (ng, kg) = _basis_shape(f), _basis_shape(g)
-    if n != ng:
+    n, kf, kg = f.ambient_dim, f.dim, g.dim
+    if n != g.ambient_dim:
         raise DimensionMismatch("bases live in different ambient spaces")
     if kf + kg != n:
         raise DimensionMismatch(f"dimensions {kf} + {kg} do not fill ambient {n}")
-    for basis in (f, g):
-        if not _is_subspace(basis):
-            _require_orthonormal(basis)
     if n == 0:
         return 0.0
     if kf == 0 or kg == 0:
         return 1.0
-    rows_f, rows_g = _coordinate_record(f), _coordinate_record(g)
+    rows_f, rows_g = f._coord_rows, g._coord_rows
     if rows_f is not None and rows_g is not None:
         return 0.0 if _rows_overlap(rows_f, rows_g, n) else 1.0
-    bf, bg = as_matrix(f), as_matrix(g)
+    bf, bg = f.basis.matrix, g.basis.matrix
     cross = bf.conj().T @ bg
     s = float(np.linalg.svd(cross, compute_uv=False)[0])
     if s <= math.sqrt(0.5):
@@ -393,25 +325,24 @@ def split_conditioning(f, g) -> float:
 
 
 def oblique_projections(f, g) -> tuple[Operator, Operator]:
-    """Projections onto F along G and onto G along F for a complementary pair.
+    """Projections onto F along G and onto G along F, for complementary ``Subspace`` points.
 
     Returns the ambient-space pair ``(onto_f, onto_g)`` with
     ``onto_f + onto_g = I``, ``onto_f^2 = onto_f``, range F and kernel G.
     Raises :class:`SplitFailure` when :func:`split_conditioning` is at or below
-    ``DEFAULT_TOL_SPLIT``, and ``ValueError`` when a plain array basis is not
-    orthonormal.  A complementary pair of coordinate subspaces is exact: each
-    projection is the 0/1 diagonal over its own coordinates, with no solve.
+    ``DEFAULT_TOL_SPLIT``.  A complementary pair of coordinate subspaces is
+    exact: each projection is the 0/1 diagonal over its own coordinates, with
+    no solve.
     """
-    f, g = _as_basis(f), _as_basis(g)
     cond = split_conditioning(f, g)  # also rejects pairs that do not fill the space
-    n, kf = _basis_shape(f)
+    n, kf = f.ambient_dim, f.dim
     if n == 0:
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
     if cond <= DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=DEFAULT_TOL_SPLIT)
-    rows_f = _coordinate_record(f)
-    if rows_f is not None and _coordinate_record(g) is not None:
+    rows_f = f._coord_rows
+    if rows_f is not None and g._coord_rows is not None:
         # [B_F | B_G] is a permutation; the conditioning check left the rows disjoint
         diag = np.zeros(n, dtype=complex)
         diag[rows_f] = 1.0
@@ -419,7 +350,7 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
         onto_f.setflags(write=False)
         onto_g.setflags(write=False)
         return Operator(onto_f), Operator(onto_g)
-    bf, bg = as_matrix(f), as_matrix(g)
+    bf, bg = f.basis.matrix, g.basis.matrix
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
     return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
 

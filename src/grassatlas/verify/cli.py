@@ -83,21 +83,13 @@ def main(argv: list[str] | None = None) -> int:
         options: dict = {"tolerances": {}}
         if args.config is not None:
             options.update(read_config_file(args.config))
-        # flags win over the config file
-        if args.suite is not None:
-            options["suite"] = args.suite
-        if args.dims:
-            options["dims"] = tuple(args.dims)
-        if args.trials is not None:
-            options["trials"] = args.trials
-        if args.seed is not None:
-            options["seed"] = args.seed
-        if args.ladder is not None:
-            options["ladder"] = _parse_int_list(args.ladder)
-        if args.format is not None:
-            options["format"] = args.format
-        if args.out is not None:
-            options["out"] = args.out
+        # flags win over the config file; --ladder is parsed here, inside the
+        # try, so a bad rung exits 2 rather than escaping argparse as a traceback
+        parse = {"dims": tuple, "ladder": _parse_int_list}
+        for name in ("suite", "dims", "trials", "seed", "ladder", "format", "out"):
+            value = getattr(args, name)
+            if value is not None:
+                options[name] = parse[name](value) if name in parse else value
         for item in args.tols:
             name, value = _parse_tolerance(item)
             options["tolerances"][name] = value

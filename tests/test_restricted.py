@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
+from grassatlas.atlas import _coordinate_rows
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
-from grassatlas.operators import _coordinate_rows
 from grassatlas.restricted import _decay_form, _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
 from grassatlas.verify.oracles import projector_diff_norm
