@@ -49,6 +49,11 @@ def _count_linalg(monkeypatch):
 # ---------------------------------------------------------------------------
 # subspaces
 
+def test_subspace_rejects_non_orthonormal_basis():
+    with pytest.raises(ValueError):
+        ga.Subspace(np.array([[1.0], [1.0]]))
+
+
 # the split conditioning formula sqrt((1 - s)/(1 + s)) holds only for orthonormal
 # bases: a pair of [[2],[0]] and [[1],[1]] would read 1.054 against 0.382 for
 # sigma_min/sigma_max, so the subspace refuses each before any pair function runs
@@ -57,7 +62,7 @@ def _count_linalg(monkeypatch):
     np.array([[1.0], [1.0]]),
     np.array([[np.nan], [1.0]]),
 ], ids=["scaled-axis", "unnormalized", "nan"])
-def test_subspace_rejects_non_orthonormal_basis(basis):
+def test_subspace_refuses_bases_the_split_formula_would_misread(basis):
     with pytest.raises(ValueError):
         ga.Subspace(basis)
 
