@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -297,8 +298,8 @@ class ChartId:
 class ChartPoint:
     """A subspace in chart coordinates: the F -> G operator whose graph it is.
 
-    The point keeps its last forward transition, ``(target, tol, record)``, so
-    the bundle maps from one point to one target share one evaluation.
+    The point keeps the record of its last forward transition, target and tol
+    included, so the bundle maps from one point to one target share one evaluation.
     """
 
     chart: ChartId
@@ -526,24 +527,19 @@ class _Forward:
     """
 
     def __init__(self, coord: np.ndarray, denom: np.ndarray, src: ChartId, target: ChartId,
-                 blocks: tuple[np.ndarray, np.ndarray] | None):
+                 tol: float, blocks: tuple[np.ndarray, np.ndarray] | None):
         self.coord, self.denom = coord, denom
-        self._src, self._target = src, target
-        self._blocks, self._left = blocks, None
+        self.target, self.tol = target, tol
+        self._src, self._blocks = src, blocks
 
-    @property
+    @cached_property
     def left(self) -> np.ndarray:
         """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}.
 
         b and d are the target's rows applied to the source's B_G (:func:`_left`).
+        A read that finds the blocks dropped applies the rows again, to the same bits.
         """
-        # the blocks are read before left and dropped after it is stored, so a
-        # concurrent first read that finds them dropped finds left made
-        blocks, left = self._blocks, self._left
-        if left is not None:
-            return left
-        left = _left(self.coord, self._target, self._src.g, blocks)
-        self._left = left
+        left = _left(self.coord, self.target, self._src.g, self._blocks)
         self._blocks = None
         return left
 
@@ -564,8 +560,8 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     """
     tol = _domain_tol(tol_domain)
     memo = pt._forward
-    if memo is not None and memo[0] is target and memo[1] == tol:
-        return memo[2]
+    if memo is not None and memo.target is target and memo.tol == tol:
+        return memo
     src = pt.chart
     if src.ambient_dim != target.ambient_dim:
         raise DimensionMismatch("charts live in different ambient spaces")
@@ -586,8 +582,8 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
     fwd = _Forward(_solve_in_domain(target, denom, numer, tol,
                                     "graph leaves the target chart domain"),
-                   denom, src, target, blocks)
-    object.__setattr__(pt, "_forward", (target, tol, fwd))
+                   denom, src, target, tol, blocks)
+    object.__setattr__(pt, "_forward", fwd)
     return fwd
 
 

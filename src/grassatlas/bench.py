@@ -129,7 +129,7 @@ def _transition_layers(flavor: str, src: ga.ChartId, dst: ga.ChartId,
     h = ga.chart_inverse(fresh())
     form = ga.Operator(_cgauss(rng, (k, n - k)))
     # the covector's entries, transposed: a fresh draw would shift every later instance
-    direction = form.transpose()
+    direction = ga.Operator(form.matrix.T)
     terms = tuple((_cgauss(rng, k), _cgauss(rng, n - k)) for _ in range(3))
     factors = ga.pushforward_factors(fresh(), dst)
 

@@ -84,10 +84,6 @@ class Operator:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def transpose(self) -> "Operator":
-        """Bilinear dual with respect to the trace pairing (plain transpose)."""
-        return Operator(self.matrix.T)
-
     def __repr__(self) -> str:
         return f"Operator({self.rows}x{self.cols})"
 
@@ -118,10 +114,11 @@ class SchattenReport:
 
     @property
     def power_sum(self) -> float:
-        """The p-th power sum ``sum sigma_k^p``; 0.0 for an empty spectrum, none at p = inf."""
+        """The p-th power sum ``sum sigma_k^p``, inf or 0.0 out of float range; none at p = inf."""
         if self.p == math.inf:
             raise ValueError("the Schatten power sum has no meaning at p = inf")
-        return float(np.sum(self.singular_values ** self.p))
+        with np.errstate(over="ignore", under="ignore"):
+            return float(np.sum(self.singular_values ** self.p))
 
     @property
     def value(self) -> float:
@@ -129,7 +126,16 @@ class SchattenReport:
         if self.p == math.inf:
             sv = self.singular_values
             return float(sv[0]) if sv.size else 0.0
-        return self.power_sum ** (1.0 / self.p)
+        return self._root(self.power_sum, 1.0)
+
+    def _root(self, powers: float, times: float) -> float:
+        """``powers ** (1/p)`` for powers = times * power_sum, by sigma_max past the float range."""
+        sv = self.singular_values
+        if (powers == 0.0 or powers == math.inf) and sv.size and sv[0] > 0.0:
+            with np.errstate(under="ignore"):
+                powers = times * float(np.sum((sv / sv[0]) ** self.p))
+            return float(sv[0]) * powers ** (1.0 / self.p)
+        return powers ** (1.0 / self.p)
 
     def __repr__(self) -> str:
         return f"SchattenReport(p={self.p}, value={self.value:.6g}, k={self.singular_values.size})"

@@ -141,9 +141,10 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     virtual_dim = virtual_dimension(w, model)
     minus = schatten_norm(w.basis.matrix[:model.n_minus], p)
     above = _plus_spectrum(w, model)
+    # only an underflow reads 0.0, and only at virtual_dim 0, so the root rescales 2 |minus_map|^p
     powers = 2.0 * minus.power_sum - virtual_dim
     return RestrictedPoint(
-        w=w, p=minus.p, diff_norm=powers ** (1.0 / minus.p), virtual_dim=virtual_dim,
+        w=w, p=minus.p, diff_norm=minus._root(powers, 2.0), virtual_dim=virtual_dim,
         plus_conditioning=float(above[-1]) if above.size else 0.0, minus_norm=minus.value)
 
 
@@ -202,21 +203,12 @@ def generate_restricted_point(model: PolarizedModel, p: float, profile: DecayPro
 class TruncationLadder:
     """Coherently embedded family of restricted points across growing truncations."""
 
-    dims: tuple[tuple[int, int], ...]
-    p: float
     profile: DecayProfile
-    virtual_dim: int
-    seed: int
     models: tuple[PolarizedModel, ...]
     points: tuple[RestrictedPoint, ...]
-    graph_maps: tuple[Operator, ...]
 
     def __iter__(self):
         return iter(zip(self.models, self.points))
-
-    @property
-    def diff_norms(self) -> tuple[float, ...]:
-        return tuple(pt.diff_norm for pt in self.points)
 
 
 def build_truncation_ladder(dims, p: float, profile: DecayProfile,
@@ -224,21 +216,15 @@ def build_truncation_ladder(dims, p: float, profile: DecayProfile,
     """Build a ladder from one decay profile; rungs must nest bit for bit."""
     dims = tuple((_require_int(nm, "dims entry"), _require_int(np_, "dims entry"))
                  for nm, np_ in dims)
-    virtual_dim, seed = _require_int(virtual_dim, "virtual_dim"), _require_int(seed, "seed")
     if len(dims) < 2:
         raise LadderMismatch("a ladder needs at least two rungs")
     _require_growth(dims)
     models = tuple(PolarizedModel(nm, np_) for nm, np_ in dims)
-    points, graphs = [], []
-    for model in models:
-        w, graph = _graph_point(model, profile, virtual_dim, seed)
-        points.append(membership_report(w, model, p))
-        graphs.append(graph)
+    rungs = [_graph_point(model, profile, virtual_dim, seed) for model in models]
     # raises LadderMismatch unless each graph is the exact top-left block of the next
-    nested = OperatorLadder(tuple(graphs))
-    return TruncationLadder(dims=dims, p=float(p), profile=profile,
-                            virtual_dim=virtual_dim, seed=seed,
-                            models=models, points=tuple(points), graph_maps=nested.operators)
+    OperatorLadder(tuple(graph for _, graph in rungs))
+    return TruncationLadder(profile=profile, models=models, points=tuple(
+        membership_report(w, model, p) for (w, _), model in zip(rungs, models)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,13 @@ class RungResult:
     dim: int
     mu_norm: float
     mu_prime_norm: float
-    constant: float
+
+    @property
+    def constant(self) -> float:
+        """``mu_prime_norm / mu_norm``; NaN when ``mu_norm`` is 0 or NaN."""
+        if self.mu_norm == 0.0 or math.isnan(self.mu_norm):
+            return math.nan
+        return self.mu_prime_norm / self.mu_norm
 
     @property
     def skipped(self) -> bool:
@@ -318,13 +310,27 @@ class RungResult:
 
 @dataclass(frozen=True, eq=False)
 class PreservationReport:
-    """Across-dim trend of the cotangent transition constant on a ladder."""
+    """Across-dim trend of the cotangent transition constant on a ladder: ``spread`` over
+    the top three rungs not skipped (``None`` below two), which passes at most 0.05."""
 
     p: float
-    dims: tuple[int, ...]
     per_rung: tuple[RungResult, ...]
-    spread: float | None
-    passed: bool
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(r.dim for r in self.per_rung)
+
+    @property
+    def spread(self) -> float | None:
+        top = [r.constant for r in self.per_rung if not r.skipped][-3:]
+        if len(top) < 2:
+            return None
+        mean = sum(top) / len(top)
+        return (max(top) - min(top)) / mean if mean > 0 else math.inf
+
+    @property
+    def passed(self) -> bool:
+        return self.spread is not None and self.spread <= 0.05
 
     def to_dict(self) -> dict:
         rungs = []
@@ -362,16 +368,14 @@ def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family:
         mu = _decay_form(src.f.dim, src.g.dim, profile, seed)
         pushed = transition_cotangent(Covector(at, Operator(mu)), dst)
     except ChartDomainViolation:
-        return RungResult(dim, math.nan, math.nan, math.nan)
+        return RungResult(dim, math.nan, math.nan)
     if p == 0.0:
         n_in = singular_tail_sum(mu, tail_cutoff)
         n_out = singular_tail_sum(pushed.form, tail_cutoff)
     else:
         n_in = schatten_norm(mu, p).value
         n_out = schatten_norm(pushed.form, p).value
-    if n_in == 0.0:
-        return RungResult(dim, n_in, n_out, math.nan)
-    return RungResult(dim, n_in, n_out, n_out / n_in)
+    return RungResult(dim, n_in, n_out)
 
 
 def preservation_experiment(ladder: TruncationLadder, p: float,
@@ -385,24 +389,15 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
     tails past ``tail_cutoff``, a nonnegative integer (p = 0).  Here p is the index
     the covector is measured at, not the tangent class: the predual of ``L_q``,
     q > 1, is measured at ``p = q*``, and K, the predual of ``L_1``, at
-    ``p = inf``.  The experiment passes when the constant
-    stabilizes: relative spread over the top three rungs at most 0.05.  Rungs
-    whose charts fail the domain check are skipped.
+    ``p = inf``.  The report passes when the constant stabilizes
+    (:class:`PreservationReport`).  Rungs whose charts fail the domain check are
+    skipped.
     """
     p, tail_cutoff = _schatten_index(p), _require_cutoff(tail_cutoff)
     seed = _require_int(seed, "seed")
-    rungs = [_rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
-             for model, point in ladder]
-    constants = [r.constant for r in rungs if not r.skipped]
-    top = constants[-3:]
-    if len(top) < 2:
-        spread, passed = None, False
-    else:
-        mean = sum(top) / len(top)
-        spread = (max(top) - min(top)) / mean if mean > 0 else math.inf
-        passed = spread <= 0.05
-    return PreservationReport(p=p, dims=tuple(r.dim for r in rungs),
-                              per_rung=tuple(rungs), spread=spread, passed=passed)
+    return PreservationReport(p=p, per_rung=tuple(
+        _rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)
+        for model, point in ladder))
 
 
 def precotangent_covector(at: ChartPoint, form, p: float) -> Covector:

@@ -72,9 +72,12 @@ class CheckResult:
     trials: int
     max_abs_error: float
     tolerance: float
-    passed: bool
     worst_seed: str | None
     raised: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_error <= self.tolerance
 
     def to_dict(self) -> dict:
         entry = {"name": self.name, "trials": self.trials,
@@ -124,8 +127,7 @@ def run_suite(cfg: SuiteConfig) -> list[CheckResult]:
         trials = check.pinned_trials if check.pinned_trials else cfg.trials
         error, worst, raised = _run_trials(cfg, index, check, trials)
         tolerance = float(cfg.tolerances.get(check.name, check.tolerance))
-        results.append(CheckResult(check.name, trials, error, tolerance,
-                                   error <= tolerance, worst, raised))
+        results.append(CheckResult(check.name, trials, error, tolerance, worst, raised))
     return results
 
 

@@ -80,7 +80,6 @@ PUBLIC = {
     "DomainCheck", "DomainCheck.conditioning", "DomainCheck.contains",
     "FactorMismatch", "FactorMismatch.bound", "FactorMismatch.residual",
     "Operator", "Operator.cols", "Operator.matrix", "Operator.rows", "Operator.shape",
-    "Operator.transpose",
     "OperatorLadder", "OperatorLadder.operators", "OperatorLadder.sizes",
     "PolarizedModel", "PolarizedModel.ambient_dim", "PolarizedModel.h_minus",
     "PolarizedModel.h_plus", "PolarizedModel.n_minus", "PolarizedModel.n_plus",
@@ -98,10 +97,8 @@ PUBLIC = {
     "Subspace.distance_to", "Subspace.from_span", "Subspace.is_same",
     "TangentVector", "TangentVector.at", "TangentVector.direction",
     "TensorCovector", "TensorCovector.at", "TensorCovector.terms",
-    "TruncationLadder", "TruncationLadder.diff_norms", "TruncationLadder.dims",
-    "TruncationLadder.graph_maps", "TruncationLadder.models", "TruncationLadder.p",
-    "TruncationLadder.points", "TruncationLadder.profile", "TruncationLadder.seed",
-    "TruncationLadder.virtual_dim",
+    "TruncationLadder", "TruncationLadder.models", "TruncationLadder.points",
+    "TruncationLadder.profile",
 }
 
 

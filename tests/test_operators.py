@@ -284,6 +284,18 @@ def test_schatten_report_derives_value_from_power_sum():
         ga.SchattenReport(p=0.5, singular_values=np.array([1.0]))
 
 
+# power sums past the float range: 10^400, 0.1^400 and 1e200^2
+@pytest.mark.parametrize("sv, p, expected", [
+    ([10.0, 1.0], 400, 10.0),
+    ([0.1, 0.01], 400, 0.1),
+    ([1e200, 1.0], 2, 1e200),
+], ids=["overflow", "underflow", "large_sigma"])
+def test_schatten_value_rescales_a_power_sum_out_of_range(sv, p, expected):
+    rep = ga.schatten_norm(np.diag(sv), p)
+    assert rep.power_sum in (0.0, math.inf)
+    assert rep.value == pytest.approx(expected, rel=1e-15)
+
+
 def test_schatten_report_leaves_the_callers_values_alone():
     sv = np.array([2.0, 1.0])
     rep = ga.SchattenReport(p=1, singular_values=sv)
@@ -439,12 +451,6 @@ def test_coordinate_oblique_projections_are_wrapped_uncopied(monkeypatch):
     onto_f, onto_g = ga.oblique_projections(m.h_plus, m.h_minus)
     assert onto_f.matrix is made[0] and onto_g.matrix is made[1]
     assert np.array_equal(onto_f.matrix, np.diag([0, 0, 1, 1, 1]))
-
-
-def test_operator_transpose():
-    mat = np.array([[1 + 2j, 3.0], [0.0, 4 - 1j]])
-    op = ga.Operator(mat)
-    assert_allclose(op.transpose().matrix, mat.T)
 
 
 # ---------------------------------------------------------------------------

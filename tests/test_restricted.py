@@ -1,14 +1,17 @@
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
+from grassatlas import restricted
 from grassatlas.atlas import _coordinate_rows
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
-from grassatlas.restricted import _decay_form, _graph_point
+from grassatlas.restricted import PreservationReport, RungResult, _decay_form, _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
 from grassatlas.verify.oracles import projector_diff_norm
 
@@ -128,6 +131,16 @@ def test_membership_diff_norm_matches_dense_projectors_at_every_dim(n_minus, n_p
             assert abs(ga.membership_report(w, m, p).diff_norm - want) <= 1e-10 * want
 
 
+def test_membership_reads_power_sums_below_the_float_range():
+    # each sine^2000 underflows to 0.0; the largest sine is 0.5 / sqrt(1.25)
+    m = _model(4)
+    w = ga.generate_restricted_point(m, 2, ga.DecayProfile.geometric(0.5)).w
+    report = ga.membership_report(w, m, 2000)
+    assert report.minus_norm == pytest.approx(1 / math.sqrt(5), rel=1e-14)
+    assert report.diff_norm == pytest.approx(2 ** (1 / 2000) / math.sqrt(5), rel=1e-14)
+    assert report.diff_norm == pytest.approx(projector_diff_norm(w, m, 2000), rel=1e-12)
+
+
 def test_membership_rejects_foreign_subspace():
     m = _model()
     with pytest.raises(DimensionMismatch):
@@ -201,16 +214,46 @@ def test_ladder_diff_norms_cauchy_within_geometric_bound():
     r = 0.5
     ladder = ga.build_truncation_ladder([(8, 8), (16, 16), (32, 32)], 1,
                                         ga.DecayProfile.geometric(r), 0, seed=3)
-    values = ladder.diff_norms
+    values = [pt.diff_norm for pt in ladder.points]
     # graph weights are r^k from k = 1; the tail bound is 2 sum_{k>8} r^k = 2 r^8 at r = 1/2
     assert max(values) - min(values) <= 2 * r ** 8
 
 
 def test_ladder_embedding_is_bit_exact():
-    ladder = ga.build_truncation_ladder([(8, 8), (16, 16), (32, 32)], 1,
-                                        ga.DecayProfile.geometric(0.5), 1, seed=4)
-    for small, large in zip(ladder.graph_maps, ladder.graph_maps[1:]):
+    profile = ga.DecayProfile.geometric(0.5)
+    ladder = ga.build_truncation_ladder([(8, 8), (16, 16), (32, 32)], 1, profile, 1, seed=4)
+    graphs = [_graph_point(model, profile, 1, 4)[1] for model in ladder.models]
+    for small, large in zip(graphs, graphs[1:]):
         assert np.array_equal(small.matrix, large.matrix[: small.rows, : small.cols])
+
+
+def test_ladder_keeps_no_graph_map():
+    profile = ga.DecayProfile.geometric(0.5)
+    ga.build_truncation_ladder([(2, 2), (4, 4)], 1, profile)  # first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ladder = ga.build_truncation_ladder([(s, s) for s in (16, 32, 64, 128)], 1, profile)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    kept = {trace.size for trace in arrays.traces}
+    # the points' bases are 2s x s; an s x s graph map would be half that size
+    assert {pt.w.basis.matrix.nbytes for pt in ladder.points} <= kept
+    assert not kept & {16 * m.n_minus * m.n_plus for m in ladder.models}
+
+
+def test_ladder_rejects_rungs_that_do_not_nest(monkeypatch):
+    def unstable(profile, count, entropy):
+        # the phases depend on the count, so no rung is a block of the next
+        phases = np.random.default_rng([count, *np.atleast_1d(entropy)]).uniform(0, 6, count)
+        return profile.values(count, skip=1) * np.exp(1j * phases)
+
+    monkeypatch.setattr(restricted, "_ladder_weights", unstable)
+    with pytest.raises(LadderMismatch, match="top-left block"):
+        ga.build_truncation_ladder([(4, 4), (8, 8)], 1, ga.DecayProfile.geometric(0.5))
 
 
 _PROFILES = [ga.DecayProfile.geometric(0.5), ga.DecayProfile.power(1.1), ga.DecayProfile.zero()]
@@ -419,6 +462,32 @@ def test_preservation_records_skipped_rungs():
     assert all(r.skipped for r in report.per_rung)
     assert not report.passed
     assert all(entry.get("skipped") for entry in report.to_dict()["per_rung"])
+
+
+def _rungs(*norms):
+    """Rungs of (mu_norm, mu_prime_norm); a zero or NaN mu_norm skips its rung."""
+    return tuple(RungResult(8 * (i + 1), mu, mu_prime) for i, (mu, mu_prime) in enumerate(norms))
+
+
+@pytest.mark.parametrize("per_rung, spread", [
+    (_rungs((1.0, 2.0), (1.0, 1.0), (2.0, 2.0), (2.0, 3.0)), 0.5 / (3.5 / 3)),
+    (_rungs((1.0, 1.0), (1.0, 1.01), (0.0, 3.0), (1.0, 1.02)), 0.02 / (3.03 / 3)),
+    (_rungs((1.0, 1.0), (math.nan, math.nan), (0.0, 1.0)), None),
+    (_rungs((0.0, 0.0), (0.0, 1.0)), None),
+], ids=["top_three", "zero_mu_skipped", "one_usable", "none_usable"])
+def test_preservation_report_derives_spread_and_pass(monkeypatch, per_rung, spread):
+    report = PreservationReport(1.0, per_rung)
+    assert report.dims == tuple(r.dim for r in per_rung)
+    assert report.spread == (None if spread is None else pytest.approx(spread, rel=1e-15))
+    assert report.passed == (spread is not None and spread <= 0.05)
+    # the experiment's report is the same record over its rungs
+    rungs = iter(per_rung)
+    monkeypatch.setattr(restricted, "_rung", lambda *args: next(rungs))
+    ladder = ga.build_truncation_ladder([(s, s) for s in range(1, len(per_rung) + 1)], 1,
+                                        ga.DecayProfile.geometric(0.5))
+    found = ga.preservation_experiment(ladder, 1, ga.identity_chart_family())
+    assert found.per_rung == per_rung
+    assert (found.spread, found.passed) == (report.spread, report.passed)
 
 
 def test_preservation_report_schema():
