@@ -7,11 +7,12 @@ flavor where G is pinned to the orthogonal complement of F.  A chart's
 coordinate rows are the row blocks of M^{-1} for M = [B_F | B_G]: every chart
 coordinate and transition block is a product against them, and every such
 product goes through one method, ``ChartId._apply``.  A chart keeps only what
-its bases do not already hold: a split chart the dense rows B^H P of each side,
-and a hilbert chart nothing, since M is unitary there and its rows are the
-adjoint bases, read from the bases when applied.  No subspace or chart holds an
-n x n projector; distances between subspaces are read from n x k residuals of
-one basis off the other.
+its bases do not already hold.  When M is unitary (every hilbert chart) or a
+permutation (a split chart on two coordinate bases), its rows are the adjoint
+bases, read from the bases when applied, and the chart keeps no rows; a split
+chart with a dense side keeps the dense rows B^H P of each side.  No subspace
+or chart holds an n x n projector; distances between subspaces are read from
+n x k residuals of one basis off the other.
 
 Coordinate subspaces, spanned by standard basis vectors as the polarization
 blocks H_minus and H_plus are, are handled exactly.  A subspace recognizes a
@@ -24,13 +25,11 @@ reads the record first.  The complement of one is the slice of the remaining
 coordinates, built from its rows; a split chart on a complementary pair of
 them has 0/1 diagonal projections and a split conditioning of exactly 1, and a
 hilbert chart on one has a gap of exactly 0, so none takes a factorization.
-A chart side's record is the index vector of the coordinates its rows select,
-its dense rows, or ``None`` when its rows are the adjoint of its own basis.
-Index records and coordinate operands are applied by index, ``X[picks]`` and
-``R[:, cols]``, exactly the dense products, since 0/1 entries times finite
-numbers round nothing (principal angles between coordinate subspaces are 0 or
-pi/2; Bjorck & Golub, Math. Comp. 1973).  A transition into a chart whose two
-sides select coordinates builds no blocks:
+Coordinate bases and coordinate operands are applied by index, ``X[picks]``,
+``B[cols]^H`` and ``R[:, cols]``, exactly the dense products, since 0/1
+entries times finite numbers round nothing (principal angles between
+coordinate subspaces are 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).  A
+transition into a chart whose two sides select coordinates builds no blocks:
 a + b A and c + d A are rows of the source graph B_F + B_G A (:func:`_graph`).
 Between coordinate charts d - A' b and the reverse L_r = d_r - A b_r are
 column gathers (:func:`_left`).
@@ -177,29 +176,15 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _record(side: Subspace, projection: np.ndarray | None) -> np.ndarray | None:
-    """One side's rows of M^{-1}: B^H P with its split projection P, else the adjoint B^H.
-
-    A coordinate B^H is kept as the indices it selects, and B^H P read as those
-    rows of P.  A dense B^H is not kept at all: the record is ``None``, and
-    :meth:`ChartId._apply` reads the rows from the side's own basis.
-    """
-    rows = side._coord_rows
-    if projection is None:
-        return rows
-    return projection[rows] if rows is not None else side.basis.matrix.conj().T @ projection
-
-
 @dataclass(frozen=True, eq=False)
 class ChartId:
     """Ordered complementary pair (F, G) indexing a chart; keeps no projector and no basis copy.
 
-    ``_rows`` holds one record per side (:func:`_record`): the index vector of
-    the coordinates its rows select, the dense block of rows, or ``None`` when
-    the rows are the adjoint of the side's own basis.  A hilbert chart's rows
-    are the adjoint bases, so each of its sides is an index vector or ``None``;
-    a split chart's rows are selections only when F and G are both coordinate,
-    and dense blocks otherwise.
+    ``_rows`` is ``None`` when M = [B_F | B_G] is unitary (every hilbert chart)
+    or a permutation (a split chart on two coordinate bases): M^{-1} is then
+    M^H, whose rows are the adjoint bases.  Otherwise it is the pair of dense
+    row blocks B^H P, with P the side's split projection; a coordinate B^H P
+    is those rows of P.
     """
 
     f: Subspace
@@ -216,17 +201,15 @@ class ChartId:
                 f"chart pair dims {self.f.dim} + {self.g.dim} do not fill ambient "
                 f"{self.f.ambient_dim}")
         coordinate = self.f._coord_rows is not None and self.g._coord_rows is not None
-        onto_f = onto_g = None
+        object.__setattr__(self, "_rows", None)
         if self.flavor == "split":
             # raises SplitFailure when the pair is numerically singular
             projections = oblique_projections(self.f, self.g)
             if not coordinate:
-                onto_f, onto_g = projections[0].matrix, projections[1].matrix
-        # with no projection the rows are the adjoint bases, the inverse rows of M
-        # when it is a permutation (two coordinate bases) or unitary (hilbert),
-        # and a record keeps none of them but the coordinates a side selects
-        object.__setattr__(self, "_rows", (_record(self.f, onto_f), _record(self.g, onto_g)))
-        if self.flavor == "split":
+                object.__setattr__(self, "_rows", tuple(
+                    proj.matrix[side._coord_rows] if side._coord_rows is not None
+                    else side.basis.matrix.conj().T @ proj.matrix
+                    for side, proj in zip((self.f, self.g), projections)))
             return
         # with dim F + dim G = n, |P_G - (I - P_F)| equals |B_F^H B_G|, the sine of
         # the largest principal angle between G and F-perp; past the check M is
@@ -245,42 +228,43 @@ class ChartId:
         """The chart on (G, F), with no new factorization.
 
         [B_G | B_F] is [B_F | B_G] with its column blocks swapped, so its inverse
-        has this chart's coordinate rows swapped, and so are the side records:
-        the coordinates a side selects, its dense rows, or ``None`` for its
-        basis adjoint, which still reads its own side's basis.  Every check of
-        construction is symmetric in (F, G): the dimensions, the hilbert gap
-        |B_F^H B_G|_2 and the split conditioning, so each still holds.
+        has this chart's coordinate rows swapped: a pair of dense rows is
+        swapped, and ``None`` stays ``None``, since each side's rows are still
+        read from its own basis.  Every check of construction is symmetric in
+        (F, G): the dimensions, the hilbert gap |B_F^H B_G|_2 and the split
+        conditioning, so each still holds.
         """
         chart = object.__new__(ChartId)
         for name, value in (("f", self.g), ("g", self.f), ("flavor", self.flavor),
-                            ("_rows", self._rows[::-1])):
+                            ("_rows", None if self._rows is None else self._rows[::-1])):
             object.__setattr__(chart, name, value)
         return chart
 
     def _apply(self, side: int, operand: Subspace | np.ndarray) -> np.ndarray:
         """The coordinate rows of ``side`` (0 for F, 1 for G) times a subspace's basis or a matrix.
 
-        The one place a chart's rows meet a matrix.  A side whose record is an
-        index vector reads the operand's rows, ``X[picks]``; a coordinate
-        subspace operand reads the chart rows' columns, ``R[:, cols]``.  Either
-        equals the dense product exactly.  A ``None`` record reads the rows
-        B^H from the side's basis B, as ``B^H X`` or ``B[cols]^H``: the same
-        products a stored copy of B^H would give.
+        The one place a chart's rows meet a matrix.  Kept dense rows R read
+        ``R @ X``, or ``R[:, cols]`` on a coordinate subspace operand.  A chart
+        that keeps no rows reads them from the side's own basis B: a coordinate
+        side as the operand's rows, ``X[picks]``, and a dense one as ``B^H X``,
+        or ``B[cols]^H`` on a coordinate operand.  Each equals the dense
+        product exactly.
         """
-        rows = self._rows[side]
         subspace = isinstance(operand, Subspace)
         # the record comes first: a coordinate operand's basis is built only when read
         cols = operand._coord_rows if subspace else None
-        if rows is None:
-            basis = (self.f, self.g)[side].basis.matrix
+        if self._rows is not None:
+            rows = self._rows[side]
             if cols is not None:
-                picked = basis[cols]
-                return np.conjugate(picked, out=picked).T
-            return basis.conj().T @ (operand.basis.matrix if subspace else operand)
-        if cols is not None and rows.ndim == 2:
-            return rows[:, cols]
+                return rows[:, cols]
+            return rows @ (operand.basis.matrix if subspace else operand)
+        space = (self.f, self.g)[side]
+        picks = space._coord_rows
+        if picks is None and cols is not None:
+            picked = space.basis.matrix[cols]
+            return np.conjugate(picked, out=picked).T
         mat = operand.basis.matrix if subspace else operand
-        return mat[rows] if rows.ndim == 1 else rows @ mat
+        return mat[picks] if picks is not None else space.basis.matrix.conj().T @ mat
 
     @property
     def ambient_dim(self) -> int:
@@ -407,6 +391,9 @@ def in_chart_domain(h: Subspace, chart: ChartId,
 
     The conditioning is the smallest singular value of that restriction in
     orthonormal bases; the domain boundary is decided against ``tol_domain``.
+    The SVD is exact only to about eps sigma_max, while :func:`chart_forward`
+    and the transitions decide by 1/|B_F + B_G A|_2 (:func:`_require_domain`),
+    so within about 1e-8 relative of ``tol_domain`` the two can disagree.
     """
     _require_restrictable(h, chart)
     cond = _domain_conditioning(chart._apply(0, h))

@@ -141,11 +141,12 @@ def membership_report(w: Subspace, model: PolarizedModel, p: float) -> Restricte
     virtual_dim = virtual_dimension(w, model)
     minus = schatten_norm(w.basis.matrix[:model.n_minus], p)
     above = _plus_spectrum(w, model)
+    power_sum = minus.power_sum
     # only an underflow reads 0.0, and only at virtual_dim 0, so the root rescales 2 |minus_map|^p
-    powers = 2.0 * minus.power_sum - virtual_dim
     return RestrictedPoint(
-        w=w, p=minus.p, diff_norm=minus._root(powers, 2.0), virtual_dim=virtual_dim,
-        plus_conditioning=float(above[-1]) if above.size else 0.0, minus_norm=minus.value)
+        w=w, p=minus.p, diff_norm=minus._root(2.0 * power_sum - virtual_dim, 2.0),
+        virtual_dim=virtual_dim, plus_conditioning=float(above[-1]) if above.size else 0.0,
+        minus_norm=minus._root(power_sum, 1.0))
 
 
 def _ladder_weights(profile: DecayProfile, count: int, entropy) -> np.ndarray:

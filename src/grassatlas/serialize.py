@@ -44,12 +44,20 @@ def _list_field(obj, key: str) -> list:
     return value
 
 
+def _number(part):
+    """A data entry part, unless it is a boolean, which ``complex`` would read as 0 or 1."""
+    if isinstance(part, (bool, np.bool_)):
+        raise TypeError(f"boolean {part!r} is not a number")
+    return part
+
+
 def operator_from_json(obj: dict) -> Operator:
     """Read the matrix wire format; a malformed payload raises ``ValueError`` naming its field."""
     shape = []
     for key in ("rows", "cols"):
         value = _field(obj, key)
-        if not isinstance(value, (int, np.integer)) or value < 0:
+        # a JSON boolean loads as a Python bool, which is an int
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise ValueError(f"field {key!r} must be a nonnegative integer, got {value!r}")
         shape.append(int(value))
     if obj.get("scalar") != "complex":
@@ -58,7 +66,7 @@ def operator_from_json(obj: dict) -> Operator:
     if len(data) != shape[0] * shape[1]:
         raise ValueError(f"field 'data' needs {shape[0] * shape[1]} entries, got {len(data)}")
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        flat = np.array([complex(_number(re), _number(im)) for re, im in data], dtype=complex)
     except (TypeError, ValueError):
         # canonical_json writes a non-finite number as null
         raise ValueError("field 'data' must hold [re, im] pairs of numbers") from None

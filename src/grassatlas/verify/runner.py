@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from numbers import Real
 
-import numpy as np
-
 from ..errors import ConfigError, GrassAtlasError
 from ..operators import _require_int
 from ..sampling import derive_rng
@@ -95,7 +93,10 @@ def _run_trials(cfg: SuiteConfig, index: int, check: _checks.CheckDef,
     An error check keeps the first trial that reaches the maximum, counting a
     NaN error as +inf.  An exact check (registry tolerance zero) counts the
     trials that violated the invariant and keeps the last one.  A trial that
-    raises ends the check with error +inf at that trial.
+    raises a ``GrassAtlasError``, a ``ValueError`` (numpy's ``LinAlgError`` and
+    its refusal of an array too big to address among them) or a ``MemoryError``
+    ends the check with error +inf at that trial, so a dimension too large to
+    allocate fails its checks and not the run.
     """
     exact = check.tolerance == 0.0
     error, worst = 0.0, None
@@ -104,7 +105,7 @@ def _run_trials(cfg: SuiteConfig, index: int, check: _checks.CheckDef,
         rng = derive_rng(cfg.seed, index, trial)
         try:
             outcome = check.fn(cfg, trial, rng, cfg.dims[trial % len(cfg.dims)])
-        except (GrassAtlasError, np.linalg.LinAlgError) as exc:
+        except (GrassAtlasError, ValueError, MemoryError) as exc:
             return math.inf, tag, f"{type(exc).__name__}: {exc}"
         if exact:
             if outcome:

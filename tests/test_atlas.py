@@ -493,17 +493,15 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     coordinate = "coordinate" in flavors[1]
     exact = dst.flavor == "split" or coordinate
     rows = _dense_rows(dst)
-    # a coordinate side's record is its index vector, a dense hilbert side's is None
-    # (its rows are its basis adjoint), and a dense split side's the rows computed here;
-    # each applies to a dense operand as those rows
+    # a hilbert or coordinate chart keeps no rows (they are its adjoint bases), and a
+    # dense split chart keeps the rows computed here; each applies to a dense operand
+    # as those rows
     x = _rng(7100 + n).standard_normal((n, 3)) + 1j * _rng(7150 + n).standard_normal((n, 3))
-    for side, space in enumerate((dst.f, dst.g)):
-        if coordinate:
-            assert dst._rows[side] is space._coord_rows
-        elif dst.flavor == "hilbert":
-            assert dst._rows[side] is None
-        else:
-            assert np.array_equal(dst._rows[side], rows[side])
+    if dst.flavor == "hilbert" or coordinate:
+        assert dst._rows is None
+    else:
+        assert all(np.array_equal(kept, want) for kept, want in zip(dst._rows, rows))
+    for side in (0, 1):
         assert np.array_equal(dst._apply(side, x), rows[side] @ x)
     dense = [side_rows @ sub.basis.matrix for side_rows in rows for sub in (src.f, src.g)]
     for got, want, product in zip(_transition_blocks(src, dst), _projector_blocks(src, dst),
@@ -528,13 +526,12 @@ def test_coordinate_charts_take_no_factorization(monkeypatch):
     monkeypatch.undo()
     assert not calls
     assert cond == 1.0
-    assert split._rows[0] is h_plus._coord_rows and split._rows[1] is h_minus._coord_rows
     assert hilbert.g.is_same(h_minus)
-    # every side's record is an index vector; each applies as the dense rows
-    # B^H P and B^H computed here
+    # neither chart keeps rows; each side applies as the dense rows B^H P and B^H
+    # computed here
     x = _rng(7300).standard_normal((10, 3)) + 1j * _rng(7301).standard_normal((10, 3))
     for chart in (split, hilbert):
-        assert [rows.ndim for rows in chart._rows] == [1, 1]
+        assert chart._rows is None
         for side, rows in enumerate(_dense_rows(chart)):
             assert np.array_equal(chart._apply(side, x), rows @ x)
     assert np.array_equal(split._apply(0, np.eye(10)), h_plus.basis.matrix.conj().T)
@@ -584,7 +581,7 @@ def test_hilbert_chart_on_two_dense_bases_keeps_no_array():
     f = random_subspace(n, k, _rng(7500))
     g = f.complement()
     chart, retained = _retained_bytes(lambda: ga.ChartId(f, g, "hilbert"))
-    assert chart._rows == (None, None)
+    assert chart._rows is None
     assert retained < k * k * np.dtype(complex).itemsize
 
 
@@ -592,14 +589,14 @@ def test_hilbert_chart_of_a_subspace_keeps_only_its_complement_basis():
     n, k = 128, 64
     v = random_subspace(n, k, _rng(7501))
     chart, retained = _retained_bytes(lambda: ga.ChartId.hilbert(v))
-    assert chart.f is v and chart._rows == (None, None)
+    assert chart.f is v and chart._rows is None
     assert chart.g.basis.matrix.nbytes <= retained
     assert retained - chart.g.basis.matrix.nbytes < k * k * np.dtype(complex).itemsize
 
 
 def test_coordinate_blocks_and_their_charts_keep_only_indices():
     # at n = 256 each 256 x 128 0/1 basis would take 0.5 MiB; the blocks, the
-    # hilbert chart's complement and the split chart keep index vectors only
+    # hilbert chart's complement keep index vectors only, and neither chart keeps rows
     model = ga.PolarizedModel(128, 128)
 
     def build():
@@ -608,7 +605,7 @@ def test_coordinate_blocks_and_their_charts_keep_only_indices():
 
     (h_plus, h_minus, hilbert, split), retained = _retained_bytes(build)
     assert retained < 16 * 1024
-    assert hilbert.g.is_same(h_minus) and split._rows == (h_plus._coord_rows, h_minus._coord_rows)
+    assert hilbert.g.is_same(h_minus) and hilbert._rows is None and split._rows is None
 
 
 def test_coordinate_basis_is_the_frozen_dense_matrix_built_on_each_read():
@@ -634,14 +631,56 @@ def test_dense_hilbert_side_applies_its_basis_adjoint_bit_for_bit():
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     coordinate = ga.Subspace(np.eye(n)[:, cols])
     for c in (chart, chart.opposite()):
+        assert c._rows is None
         for side, space in enumerate((c.f, c.g)):
             adjoint = space.basis.matrix.conj().T
-            assert c._rows[side] is None
             assert np.array_equal(c._apply(side, x), adjoint @ x)
             # a coordinate operand reads columns of B^H, as the dense product does exactly
             got = c._apply(side, coordinate)
             assert got.tobytes(order="A") == adjoint[:, cols].tobytes(order="A")
             assert np.array_equal(got, adjoint @ coordinate.basis.matrix)
+
+
+def _record_chart(kind):
+    """A chart of the named kind on a 7-dim ambient space, with a 3-dim F."""
+    eye, rng = np.eye(7), _rng(7600)
+    if kind == "coordinate-hilbert":
+        return ga.ChartId.hilbert(ga.PolarizedModel(4, 3).h_plus)
+    if kind == "dense-hilbert":
+        return ga.ChartId.hilbert(random_subspace(7, 3, rng))
+    if kind == "coordinate-split":
+        model = ga.PolarizedModel(4, 3)
+        return ga.ChartId(model.h_plus, model.h_minus)
+    if kind == "scattered-split":
+        return ga.ChartId(ga.Subspace(eye[:, [0, 3, 5]]), ga.Subspace(eye[:, [6, 1, 2, 4]]))
+    if kind == "mixed-split":
+        g = ga.Subspace.from_span(eye[:, 3:] + 0.3 * rng.standard_normal((7, 4)))
+        return ga.ChartId(ga.Subspace(eye[:, :3]), g)
+    return random_chart(7, 3, rng)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize("kind", ["coordinate-hilbert", "dense-hilbert", "coordinate-split",
+                                  "scattered-split", "mixed-split", "dense-split"])
+def test_chart_keeps_rows_only_for_a_split_pair_with_a_dense_side(kind, opposite):
+    chart = _record_chart(kind)
+    # the opposite chart's rows are this chart's, swapped
+    rows = _dense_rows(chart)[::-1] if opposite else _dense_rows(chart)
+    if opposite:
+        chart = chart.opposite()
+    # M = [B_F | B_G] is unitary on a hilbert chart and a permutation on two coordinate bases
+    if kind.endswith("hilbert") or kind in ("coordinate-split", "scattered-split"):
+        assert chart._rows is None
+    else:
+        assert len(chart._rows) == 2
+        assert all(np.array_equal(kept, want) for kept, want in zip(chart._rows, rows))
+    rng = _rng(7601)
+    x = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    coordinate = ga.Subspace(np.eye(7)[:, [5, 0, 3, 6]])
+    for side in (0, 1):
+        assert np.array_equal(chart._apply(side, x), rows[side] @ x)
+        assert np.array_equal(chart._apply(side, coordinate),
+                              rows[side] @ coordinate.basis.matrix)
 
 
 def _dense_record(pt, dst):

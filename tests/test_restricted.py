@@ -53,9 +53,9 @@ def test_split_chart_on_the_polarization_has_the_solve_route_rows():
     bf, bg = m.h_plus.basis.matrix, m.h_minus.basis.matrix
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(8))
     chart = ga.ChartId(m.h_plus, m.h_minus)
-    # each side's record is the index vector of its block, and applies as the
-    # solve route's rows B^H P
-    assert chart._rows[0] is m.h_plus._coord_rows and chart._rows[1] is m.h_minus._coord_rows
+    # M is a permutation, so the chart keeps no rows: each side reads its block's
+    # indices and applies as the solve route's rows B^H P
+    assert chart._rows is None
     x = _rng(48).standard_normal((8, 4)) + 1j * _rng(49).standard_normal((8, 4))
     for side, rows in enumerate((bf.conj().T @ (bf @ inv[:5]), bg.conj().T @ (bg @ inv[5:]))):
         assert np.array_equal(chart._apply(side, np.eye(8)), rows)
@@ -139,6 +139,28 @@ def test_membership_reads_power_sums_below_the_float_range():
     assert report.minus_norm == pytest.approx(1 / math.sqrt(5), rel=1e-14)
     assert report.diff_norm == pytest.approx(2 ** (1 / 2000) / math.sqrt(5), rel=1e-14)
     assert report.diff_norm == pytest.approx(projector_diff_norm(w, m, 2000), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2.5, 2000])
+def test_membership_reads_the_minus_power_sum_once(monkeypatch, p):
+    m = _model(64)
+    w = ga.generate_restricted_point(m, 2, ga.DecayProfile.geometric(0.5)).w
+    want = ga.membership_report(w, m, p)
+    reads = []
+    power_sum = ga.SchattenReport.power_sum
+
+    def counting(report):
+        reads.append(1)
+        return power_sum.fget(report)
+
+    monkeypatch.setattr(ga.SchattenReport, "power_sum", property(counting))
+    got = ga.membership_report(w, m, p)
+    monkeypatch.undo()
+    assert len(reads) == 1
+    # minus_norm is the root value takes of the same sum, bit for bit
+    assert (got.minus_norm, got.diff_norm) == (want.minus_norm, want.diff_norm)
+    minus = ga.schatten_norm(w.basis.matrix[:m.n_minus], p)
+    assert got.minus_norm == minus.value
 
 
 def test_membership_rejects_foreign_subspace():

@@ -53,6 +53,11 @@ _ONE = {"rows": 1, "cols": 1, "scalar": "complex", "data": [[1.0, 0.0]]}
     (serialize.operator_from_json, dict(_ONE, data=[[1.0]]), "data"),
     (serialize.operator_from_json, [1.0, 0.0], "rows"),
     (serialize.operator_from_json, None, "rows"),
+    # JSON booleans load as Python bools, which int and complex would read as 0 or 1
+    (serialize.operator_from_json, dict(_ONE, rows=True), "rows"),
+    (serialize.operator_from_json, dict(_ONE, cols=True), "cols"),
+    (serialize.operator_from_json, dict(_ONE, data=[[True, False]]), "data"),
+    (serialize.operator_from_json, dict(_ONE, data=[[1.0, False]]), "data"),
     (serialize.covector_from_json, {"at": 1}, "chart"),
     (serialize.covector_from_json, {"form": _ONE}, "at"),
     (serialize.chart_from_json, {"f": _ONE, "g": _ONE}, "flavor"),
@@ -60,7 +65,8 @@ _ONE = {"rows": 1, "cols": 1, "scalar": "complex", "data": [[1.0, 0.0]]}
     (serialize.tensor_covector_from_json, {"terms": None}, "terms"),
     (serialize.tensor_covector_from_json, {"terms": [{"x": _ONE}]}, "y"),
 ], ids=["no-data", "no-rows", "null-rows", "negative-cols", "null-data", "null-entry",
-        "short-entry", "list", "none", "at-not-object", "no-at", "no-flavor",
+        "short-entry", "list", "none", "bool-rows", "bool-cols", "bool-entry",
+        "bool-imag", "at-not-object", "no-at", "no-flavor",
         "string", "null-terms", "no-y"])
 def test_readers_raise_value_error_naming_the_field(read, payload, field):
     with pytest.raises(ValueError, match=f"'{field}'"):
