@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -283,7 +282,8 @@ class ChartPoint:
     """A subspace in chart coordinates: the F -> G operator whose graph it is.
 
     The point keeps the record of its last forward transition, target and tol
-    included, so the bundle maps from one point to one target share one evaluation.
+    included, so the bundle maps from one point to one target share one evaluation;
+    :func:`transition_base` neither reads nor writes it.
     """
 
     chart: ChartId
@@ -505,34 +505,27 @@ def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
             dst._apply(1, src.g))
 
 
-class _Forward:
-    """What the bundle maps read of a forward transition: A', denom = a + b A and left = d - A' b.
+class _Forward(NamedTuple):
+    """What the bundle maps read of a forward transition: A', denom = a + b A and left = d - A' b."""
 
-    ``left`` is made on its first read and kept; ``transition_base`` never
-    reads it.  ``blocks`` holds the dense b and d until then, or ``None``
-    when the target's sides select coordinates and no blocks were built.
-    """
+    coord: np.ndarray
+    denom: np.ndarray
+    left: np.ndarray
+    target: ChartId
+    tol: float
 
-    def __init__(self, coord: np.ndarray, denom: np.ndarray, src: ChartId, target: ChartId,
-                 tol: float, blocks: tuple[np.ndarray, np.ndarray] | None):
-        self.coord, self.denom = coord, denom
-        self.target, self.tol = target, tol
-        self._src, self._blocks = src, blocks
 
-    @cached_property
-    def left(self) -> np.ndarray:
-        """d - A' b, the left factor of the tangent fiber map X -> (d - A' b) X denom^{-1}.
-
-        b and d are the target's rows applied to the source's B_G (:func:`_left`).
-        A read that finds the blocks dropped applies the rows again, to the same bits.
-        """
-        left = _left(self.coord, self.target, self._src.g, self._blocks)
-        self._blocks = None
-        return left
+def _require_transition(src: ChartId, target: ChartId) -> None:
+    """Raise :class:`DimensionMismatch` unless the two charts share the ambient space and dim F."""
+    if src.ambient_dim != target.ambient_dim:
+        raise DimensionMismatch("charts live in different ambient spaces")
+    if src.f.dim != target.f.dim:
+        raise DimensionMismatch(
+            f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
 
 
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
-    """The one transition every base and bundle map evaluates, kept on the source point.
+    """The one transition every bundle map evaluates, kept on the source point.
 
     The source graph is B_F' denom + B_G' numer in the target bases, so
     graph denom^{-1} = B_F' + B_G' A' is the graph of the target point (target, A'):
@@ -540,21 +533,17 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     and the coordinate being solved for decides the domain (:func:`_solve_in_domain`).
     When both target sides select coordinates, a + b A and c + d A are the
     source graph's rows they select (:func:`_graph`) and no blocks are built;
-    otherwise they come from the dense blocks.
+    otherwise they come from the dense blocks, and the same b and d make ``left``.
 
-    The point holds the record of its last (target, tolerance); every input is
-    frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
+    The point holds the record of its last (target, tolerance), replaced whole;
+    every input is frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
     """
     tol = _domain_tol(tol_domain)
     memo = pt._forward
     if memo is not None and memo.target is target and memo.tol == tol:
         return memo
     src = pt.chart
-    if src.ambient_dim != target.ambient_dim:
-        raise DimensionMismatch("charts live in different ambient spaces")
-    if src.f.dim != target.f.dim:
-        raise DimensionMismatch(
-            f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
+    _require_transition(src, target)
     coord = pt.coord.matrix
     # a chart's two sides select coordinates exactly when both its bases are coordinate
     picks_f, picks_g = target.f._coord_rows, target.g._coord_rows
@@ -567,9 +556,8 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
         numer += c
         del a, c  # only b and d are read past the solve
     denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
-    fwd = _Forward(_solve_in_domain(target, denom, numer, tol,
-                                    "graph leaves the target chart domain"),
-                   denom, src, target, tol, blocks)
+    moved = _solve_in_domain(target, denom, numer, tol, "graph leaves the target chart domain")
+    fwd = _Forward(moved, denom, _left(moved, target, src.g, blocks), target, tol)
     object.__setattr__(pt, "_forward", fwd)
     return fwd
 
@@ -578,9 +566,14 @@ def transition_base(pt: ChartPoint, target: ChartId,
                     tol_domain: float | None = None) -> ChartPoint:
     """Base-manifold transition: re-express a chart point in the target chart.
 
-    Closed form in block coordinates: A' = (c + d A)(a + b A)^{-1} with the
-    blocks built from the target chart's coordinate rows applied to the source
-    bases.  Agrees with the graph route
+    A' = (R_G' G)(R_F' G)^{-1}, the target's coordinate rows R' read on the source
+    graph G = B_F + B_G A: :func:`chart_forward` on G, without its QR.  It builds
+    no transition blocks and leaves the point's memo alone.  Agrees with
     ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
     """
-    return ChartPoint(target, _forward_transition(pt, target, tol_domain).coord)
+    tol = _domain_tol(tol_domain)
+    _require_transition(pt.chart, target)
+    graph = _graph(pt.chart, pt.coord.matrix, None)
+    top, bottom = target._apply(0, graph), target._apply(1, graph)
+    return ChartPoint(target, _solve_in_domain(target, top, bottom, tol,
+                                               "graph leaves the target chart domain"))

@@ -14,9 +14,10 @@ inverse is ``X' -> L_r X' S``, so on tensor covectors the transition is the one
 operator pair ``x (x) y -> S x (x) L_r^T y`` and keeps the number of terms.
 
 Every map here reads one forward transition per (point, target chart, domain
-tolerance): the source point keeps the last one it evaluated, so a tangent and
-cotangent pair, or ``pushforward_factors`` followed by ``pushforward_tensor``,
-builds the transition blocks once.
+tolerance), made whole at once: A', the denominator and the left factor.  The
+source point keeps the last one, so a tangent and cotangent pair, or
+``pushforward_factors`` followed by ``pushforward_tensor``, builds the
+transition blocks once.  ``atlas.transition_base`` neither reads nor writes it.
 """
 
 from __future__ import annotations

@@ -109,8 +109,8 @@ class SchattenReport:
         object.__setattr__(self, "p", _schatten_norm_index(self.p))
         sv = _frozen(self.singular_values, float)
         object.__setattr__(self, "singular_values", sv)
-        if sv.size and (np.any(sv < 0) or np.any(np.diff(sv) > 0)):
-            raise ValueError("singular values must be nonnegative and nonincreasing")
+        if not (np.isfinite(sv).all() and (sv >= 0).all() and (np.diff(sv) <= 0).all()):
+            raise ValueError("singular values must be finite, nonnegative and nonincreasing")
 
     @property
     def power_sum(self) -> float:
@@ -235,8 +235,10 @@ def singular_values(op) -> np.ndarray:
 
 
 def _require_int(value, name: str) -> int:
-    """``value`` as an int; a float, even a whole one, is refused rather than truncated."""
+    """``value`` as an int; a float, even a whole one, or a bool is refused, never coerced."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

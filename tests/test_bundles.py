@@ -657,7 +657,8 @@ def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
     tangent = ga.transition_tangent(ga.TangentVector(pt, x), dst)
     covector = ga.transition_cotangent(ga.Covector(pt, mu), dst)
     ga.pushforward_tensor(ga.TensorCovector(pt, ()), ga.pushforward_factors(pt, dst), dst)
-    ga.transition_base(pt, dst, tol_domain=ga.DEFAULT_TOL_DOMAIN)  # the default, spelled out
+    # the default, spelled out
+    ga.transition_tangent(ga.TangentVector(pt, x), dst, tol_domain=ga.DEFAULT_TOL_DOMAIN)
     assert len(builds) == 1
     # a hit returns what a fresh evaluation computes, bit for bit
     fresh = ga.ChartPoint(pt.chart, pt.coord)
@@ -671,25 +672,53 @@ def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
 def test_transition_memo_is_keyed_by_target_and_tolerance(monkeypatch):
     pt, dst = _near_chart_pair(8, 3, 982)
     twin = ga.ChartId(dst.f, dst.g)  # an equal chart, but another object
+    v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(983)))
     builds = _count_block_builds(monkeypatch)
     for target, tol, total in [(dst, None, 1), (twin, None, 2), (twin, 1e-6, 3),
                                (twin, 1e-6, 3), (dst, None, 4)]:
-        ga.transition_base(pt, target, tol)
+        ga.transition_tangent(v, target, tol)
         assert len(builds) == total
 
 
 def test_raised_domain_violation_is_not_memoized(monkeypatch):
     # a hilbert target's conditioning is a cosine, so tol_domain = 1 always raises
     pt, dst = _near_chart_pair(8, 3, 984, ("split", "hilbert"))
+    v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(985)))
     builds = _count_block_builds(monkeypatch)
-    moved = ga.transition_base(pt, dst)
+    moved = ga.transition_tangent(v, dst)
     for total in (2, 3):
         with pytest.raises(ChartDomainViolation):
-            ga.transition_base(pt, dst, tol_domain=1.0)
+            ga.transition_tangent(v, dst, tol_domain=1.0)
         assert len(builds) == total
     # the raise left the earlier record in place
-    assert np.array_equal(ga.transition_base(pt, dst).coord.matrix, moved.coord.matrix)
+    assert np.array_equal(ga.transition_tangent(v, dst).at.coord.matrix, moved.at.coord.matrix)
     assert len(builds) == 3
+
+
+def _swap_pair(k, t=1.5 + 0.5j):
+    """The split swap pair (H_+, H_-) -> (H_-, H_+) of the (k, k) polarized model, at t I."""
+    model = ga.PolarizedModel(k, k)
+    point = ga.generate_restricted_point(model, 1, ga.DecayProfile.zero())
+    src, dst, base = ga.swap_chart_family(t)(model, point)
+    return ga.chart_forward(base, src), dst
+
+
+# the base transition reads the target's rows on the source graph and keeps nothing
+@pytest.mark.parametrize("pair", ["hilbert", "split", "mixed", "swap"])
+def test_transition_base_leaves_the_memo_and_builds_no_blocks(monkeypatch, pair):
+    if pair == "swap":
+        pt, dst = _swap_pair(8)
+    else:
+        pt, dst = _near_chart_pair(8, 3, 988, ("hilbert", "split") if pair == "mixed"
+                                   else (pair, pair))
+    builds = _count_block_builds(monkeypatch)
+    moved = ga.transition_base(pt, dst).coord.matrix
+    assert pt._forward is None and not builds
+    oracle = ga.chart_forward(ga.chart_inverse(pt), dst).coord.matrix
+    assert np.abs(moved - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    if pair == "swap":
+        # between two coordinate charts both routes take the same graph rows, exactly
+        assert moved.tobytes() == atlas._forward_transition(pt, dst, None).coord.tobytes()
 
 
 @pytest.mark.parametrize("flavors", [("hilbert", "split"), ("split", "hilbert"),

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import grassatlas as ga
-from grassatlas.errors import ChartMismatch, DimensionMismatch
+from grassatlas.errors import ChartMismatch, ConfigError, DimensionMismatch
+from grassatlas.operators import singular_tail_sum
+from grassatlas.verify.runner import SuiteConfig
 
 
 def _subspace(n, cols):
@@ -63,6 +65,13 @@ CASES = {
     "split-conditioning-across-ambients": (
         DimensionMismatch,
         lambda: ga.split_conditioning(_subspace(2, [0]), _subspace(3, [1, 2]))),
+    # a bool is an int to Python, but True as a size, count or cutoff is not 1
+    "polarized-model-bool-block": (
+        ValueError, lambda: ga.PolarizedModel(True, 2)),
+    "suite-config-bool-trials": (
+        ConfigError, lambda: SuiteConfig(trials=True)),
+    "tail-sum-bool-cutoff": (
+        ValueError, lambda: singular_tail_sum(np.eye(2), True)),
 }
 
 
@@ -71,6 +80,13 @@ def test_refusal_raises_its_documented_type(expected, call):
     with pytest.raises(expected) as err:
         call()
     assert type(err.value) is expected
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if "-bool-" in name])
+def test_bool_is_refused_by_the_integer_rule(name):
+    expected, call = CASES[name]
+    with pytest.raises(expected, match="must be an integer, got True"):
+        call()
 
 
 def test_pair_functions_on_the_empty_space():

@@ -55,7 +55,7 @@ def test_layer_bench_peak_counts_what_the_call_allocates():
 
 def test_layer_bench_times_fresh_points(monkeypatch):
     # a repeat on the warm-up call's point would be a memo hit and build no blocks
-    prepare = bench._layers(8)["transition_base[split]"]
+    prepare = bench._layers(8)["transition_tangent[split]"]
     blocks = []
     build = atlas._transition_blocks
     monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: blocks.append(1) or build(*args))

@@ -408,6 +408,14 @@ def test_schatten_report_validates_consistency():
         ga.SchattenReport(p=1.0, singular_values=np.array([1.0, -0.5]))
 
 
+# a NaN compares False both ways and an inf sorts in order, so the order checks pass both
+@pytest.mark.parametrize("sv", [[math.nan], [math.inf], [math.inf, 1.0], [2.0, math.nan, 1.0]],
+                         ids=["nan", "inf", "inf-first", "nan-inside"])
+def test_schatten_report_refuses_non_finite_singular_values(sv):
+    with pytest.raises(ValueError, match="finite"):
+        ga.SchattenReport(p=2, singular_values=np.array(sv))
+
+
 def test_singular_tail_validates_dims():
     with pytest.raises(ValueError):
         ga.SingularTail(dims=(8, 8), tail_norms=(0.1, 0.1), cutoff=2)
