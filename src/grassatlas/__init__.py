@@ -19,11 +19,9 @@ from .bundles import (Covector, TangentVector, TensorCovector, operator_to_tenso
 from .errors import (BadProfile, ChartDomainViolation, ChartMismatch, ConfigError,
                      DimensionMismatch, FactorMismatch, GrassAtlasError,
                      LadderMismatch, PairingMismatch, PredualUnavailable, SplitFailure)
-from .operators import (DEFAULT_TOL_SPLIT, DecayProfile, Operator, OperatorLadder,
-                        SchattenReport, SingularTail, compactness_tail,
-                        decay_operator, haar_frame, oblique_projections,
-                        operator_norm, schatten_norm, singular_values,
-                        split_conditioning)
+from .operators import (DEFAULT_TOL_SPLIT, DecayProfile, Operator, SchattenReport, SingularTail,
+                        compactness_tail, decay_operator, haar_frame, oblique_projections,
+                        operator_norm, schatten_norm, singular_values, split_conditioning)
 from .restricted import (PolarizedModel, PreservationReport, RestrictedPoint,
                          TruncationLadder, build_truncation_ladder,
                          generate_restricted_point, graph_chart_family,
@@ -39,7 +37,7 @@ __all__ = [
     "ConfigError", "Covector", "DEFAULT_TOL_DOMAIN", "DEFAULT_TOL_EQ",
     "DEFAULT_TOL_SPLIT", "DecayProfile", "DimensionMismatch", "DomainCheck",
     "FactorMismatch", "GrassAtlasError", "LadderMismatch", "Operator",
-    "OperatorLadder", "PairingMismatch", "PolarizedModel", "PredualUnavailable",
+    "PairingMismatch", "PolarizedModel", "PredualUnavailable",
     "PreservationReport", "RestrictedPoint", "SchattenReport", "SingularTail",
     "SplitFailure", "Subspace", "TangentVector", "TensorCovector",
     "TruncationLadder", "build_truncation_ladder", "chart_forward",

@@ -236,11 +236,11 @@ def _factor_residual(s: np.ndarray, t: np.ndarray, left: np.ndarray, s_r: np.nda
 
 
 def trace_pairing(c: Covector, v: TangentVector) -> complex:
-    """Duality pairing ``Tr(mu X)``; both trace orders are computed and compared."""
+    """Duality pairing ``Tr(mu X) = sum mu_ij X_ji``, summed by F rows, by G rows and compared."""
     _require_same_point(c.at, v.at)
-    mu, x = c.form.matrix, v.direction.matrix
-    over_f = complex(np.trace(mu @ x))
-    over_g = complex(np.trace(x @ mu))
+    terms = c.form.matrix * v.direction.matrix.T
+    over_f = complex(terms.sum(axis=1).sum())
+    over_g = complex(terms.sum(axis=0).sum())
     if abs(over_f - over_g) > 1e-10 * (1.0 + abs(over_f)):
         raise PairingMismatch("trace pairing differs between the two coordinate routes")
     return over_f

@@ -15,6 +15,10 @@ its data, is C-contiguous, of the wanted dtype and already read-only is kept
 as it is, and anything else is copied and the copy made read-only, so a
 caller's writable array is never aliased.  A builder that wraps an array it
 has just made freezes it first, and the array is not copied again.
+
+A ladder of matrices nests by one rule (:func:`_require_nested`): each rung is
+the exact top-left block of the next, once :func:`_require_growth` has found
+that its shapes grow; a break raises :class:`LadderMismatch`.
 """
 
 from __future__ import annotations
@@ -109,6 +113,8 @@ class SchattenReport:
         object.__setattr__(self, "p", _schatten_norm_index(self.p))
         sv = _frozen(self.singular_values, float)
         object.__setattr__(self, "singular_values", sv)
+        if sv.ndim != 1:
+            raise ValueError(f"singular values must form a 1-D array, got shape {sv.shape}")
         if not (np.isfinite(sv).all() and (sv >= 0).all() and (np.diff(sv) <= 0).all()):
             raise ValueError("singular values must be finite, nonnegative and nonincreasing")
 
@@ -165,26 +171,11 @@ def _require_growth(shapes) -> None:
             raise LadderMismatch(f"ladder shapes must increase, got {shapes}")
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorLadder:
-    """Increasing family of operators, each the exact top-left block of the next."""
-
-    operators: tuple[Operator, ...]
-
-    def __post_init__(self):
-        ops = tuple(op if isinstance(op, Operator) else Operator(op) for op in self.operators)
-        object.__setattr__(self, "operators", ops)
-        if not ops:
-            raise ValueError("ladder must contain at least one operator")
-        _require_growth([op.shape for op in ops])
-        for small, large in zip(ops, ops[1:]):
-            block = large.matrix[: small.rows, : small.cols]
-            if not np.array_equal(small.matrix, block):
-                raise LadderMismatch("smaller rung is not the exact top-left block of the next")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(max(op.shape) for op in self.operators)
+def _require_nested(mats) -> None:
+    """Raise :class:`LadderMismatch` unless each matrix is the exact top-left block of the next."""
+    for small, large in zip(mats, mats[1:]):
+        if not np.array_equal(small, large[: small.shape[0], : small.shape[1]]):
+            raise LadderMismatch("smaller rung is not the exact top-left block of the next")
 
 
 @dataclass(frozen=True)
@@ -244,12 +235,12 @@ def _require_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _require_cutoff(cutoff) -> int:
-    """The tail cutoff as an int, once it is a nonnegative integer."""
-    cutoff = _require_int(cutoff, "cutoff")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    return cutoff
+def _require_count(value, name: str) -> int:
+    """``value`` as an int, once it is a nonnegative integer: a size or a tail cutoff."""
+    value = _require_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def singular_tail_sum(op, cutoff: int) -> float:
@@ -257,7 +248,7 @@ def singular_tail_sum(op, cutoff: int) -> float:
 
     ``cutoff`` must be a nonnegative integer; any other raises ``ValueError``.
     """
-    return float(np.sum(singular_values(op)[_require_cutoff(cutoff):]))
+    return float(np.sum(singular_values(op)[_require_count(cutoff, "cutoff"):]))
 
 
 def operator_norm(op) -> float:
@@ -366,18 +357,27 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
 def compactness_tail(family, cutoff: int) -> SingularTail:
     """Tail sums ``sum_{k > cutoff} sigma_k`` across a truncation ladder.
 
-    A family with stabilizing tails behaves like a compact operator at the
-    desk scale; linearly growing tails signal a non-compact family.
+    Each rung is labeled by its larger side; a ladder whose labels do not
+    strictly increase (a 2 x 3 block of a 3 x 3 rung) is refused before any SVD.
+    Stabilizing tails behave like a compact operator at the desk scale;
+    linearly growing tails signal a non-compact family.
     """
-    if not isinstance(family, OperatorLadder):
-        family = OperatorLadder(tuple(family))
-    cutoff = _require_cutoff(cutoff)
-    tails = tuple(singular_tail_sum(op, cutoff) for op in family.operators)
-    return SingularTail(dims=family.sizes, tail_norms=tails, cutoff=cutoff)
+    mats = [as_matrix(op) for op in family]
+    if not mats:
+        raise ValueError("ladder must contain at least one operator")
+    _require_growth([mat.shape for mat in mats])
+    sizes = tuple(max(mat.shape) for mat in mats)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise LadderMismatch(f"ladder sizes must strictly increase, got {sizes}")
+    _require_nested(mats)
+    cutoff = _require_count(cutoff, "cutoff")
+    tails = tuple(singular_tail_sum(mat, cutoff) for mat in mats)
+    return SingularTail(dims=sizes, tail_norms=tails, cutoff=cutoff)
 
 
 def haar_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Column-orthonormal n x k frame drawn from the unitary-invariant ensemble."""
+    """Column-orthonormal n x k frame drawn from the unitary-invariant ensemble; n, k ints >= 0."""
+    n, k = _require_count(n, "n"), _require_count(k, "k")
     if k > n:
         raise DimensionMismatch(f"frame needs k <= n, got {k} > {n}")
     gauss = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
@@ -393,10 +393,8 @@ def decay_operator(rows: int, cols: int, profile: DecayProfile, seed: int) -> Op
     The left/right singular frames are Haar-distributed given the seed, so
     repeated calls with equal arguments reproduce the entries bit for bit.
     """
-    rows, cols = _require_int(rows, "rows"), _require_int(cols, "cols")
+    rows, cols = _require_count(rows, "rows"), _require_count(cols, "cols")
     seed = _require_int(seed, "seed")
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be nonnegative")
     m = min(rows, cols)
     if m == 0:
         return Operator(np.zeros((rows, cols)))

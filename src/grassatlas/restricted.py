@@ -7,6 +7,8 @@ p-restricted Grassmannian is quantitative at a truncation: the report carries
 both the two-condition form (conditioning of the projection to H_plus, p-norm
 of the projection to H_minus) and the single-condition norm ``|P_W - P_+|_p``;
 trends across a truncation ladder decide classes, single truncations never do.
+A ladder's rungs nest by the one rule in ``operators``: each graph map is the
+exact top-left block of the next, or :class:`LadderMismatch` is raised.
 
 Exponent convention: p indexes the tangent class L_p of the p-restricted
 Grassmannian, with p = 0 standing for the compact class K.  The precotangent
@@ -25,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,9 +35,9 @@ from .atlas import ChartId, ChartPoint, Subspace, chart_forward
 from .bundles import Covector, transition_cotangent
 from .errors import (ChartDomainViolation, DimensionMismatch, LadderMismatch,
                      PredualUnavailable)
-from .operators import (DecayProfile, Operator, OperatorLadder, _require_cutoff,
-                        _require_growth, _require_int, _schatten_norm_index, schatten_norm,
-                        singular_tail_sum, singular_values)
+from .operators import (DecayProfile, Operator, _require_count, _require_growth, _require_int,
+                        _require_nested, _schatten_norm_index, schatten_norm, singular_tail_sum,
+                        singular_values)
 
 _RANK_TOL = 1e-10
 
@@ -61,11 +62,11 @@ class PolarizedModel:
     def ambient_dim(self) -> int:
         return self.n_minus + self.n_plus
 
-    @cached_property
+    @property
     def h_minus(self) -> Subspace:
         return Subspace._from_rows(np.arange(self.n_minus), self.ambient_dim)
 
-    @cached_property
+    @property
     def h_plus(self) -> Subspace:
         return Subspace._from_rows(self.n_minus + np.arange(self.n_plus), self.ambient_dim)
 
@@ -222,8 +223,7 @@ def build_truncation_ladder(dims, p: float, profile: DecayProfile,
     _require_growth(dims)
     models = tuple(PolarizedModel(nm, np_) for nm, np_ in dims)
     rungs = [_graph_point(model, profile, virtual_dim, seed) for model in models]
-    # raises LadderMismatch unless each graph is the exact top-left block of the next
-    OperatorLadder(tuple(graph for _, graph in rungs))
+    _require_nested([graph.matrix for _, graph in rungs])
     return TruncationLadder(profile=profile, models=models, points=tuple(
         membership_report(w, model, p) for (w, _), model in zip(rungs, models)))
 
@@ -394,7 +394,7 @@ def preservation_experiment(ladder: TruncationLadder, p: float,
     (:class:`PreservationReport`).  Rungs whose charts fail the domain check are
     skipped.
     """
-    p, tail_cutoff = _schatten_index(p), _require_cutoff(tail_cutoff)
+    p, tail_cutoff = _schatten_index(p), _require_count(tail_cutoff, "cutoff")
     seed = _require_int(seed, "seed")
     return PreservationReport(p=p, per_rung=tuple(
         _rung(model, point, p, chart_family, ladder.profile, seed, tail_cutoff)

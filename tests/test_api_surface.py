@@ -80,7 +80,6 @@ PUBLIC = {
     "DomainCheck", "DomainCheck.conditioning", "DomainCheck.contains",
     "FactorMismatch", "FactorMismatch.bound", "FactorMismatch.residual",
     "Operator", "Operator.cols", "Operator.matrix", "Operator.rows", "Operator.shape",
-    "OperatorLadder", "OperatorLadder.operators", "OperatorLadder.sizes",
     "PolarizedModel", "PolarizedModel.ambient_dim", "PolarizedModel.h_minus",
     "PolarizedModel.h_plus", "PolarizedModel.n_minus", "PolarizedModel.n_plus",
     "PreservationReport", "PreservationReport.dims", "PreservationReport.p",

@@ -43,7 +43,7 @@ CASES = {
     "operator-of-a-3d-array": (
         ValueError, lambda: ga.Operator(np.zeros((1, 1, 1)))),
     "empty-operator-ladder": (
-        ValueError, lambda: ga.OperatorLadder(())),
+        ValueError, lambda: ga.compactness_tail((), 1)),
     "haar-frame-more-columns-than-rows": (
         DimensionMismatch, lambda: ga.haar_frame(2, 3, np.random.default_rng(0))),
     "decay-operator-negative-rows": (

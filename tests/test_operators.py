@@ -364,7 +364,14 @@ def test_operator_ladder_rejects_non_nesting():
     small = np.eye(4)
     large = np.eye(8) * 2.0
     with pytest.raises(LadderMismatch):
-        ga.OperatorLadder((ga.Operator(small), ga.Operator(large)))
+        ga.compactness_tail((ga.Operator(small), ga.Operator(large)), 1)
+
+
+def test_compactness_tail_refuses_nesting_rungs_of_one_size():
+    # a 2 x 3 rung nests in a 3 x 3 one, but both are labeled 3 by their larger side
+    large = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(LadderMismatch, match=r"sizes must strictly increase, got \(3, 3\)"):
+        ga.compactness_tail([large[:2], large], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +413,12 @@ def test_schatten_report_validates_consistency():
         ga.SchattenReport(p=1.0, singular_values=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         ga.SchattenReport(p=1.0, singular_values=np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("sv", [[[2.0, 1.0], [1.0, 0.5]], 3.0], ids=["2-d", "scalar"])
+def test_schatten_report_refuses_a_spectrum_that_is_not_one_dimensional(sv):
+    with pytest.raises(ValueError, match="^singular values must form a 1-D array"):
+        ga.SchattenReport(p=2, singular_values=sv)
 
 
 # a NaN compares False both ways and an inf sorts in order, so the order checks pass both
@@ -506,6 +519,9 @@ def _graph_family_rung(seed):
     pytest.param(lambda: _experiment(tail_cutoff=-1), ValueError, "cutoff",
                  id="experiment_cutoff"),
     pytest.param(lambda: _experiment(seed=1.5), ValueError, "seed", id="experiment_seed"),
+    pytest.param(lambda: ga.haar_frame(4.0, 2, _rng(0)), ValueError, "n", id="haar_float"),
+    pytest.param(lambda: ga.haar_frame(True, 1, _rng(0)), ValueError, "n", id="haar_bool"),
+    pytest.param(lambda: ga.haar_frame(-1, -2, _rng(0)), ValueError, "n", id="haar_negative"),
 ])
 def test_sizes_seeds_and_cutoffs_are_refused_not_truncated(call, error, name):
     with pytest.raises(error, match=f"^{name} must be"):

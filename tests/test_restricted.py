@@ -281,7 +281,7 @@ def test_ladder_rejects_rungs_that_do_not_nest(monkeypatch):
 _PROFILES = [ga.DecayProfile.geometric(0.5), ga.DecayProfile.power(1.1), ga.DecayProfile.zero()]
 
 
-# the prefix-stable draw nests the rungs; the graph maps are also checked by OperatorLadder
+# the prefix-stable draw nests the rungs; build_truncation_ladder also checks the graph maps
 @pytest.mark.parametrize("profile", _PROFILES, ids=["geometric", "power", "zero"])
 def test_ladder_embedding_nests_covectors_and_graph_weights(profile):
     for k, big in ((1, 2), (3, 8), (8, 40)):
