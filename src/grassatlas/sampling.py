@@ -66,13 +66,18 @@ def _tilted(base: np.ndarray, across: np.ndarray, sigma: np.ndarray) -> np.ndarr
     return out
 
 
-def random_chart(n: int, k: int, rng: np.random.Generator) -> ChartId:
-    """Split chart on a random pair, its conditioning drawn over [SPLIT_FLOOR, 1)."""
+def _random_pair(n: int, k: int, rng: np.random.Generator) -> tuple[Subspace, Subspace]:
+    """The complementary pair (F, G) of :func:`random_chart`, with no chart built on it."""
     frame = haar_frame(n, n, rng)
     sigma = rng.uniform(size=min(k, n - k))
     sigma[:1] = 1.0
     g = _tilted(frame[:, k:], frame[:, :k], sigma * _tilt(_log_uniform(SPLIT_FLOOR, 1.0, rng)))
-    return ChartId(Subspace(frame[:, :k]), Subspace(g))
+    return Subspace(frame[:, :k]), Subspace(g)
+
+
+def random_chart(n: int, k: int, rng: np.random.Generator) -> ChartId:
+    """Split chart on a random pair, its conditioning drawn over [SPLIT_FLOOR, 1)."""
+    return ChartId(*_random_pair(n, k, rng))
 
 
 def random_chart_containing(h: Subspace, rng: np.random.Generator,

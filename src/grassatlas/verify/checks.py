@@ -28,7 +28,7 @@ from ..operators import DecayProfile, Operator, haar_frame, oblique_projections,
 from ..restricted import (PolarizedModel, _graph_point, build_truncation_ladder,
                           generate_restricted_point, membership_report,
                           virtual_dimension, virtual_dimension_by_rank)
-from ..sampling import (near_boundary_subspace, polarization_preserving_unitary,
+from ..sampling import (_random_pair, near_boundary_subspace, polarization_preserving_unitary,
                         random_chart, random_chart_containing, random_chart_point,
                         random_fiber_matrix, random_subspace)
 from .oracles import complex_step_tangent, finite_difference_tangent
@@ -74,8 +74,8 @@ def _chart_chain(rng, n, k, count=3, scale=0.4):
 
 @_check("projection_identities", "atlas", 1e-12)
 def _projection_identities(cfg, trial, rng, n):
-    chart = random_chart(n, _subspace_dim(rng, n), rng)
-    onto_f, onto_g = (p.matrix for p in oblique_projections(chart.f, chart.g))
+    f, g = _random_pair(n, _subspace_dim(rng, n), rng)
+    onto_f, onto_g = (p.matrix for p in oblique_projections(f, g))
     scale = 1.0 + np.linalg.norm(onto_f, 2)
     return max(
         np.linalg.norm(onto_f @ onto_f - onto_f, 2),
@@ -155,8 +155,14 @@ def _transition_cocycle(cfg, trial, rng, n):
 
 @_check("chart_covering", "atlas", 0.0)
 def _chart_covering(cfg, trial, rng, n):
+    """A violation when none of up to 8 random charts holds h.
+
+    The pool is drawn on demand and stops at the first chart that holds h.
+    Nothing in the trial draws after the pool, so the outcome is the one that
+    drawing all 8 would give.
+    """
     h = random_subspace(n, _subspace_dim(rng, n), rng)
-    pool = [random_chart(n, h.dim, rng) for _ in range(8)]
+    pool = (random_chart(n, h.dim, rng) for _ in range(8))
     return not any(in_chart_domain(h, chart).conditioning > DEFAULT_TOL_DOMAIN
                    for chart in pool)
 
@@ -300,10 +306,9 @@ def _virtual_dim_invariance(cfg, trial, rng, n):
     side = max(4, n // 2)
     model = PolarizedModel(side, side)
     vd = (-2, -1, 0, 1, 2)[trial % 5]
-    point = generate_restricted_point(model, 1.0, DecayProfile.geometric(0.55),
-                                      virtual_dim=vd, seed=int(rng.integers(2 ** 31)))
+    w, _ = _graph_point(model, DecayProfile.geometric(0.55), vd, int(rng.integers(2 ** 31)))
     chart0, chart1 = _matched_charts(model, vd, rng)
-    pt = chart_forward(point.w, chart0)
+    pt = chart_forward(w, chart0)
     moved = chart_inverse(transition_base(pt, chart1))
     return (virtual_dimension(moved, model) != vd
             or virtual_dimension_by_rank(moved, model) != vd)

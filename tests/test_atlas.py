@@ -422,7 +422,7 @@ def test_covering_by_random_chart_pool():
         rng = _rng(5000 + trial)
         n = (4, 8)[trial % 2]
         h = random_subspace(n, int(rng.integers(1, n)), rng)
-        pool = [random_chart(n, h.dim, rng) for _ in range(8)]
+        pool = (random_chart(n, h.dim, rng) for _ in range(8))
         assert any(ga.in_chart_domain(h, chart).conditioning > ga.DEFAULT_TOL_DOMAIN
                    for chart in pool)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import grassatlas as ga
-from grassatlas.sampling import (MARGIN_CEIL, MARGIN_FLOOR, SPLIT_FLOOR, derive_rng,
-                                 random_chart, random_chart_containing, random_subspace)
+from grassatlas.sampling import (MARGIN_CEIL, MARGIN_FLOOR, SPLIT_FLOOR, _random_pair,
+                                 derive_rng, random_chart, random_chart_containing,
+                                 random_subspace)
 
 
 def _dims(n):
@@ -84,3 +85,14 @@ def test_split_chart_containing_at_n512_is_orthonormal():
     chart = random_chart_containing(h, rng)
     assert ga.split_conditioning(chart.f, chart.g) >= SPLIT_FLOOR
     assert ga.in_chart_domain(h, chart).conditioning >= MARGIN_FLOOR
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_random_chart_is_built_on_the_random_pair(n):
+    for k in _dims(n):
+        chart_rng, pair_rng = derive_rng(n, k), derive_rng(n, k)
+        chart = random_chart(n, k, chart_rng)
+        pair = _random_pair(n, k, pair_rng)
+        for side, subspace in zip((chart.f, chart.g), pair):
+            assert side.basis.matrix.tobytes() == subspace.basis.matrix.tobytes()
+        assert chart_rng.bit_generator.state == pair_rng.bit_generator.state

@@ -275,6 +275,39 @@ def test_raising_trial_fails_its_check_only(monkeypatch, tmp_path, exc):
     assert f"raised={type(exc).__name__}: {exc} at 42.5.0" in text
 
 
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call; return the record."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_chart_covering_stops_at_the_first_chart_that_holds_h(monkeypatch):
+    draws = _counting(monkeypatch, checks, "random_chart")
+    assert not checks._chart_covering(SuiteConfig(), 0, sampling.derive_rng(42, 8, 0), 8)
+    assert len(draws) == 1
+
+
+def test_chart_covering_draws_the_whole_pool_before_a_violation(monkeypatch):
+    draws = _counting(monkeypatch, checks, "random_chart")
+    monkeypatch.setattr(checks, "in_chart_domain",
+                        lambda h, chart: SimpleNamespace(conditioning=0.0))
+    assert checks._chart_covering(SuiteConfig(), 0, sampling.derive_rng(42, 8, 0), 8)
+    assert len(draws) == 8
+
+
+def test_projection_identities_builds_no_chart(monkeypatch):
+    charts = _counting(monkeypatch, sampling, "ChartId")
+    error = checks._projection_identities(SuiteConfig(), 0, sampling.derive_rng(42, 0, 0), 8)
+    assert error <= 1e-12
+    assert charts == []
+
+
 def _log_uniform_at_low(low, high, rng, size=None):
     """``sampling._log_uniform`` held at ``low``; it still takes its draw from ``rng``."""
     rng.uniform(size=size)
