@@ -28,11 +28,12 @@ hilbert chart on one has a gap of exactly 0, so none takes a factorization.
 Coordinate bases and coordinate operands are applied by index, ``X[picks]``,
 ``B[cols]^H`` and ``R[:, cols]``, exactly the dense products, since 0/1
 entries times finite numbers round nothing (principal angles between
-coordinate subspaces are 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).  A
-transition into a chart whose two sides select coordinates builds no blocks:
-a + b A and c + d A are rows of the source graph B_F + B_G A (:func:`_graph`).
-Between coordinate charts d - A' b and the reverse L_r = d_r - A b_r are
-column gathers (:func:`_left`).
+coordinate subspaces are 0 or pi/2; Bjorck & Golub, Math. Comp. 1973).  Every
+chart coordinate is one solve (:func:`_coordinates`): the chart's rows read on
+a subspace's basis, or, for a transition, on the source graph B_F + B_G A
+(:func:`_graph`), whose rows a coordinate target selects.  Between coordinate
+charts d - A' b and the reverse L_r = d_r - A b_r are column gathers
+(:func:`_left`).
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def _require_domain(chart: ChartId, coord: np.ndarray, tol_domain: float | None,
     tol = _domain_tol(tol_domain)
     if _coordinate_bound(coord) > 2.0 * tol:
         return
-    cond = 1.0 / float(np.linalg.norm(_graph(chart, coord, None), 2))
+    cond = 1.0 / float(np.linalg.norm(_graph(chart, coord), 2))
     if cond <= tol:
         raise _outside(what, cond, tol)
 
@@ -371,12 +372,26 @@ def _solve_in_domain(chart: ChartId, top: np.ndarray, bottom: np.ndarray,
     return coord
 
 
+def _coordinates(chart: ChartId, operand: Subspace | np.ndarray, tol_domain: float | None,
+                 what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The top block R_F X and the coordinate A = (R_G X)(R_F X)^{-1} of X in ``chart``.
+
+    The one solve for a chart coordinate: X is a subspace's basis for
+    :func:`chart_forward`, or the source graph B_F + B_G A of a transition.
+    Any basis of H gives the same A, since a change of basis cancels.
+    """
+    top = chart._apply(0, operand)
+    return top, _solve_in_domain(chart, top, chart._apply(1, operand), tol_domain, what)
+
+
 def _require_restrictable(h: Subspace, chart: ChartId) -> None:
     """Raise :class:`DimensionMismatch` unless H shares the chart's ambient space and dim F.
 
     The chart rows then map H's basis to the chart projections restricted to H:
     C = rows_F B_H holds the F-basis coefficients of the F-components of its
     columns, and D = rows_G B_H the G-basis coefficients of the G-components.
+    A transition passes the source chart's F, whose dim every graph in that
+    chart shares.
     """
     if h.ambient_dim != chart.ambient_dim:
         raise DimensionMismatch("subspace and chart live in different ambient spaces")
@@ -409,8 +424,8 @@ def chart_forward(h: Subspace, chart: ChartId,
     """
     _require_restrictable(h, chart)
     # B_H c^{-1} = B_F + B_G A is the graph of the coordinate A = d c^{-1} being solved for
-    return ChartPoint(chart, _solve_in_domain(chart, chart._apply(0, h), chart._apply(1, h),
-                                              tol_domain, "subspace is outside the chart domain"))
+    return ChartPoint(chart, _coordinates(chart, h, tol_domain,
+                                          "subspace is outside the chart domain")[1])
 
 
 def chart_forward_projector(h: Subspace, chart: ChartId,
@@ -440,7 +455,7 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
 
 def chart_inverse(pt: ChartPoint) -> Subspace:
     """Graph of the chart coordinate: span of {f + A f} over the F basis."""
-    q, _ = np.linalg.qr(_graph(pt.chart, pt.coord.matrix, None))
+    q, _ = np.linalg.qr(_graph(pt.chart, pt.coord.matrix))
     q.setflags(write=False)  # so the subspace keeps it, uncopied
     return Subspace(q)
 
@@ -456,18 +471,17 @@ def _slots(chart: ChartId) -> np.ndarray | None:
     return slots
 
 
-def _graph(chart: ChartId, coord: np.ndarray, picks: np.ndarray | None) -> np.ndarray:
-    """Rows ``picks`` (all for ``None``) of the graph B_F + B_G A of (chart, A), not orthonormal.
+def _graph(chart: ChartId, coord: np.ndarray) -> np.ndarray:
+    """The graph B_F + B_G A of the chart point (chart, A), not orthonormal.
 
     On two coordinate bases row r is e_j or A[l], as r is column j of B_F or l
     of B_G (:func:`_slots`); A's rows are added to zeros, which reads -0 as +0
     just as the dense sum does, so the rows are the dense ones bit for bit.
     """
-    rows = slice(None) if picks is None else picks
     slots = _slots(chart)
     if slots is None:
-        return chart.f.basis.matrix[rows] + chart.g.basis.matrix[rows] @ coord
-    slots, k = slots[rows], chart.f.dim
+        return chart.f.basis.matrix + chart.g.basis.matrix @ coord
+    k = chart.f.dim
     on_f = slots < k
     graph = np.zeros((slots.size, k), dtype=complex)
     graph[np.flatnonzero(on_f), slots[on_f]] = 1.0
@@ -475,9 +489,8 @@ def _graph(chart: ChartId, coord: np.ndarray, picks: np.ndarray | None) -> np.nd
     return graph
 
 
-def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
-          blocks: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """d - X b for X = ``coord``, with (b, d) the chart's rows applied to ``basis``, or ``blocks``.
+def _left(coord: np.ndarray, chart: ChartId, basis: Subspace) -> np.ndarray:
+    """d - X b for X = ``coord``, with (b, d) the chart's rows applied to ``basis``.
 
     When the chart's bases and ``basis`` are coordinate, column j of b is e_l
     or 0 as basis coordinate cols[j] is column l of B_F or column i of B_G,
@@ -485,10 +498,9 @@ def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
     subtracted from zeros as from the dense d, and no product is taken.
     """
     slots, cols = _slots(chart), basis._coord_rows
-    if blocks is not None or slots is None or cols is None:
-        b, d = blocks if blocks is not None else (chart._apply(0, basis), chart._apply(1, basis))
-        left = coord @ b
-        np.subtract(d, left, out=left)
+    if slots is None or cols is None:
+        left = coord @ chart._apply(0, basis)
+        np.subtract(chart._apply(1, basis), left, out=left)
     else:
         slots, k = slots[cols], chart.f.dim
         on_f = slots < k
@@ -497,12 +509,6 @@ def _left(coord: np.ndarray, chart: ChartId, basis: Subspace,
         left[slots[~on_f] - k, np.flatnonzero(~on_f)] = 1.0
     left.setflags(write=False)  # so an Operator keeps it, uncopied
     return left
-
-
-def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
-    """Coordinate blocks of the destination projections against source bases."""
-    return (dst._apply(0, src.f), dst._apply(0, src.g), dst._apply(1, src.f),
-            dst._apply(1, src.g))
 
 
 class _Forward(NamedTuple):
@@ -515,25 +521,13 @@ class _Forward(NamedTuple):
     tol: float
 
 
-def _require_transition(src: ChartId, target: ChartId) -> None:
-    """Raise :class:`DimensionMismatch` unless the two charts share the ambient space and dim F."""
-    if src.ambient_dim != target.ambient_dim:
-        raise DimensionMismatch("charts live in different ambient spaces")
-    if src.f.dim != target.f.dim:
-        raise DimensionMismatch(
-            f"transition requires equal chart dims, got {src.f.dim} and {target.f.dim}")
-
-
 def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
     """The one transition every bundle map evaluates, kept on the source point.
 
-    The source graph is B_F' denom + B_G' numer in the target bases, so
-    graph denom^{-1} = B_F' + B_G' A' is the graph of the target point (target, A'):
-    with graph = Q R, the domain block X = denom R^{-1} has X^{-1} = Q^H (B_F' + B_G' A'),
-    and the coordinate being solved for decides the domain (:func:`_solve_in_domain`).
-    When both target sides select coordinates, a + b A and c + d A are the
-    source graph's rows they select (:func:`_graph`) and no blocks are built;
-    otherwise they come from the dense blocks, and the same b and d make ``left``.
+    It is :func:`transition_base` with the top block kept: the target's rows on
+    the source graph G = B_F + B_G A give denom = R_F' G = a + b A, and A' solves
+    A' denom = R_G' G (:func:`_coordinates`).  ``left`` = d - A' b reads the
+    target's rows on the source's G basis (:func:`_left`).
 
     The point holds the record of its last (target, tolerance), replaced whole;
     every input is frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
@@ -543,21 +537,11 @@ def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | Non
     if memo is not None and memo.target is target and memo.tol == tol:
         return memo
     src = pt.chart
-    _require_transition(src, target)
-    coord = pt.coord.matrix
-    # a chart's two sides select coordinates exactly when both its bases are coordinate
-    picks_f, picks_g = target.f._coord_rows, target.g._coord_rows
-    if picks_f is not None and picks_g is not None:
-        denom, numer, blocks = _graph(src, coord, picks_f), _graph(src, coord, picks_g), None
-    else:
-        a, b, c, d = _transition_blocks(src, target)
-        denom, numer, blocks = b @ coord, d @ coord, (b, d)
-        denom += a
-        numer += c
-        del a, c  # only b and d are read past the solve
+    _require_restrictable(src.f, target)
+    denom, moved = _coordinates(target, _graph(src, pt.coord.matrix), tol,
+                                "graph leaves the target chart domain")
     denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
-    moved = _solve_in_domain(target, denom, numer, tol, "graph leaves the target chart domain")
-    fwd = _Forward(moved, denom, _left(moved, target, src.g, blocks), target, tol)
+    fwd = _Forward(moved, denom, _left(moved, target, src.g), target, tol)
     object.__setattr__(pt, "_forward", fwd)
     return fwd
 
@@ -567,13 +551,12 @@ def transition_base(pt: ChartPoint, target: ChartId,
     """Base-manifold transition: re-express a chart point in the target chart.
 
     A' = (R_G' G)(R_F' G)^{-1}, the target's coordinate rows R' read on the source
-    graph G = B_F + B_G A: :func:`chart_forward` on G, without its QR.  It builds
-    no transition blocks and leaves the point's memo alone.  Agrees with
-    ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
+    graph G = B_F + B_G A: :func:`chart_forward` on G, without its QR, by the one
+    solve every chart coordinate takes (:func:`_coordinates`).  It leaves the
+    point's memo alone.  Agrees with ``chart_forward(chart_inverse(pt), target)``
+    up to roundoff.
     """
     tol = _domain_tol(tol_domain)
-    _require_transition(pt.chart, target)
-    graph = _graph(pt.chart, pt.coord.matrix, None)
-    top, bottom = target._apply(0, graph), target._apply(1, graph)
-    return ChartPoint(target, _solve_in_domain(target, top, bottom, tol,
-                                               "graph leaves the target chart domain"))
+    _require_restrictable(pt.chart.f, target)
+    return ChartPoint(target, _coordinates(target, _graph(pt.chart, pt.coord.matrix), tol,
+                                           "graph leaves the target chart domain")[1])

@@ -14,10 +14,11 @@ inverse is ``X' -> L_r X' S``, so on tensor covectors the transition is the one
 operator pair ``x (x) y -> S x (x) L_r^T y`` and keeps the number of terms.
 
 Every map here reads one forward transition per (point, target chart, domain
-tolerance), made whole at once: A', the denominator and the left factor.  The
-source point keeps the last one, so a tangent and cotangent pair, or
-``pushforward_factors`` followed by ``pushforward_tensor``, builds the
-transition blocks once.  ``atlas.transition_base`` neither reads nor writes it.
+tolerance), made whole at once: A', the denominator and the left factor.  It is
+``atlas.transition_base``'s solve on the source graph with the denominator
+kept.  The source point keeps the last one, so a tangent and cotangent pair, or
+``pushforward_factors`` followed by ``pushforward_tensor``, solves once.
+``atlas.transition_base`` neither reads nor writes it.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     the same point and chart reuses the transition evaluated here.
     """
     fwd = _invertible_transition(pt, target, tol_domain)
-    return Operator(fwd.denom), Operator(atlas._left(pt.coord.matrix, pt.chart, target.g, None))
+    return Operator(fwd.denom), Operator(atlas._left(pt.coord.matrix, pt.chart, target.g))
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -174,7 +175,7 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     The supplied pair (S, T) must realize the inverse tangent fiber map: S must be
     kf x kf and T kg x kg, else :class:`DimensionMismatch`, and ``X' -> T X' S``
     must equal ``X' -> L_r X' S_r`` for every X', with S_r = a + b A and
-    L_r = (d - A' b)^{-1} from the forward blocks, a route independent of the
+    L_r = (d - A' b)^{-1} from the forward record, a route independent of the
     reverse rows ``pushforward_factors`` reads.  One exact identity decides that
     (:func:`_factor_residual`), and a pair off it raises :class:`FactorMismatch`.
     Domain checks as in :func:`transition_cotangent`; after

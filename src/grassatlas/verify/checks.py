@@ -202,15 +202,15 @@ def _near_boundary(cfg, trial, rng, n):
 # bundles
 
 def _fiber_instance(rng, n, k):
+    """A point on a random chart and a chart holding its graph; each check draws its own fibers."""
     pt, (src, dst) = _chart_chain(rng, n, k, count=2, scale=0.5)
-    x = random_fiber_matrix(src.g.dim, src.f.dim, rng)
-    mu = random_fiber_matrix(src.f.dim, src.g.dim, rng)
-    return src, pt, dst, x, mu
+    return src, pt, dst
 
 
 def _jacobian_error(rng, n, oracle):
     """Relative gap between the closed-form tangent map and a derivative oracle."""
-    _, pt, dst, x, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    src, pt, dst = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    x = random_fiber_matrix(src.g.dim, src.f.dim, rng)
     closed = transition_tangent(TangentVector(pt, Operator(x)), dst).direction.matrix
     scale = 1.0 + np.linalg.norm(closed)
     return float(np.linalg.norm(closed - oracle(pt, dst, x))) / scale
@@ -228,7 +228,9 @@ def _jacobian_complex_step(cfg, trial, rng, n):
 
 @_check("duality_invariance", "bundles", 1e-9)
 def _duality_invariance(cfg, trial, rng, n):
-    _, pt, dst, x, mu = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    src, pt, dst = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    x = random_fiber_matrix(src.g.dim, src.f.dim, rng)
+    mu = random_fiber_matrix(src.f.dim, src.g.dim, rng)
     tangent = TangentVector(pt, Operator(x))
     covector = Covector(pt, Operator(mu))
     before = trace_pairing(covector, tangent)
@@ -249,7 +251,7 @@ def _cotangent_contravariance(cfg, trial, rng, n):
 
 @_check("tensor_commuting_square", "bundles", 1e-10)
 def _tensor_commuting_square(cfg, trial, rng, n):
-    src, pt, dst, _, _ = _fiber_instance(rng, n, _subspace_dim(rng, n))
+    src, pt, dst = _fiber_instance(rng, n, _subspace_dim(rng, n))
     terms = tuple(
         (random_fiber_matrix(src.f.dim, 1, rng)[:, 0],
          random_fiber_matrix(src.g.dim, 1, rng)[:, 0])

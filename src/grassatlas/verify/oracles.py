@@ -2,9 +2,10 @@
 
 Both derivative oracles re-evaluate the base transition itself and never touch
 the closed-form fiber expression they are used to check.  The complex-step
-oracle runs on realified matrices (2n x 2n real blocks) because the transition
-is holomorphic in the chart coordinate; the step then lives in a fresh
-imaginary unit and there is no subtractive cancellation.
+oracle solves A' (a + b A) = c + d A from blocks the kernel never builds
+(:func:`_transition_blocks`), on realified matrices (2n x 2n real blocks)
+because the transition is holomorphic in the chart coordinate; the step then
+lives in a fresh imaginary unit and there is no subtractive cancellation.
 
 The projector routes form the n x n orthogonal projectors that the library
 never forms, and take the norms of their difference directly.
@@ -40,10 +41,16 @@ def _derealify(mat: np.ndarray) -> np.ndarray:
     return mat[:rows, :cols] + 1j * mat[rows:, :cols]
 
 
+def _transition_blocks(src: ChartId, dst: ChartId) -> tuple[np.ndarray, ...]:
+    """The blocks (a, b, c, d) of the destination's coordinate rows against the source bases."""
+    return (dst._apply(0, src.f), dst._apply(0, src.g), dst._apply(1, src.f),
+            dst._apply(1, src.g))
+
+
 def complex_step_tangent(pt: ChartPoint, target: ChartId, direction: np.ndarray) -> np.ndarray:
     """Complex-step derivative of the base transition along ``direction``."""
     step = 1e-20
-    a, b, c, d = atlas._transition_blocks(pt.chart, target)
+    a, b, c, d = _transition_blocks(pt.chart, target)
     a_r, b_r = _realify(a), _realify(b)
     c_r, d_r = _realify(c), _realify(d)
     coord = _realify(pt.coord.matrix) + 1j * step * _realify(direction)

@@ -58,8 +58,10 @@ class SuiteConfig:
         for name, tol in self.tolerances.items():
             if name not in known:
                 raise ConfigError(f"tolerance override for unknown check {name!r}")
-            # an infinite bound would pass every trial, a raising one included
-            if not (isinstance(tol, Real) and tol > 0 and math.isfinite(tol)):
+            # an infinite bound would pass every trial, a raising one included; True
+            # is a Real to Python, but not a bound
+            if (not isinstance(tol, Real) or isinstance(tol, bool)
+                    or not (tol > 0 and math.isfinite(tol))):
                 raise ConfigError(f"tolerance for {name!r} must be a positive finite number, "
                                   f"got {tol!r}")
 

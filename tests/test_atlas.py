@@ -14,6 +14,7 @@ from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFail
 from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, near_boundary_subspace,
                                  random_chart, random_chart_containing, random_chart_point,
                                  random_subspace)
+from grassatlas.verify import oracles
 from grassatlas.verify.oracles import projector_distance
 
 
@@ -484,7 +485,6 @@ def _chart(kind, n, k, rng):
                                      ("split", "coordinate-hilbert"),
                                      ("coordinate-hilbert", "hilbert")])
 def test_coordinate_rows_match_projector_formulas(n, flavors):
-    from grassatlas.atlas import _transition_blocks
     rng = _rng(7000 + n)
     k = n // 2 - 1
     src, dst = (_chart(kind, n, k, rng) for kind in flavors)
@@ -504,8 +504,8 @@ def test_coordinate_rows_match_projector_formulas(n, flavors):
     for side in (0, 1):
         assert np.array_equal(dst._apply(side, x), rows[side] @ x)
     dense = [side_rows @ sub.basis.matrix for side_rows in rows for sub in (src.f, src.g)]
-    for got, want, product in zip(_transition_blocks(src, dst), _projector_blocks(src, dst),
-                                  dense):
+    for got, want, product in zip(oracles._transition_blocks(src, dst),
+                                  _projector_blocks(src, dst), dense):
         assert np.abs(got - want).max() <= 1e-12
         assert not exact or np.array_equal(got, want)
         assert np.array_equal(got, product)
@@ -685,7 +685,7 @@ def test_chart_keeps_rows_only_for_a_split_pair_with_a_dense_side(kind, opposite
 
 def _dense_record(pt, dst):
     """A', denom and left of the forward transition by the dense block formulas."""
-    a, b, c, d = atlas._transition_blocks(pt.chart, dst)
+    a, b, c, d = oracles._transition_blocks(pt.chart, dst)
     coord = pt.coord.matrix
     denom = a + b @ coord
     moved = np.linalg.solve(denom.T, (c + d @ coord).T).T
@@ -725,8 +725,9 @@ def _coordinate_pair(case, t):
 def test_coordinate_record_is_the_dense_block_record_bit_for_bit(monkeypatch, case, t):
     pt, dst = _coordinate_pair(case, t)
     builds = []
-    build = atlas._transition_blocks
-    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: builds.append(1) or build(*args))
+    build = oracles._transition_blocks
+    monkeypatch.setattr(oracles, "_transition_blocks",
+                        lambda *args: builds.append(1) or build(*args))
     fwd = atlas._forward_transition(pt, dst, None)
     left = fwd.left
     assert fwd.left is left and not builds  # read by index, and made once
@@ -800,7 +801,7 @@ def _tilted_charts(cosines):
 
 def _transition_conditioning(pt, target):
     """The exact conditioning the forward transition meets, by the SVD."""
-    a, b, _, _ = atlas._transition_blocks(pt.chart, target)
+    a, b, _, _ = oracles._transition_blocks(pt.chart, target)
     denom = a + b @ pt.coord.matrix
     graph = pt.chart.f.basis.matrix + pt.chart.g.basis.matrix @ pt.coord.matrix
     r = np.linalg.qr(graph, mode="r")

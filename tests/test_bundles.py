@@ -10,6 +10,7 @@ from grassatlas.errors import (ChartDomainViolation, ChartMismatch, DimensionMis
                                FactorMismatch, GrassAtlasError, PairingMismatch)
 from grassatlas.sampling import (random_chart, random_chart_containing,
                                  random_chart_point, random_fiber_matrix)
+from grassatlas.verify import oracles
 from grassatlas.verify.oracles import complex_step_tangent, finite_difference_tangent
 
 
@@ -531,7 +532,7 @@ def test_derived_inverse_data_matches_reverse_blocks(n, k, flavors):
     # the explicit route re-evaluates the transition from the target chart back
     pt, dst = _near_chart_pair(n, k, 900 + n + k, flavors)
     fwd = atlas._forward_transition(pt, dst, None)
-    a_r, b_r, _, d_r = atlas._transition_blocks(dst, pt.chart)
+    a_r, b_r, _, d_r = oracles._transition_blocks(dst, pt.chart)
     m_r = a_r + b_r @ fwd.coord
     l_r = d_r - pt.coord.matrix @ b_r
     assert _relative_gap(fwd.denom @ m_r, np.eye(k)) <= 1e-12
@@ -629,70 +630,76 @@ def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
     calls = _inverse_maps(fresh, dst)
     calls["pushforward_tensor"] = lambda: ga.pushforward_tensor(
         ga.TensorCovector(fresh, ()), factors, dst)
-    counts = {"_forward_transition": 0, "_transition_blocks": 0}
+    counts = {"_forward_transition": 0, "_coordinates": 0}
     for fn in counts:
         def counted(*args, _fn=fn, _orig=getattr(atlas, fn)):
             counts[_fn] += 1
             return _orig(*args)
         monkeypatch.setattr(atlas, fn, counted)
     calls[name]()
-    assert counts == {"_forward_transition": 1, "_transition_blocks": 1}
+    assert counts == {"_forward_transition": 1, "_coordinates": 1}
 
 
 # ---------------------------------------------------------------------------
 # the forward transition memoized on its source point
 
-def _count_block_builds(monkeypatch):
-    builds = []
-    build = atlas._transition_blocks
-    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: builds.append(1) or build(*args))
-    return builds
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one on each call of ``module.<name>``, for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def _count_solves(monkeypatch):
+    """Evaluations of the one coordinate solve, ``atlas._coordinates``."""
+    return _count_calls(monkeypatch, atlas, "_coordinates")
 
 
 def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
     pt, dst = _near_chart_pair(8, 3, 980)
     rng = _rng(981)
     x, mu = random_fiber_matrix(5, 3, rng), random_fiber_matrix(3, 5, rng)
-    builds = _count_block_builds(monkeypatch)
+    solves = _count_solves(monkeypatch)
     tangent = ga.transition_tangent(ga.TangentVector(pt, x), dst)
     covector = ga.transition_cotangent(ga.Covector(pt, mu), dst)
     ga.pushforward_tensor(ga.TensorCovector(pt, ()), ga.pushforward_factors(pt, dst), dst)
     # the default, spelled out
     ga.transition_tangent(ga.TangentVector(pt, x), dst, tol_domain=ga.DEFAULT_TOL_DOMAIN)
-    assert len(builds) == 1
+    assert len(solves) == 1
     # a hit returns what a fresh evaluation computes, bit for bit
     fresh = ga.ChartPoint(pt.chart, pt.coord)
     assert np.array_equal(ga.transition_tangent(ga.TangentVector(fresh, x), dst).direction.matrix,
                           tangent.direction.matrix)
     assert np.array_equal(ga.transition_cotangent(ga.Covector(fresh, mu), dst).form.matrix,
                           covector.form.matrix)
-    assert len(builds) == 2
+    assert len(solves) == 2
 
 
 def test_transition_memo_is_keyed_by_target_and_tolerance(monkeypatch):
     pt, dst = _near_chart_pair(8, 3, 982)
     twin = ga.ChartId(dst.f, dst.g)  # an equal chart, but another object
     v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(983)))
-    builds = _count_block_builds(monkeypatch)
+    solves = _count_solves(monkeypatch)
     for target, tol, total in [(dst, None, 1), (twin, None, 2), (twin, 1e-6, 3),
                                (twin, 1e-6, 3), (dst, None, 4)]:
         ga.transition_tangent(v, target, tol)
-        assert len(builds) == total
+        assert len(solves) == total
 
 
 def test_raised_domain_violation_is_not_memoized(monkeypatch):
     # a hilbert target's conditioning is a cosine, so tol_domain = 1 always raises
     pt, dst = _near_chart_pair(8, 3, 984, ("split", "hilbert"))
     v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(985)))
-    builds = _count_block_builds(monkeypatch)
+    solves = _count_solves(monkeypatch)
     moved = ga.transition_tangent(v, dst)
     for total in (2, 3):
         with pytest.raises(ChartDomainViolation):
             ga.transition_tangent(v, dst, tol_domain=1.0)
-        assert len(builds) == total
+        assert len(solves) == total
     # the raise left the earlier record in place
     assert np.array_equal(ga.transition_tangent(v, dst).at.coord.matrix, moved.at.coord.matrix)
-    assert len(builds) == 3
+    assert len(solves) == 3
 
 
 def _swap_pair(k, t=1.5 + 0.5j):
@@ -711,14 +718,15 @@ def test_transition_base_leaves_the_memo_and_builds_no_blocks(monkeypatch, pair)
     else:
         pt, dst = _near_chart_pair(8, 3, 988, ("hilbert", "split") if pair == "mixed"
                                    else (pair, pair))
-    builds = _count_block_builds(monkeypatch)
+    builds = _count_calls(monkeypatch, oracles, "_transition_blocks")
+    solves = _count_solves(monkeypatch)
     moved = ga.transition_base(pt, dst).coord.matrix
-    assert pt._forward is None and not builds
+    assert pt._forward is None and len(solves) == 1
+    # the bundle maps' record takes the same solve on the same graph, so A' agrees exactly
+    assert moved.tobytes() == atlas._forward_transition(pt, dst, None).coord.tobytes()
+    assert not builds
     oracle = ga.chart_forward(ga.chart_inverse(pt), dst).coord.matrix
     assert np.abs(moved - oracle).max() <= 1e-12 * np.abs(oracle).max()
-    if pair == "swap":
-        # between two coordinate charts both routes take the same graph rows, exactly
-        assert moved.tobytes() == atlas._forward_transition(pt, dst, None).coord.tobytes()
 
 
 @pytest.mark.parametrize("flavors", [("hilbert", "split"), ("split", "hilbert"),

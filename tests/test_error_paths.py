@@ -40,6 +40,14 @@ CASES = {
         DimensionMismatch, lambda: ga.chart_forward(_subspace(3, [0]), _chart(2))),
     "transition-base-across-ambients": (
         DimensionMismatch, lambda: ga.transition_base(_point(_chart(2)), _chart(3))),
+    # the source chart's F must be restrictable to the target, as a subspace is in chart_forward
+    "transition-base-across-chart-dims": (
+        DimensionMismatch,
+        lambda: ga.transition_base(_point(_chart(3)), _chart(3).opposite())),
+    "bundle-map-across-ambients": (
+        DimensionMismatch,
+        lambda: ga.transition_tangent(ga.TangentVector(_point(_chart(2)), ga.Operator([[0.0]])),
+                                      _chart(3))),
     "operator-of-a-3d-array": (
         ValueError, lambda: ga.Operator(np.zeros((1, 1, 1)))),
     "empty-operator-ladder": (

@@ -54,14 +54,14 @@ def test_layer_bench_peak_counts_what_the_call_allocates():
 
 
 def test_layer_bench_times_fresh_points(monkeypatch):
-    # a repeat on the warm-up call's point would be a memo hit and build no blocks
+    # a repeat on the warm-up call's point would be a memo hit and solve nothing
     prepare = bench._layers(8)["transition_tangent[split]"]
-    blocks = []
-    build = atlas._transition_blocks
-    monkeypatch.setattr(atlas, "_transition_blocks", lambda *args: blocks.append(1) or build(*args))
+    solves = []
+    solve = atlas._coordinates
+    monkeypatch.setattr(atlas, "_coordinates", lambda *args: solves.append(1) or solve(*args))
     for _ in range(3):
         prepare()()
-    assert len(blocks) == 3
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("argv", [["--n", "8,x"], ["--n", "1"]])

@@ -111,6 +111,9 @@ def test_config_validation_errors():
         SuiteConfig(tolerances={"chart_covering": "1e-3"})
     with pytest.raises(ConfigError, match="tolerances"):
         SuiteConfig(tolerances=None)
+    # True is a Real to Python, but would run the check with bound 1.0
+    with pytest.raises(ConfigError, match="projection_identities"):
+        SuiteConfig(tolerances={"projection_identities": True})
 
 
 def test_cli_writes_report_and_exit_codes(tmp_path):
