@@ -17,7 +17,7 @@ n x k residuals of one basis off the other.
 Coordinate subspaces, spanned by standard basis vectors as the polarization
 blocks H_minus and H_plus are, are handled exactly.  A subspace recognizes a
 basis whose columns are distinct standard basis vectors when it is built
-(:func:`_coordinate_rows`), which spares it the orthonormality product, and
+(:func:`_coordinate_rows`), which spares it the orthonormality check, and
 records their rows.  A coordinate one keeps those rows and its shape and no
 matrix: its basis is built, and not kept, only when read, so every reader that
 needs only rows, the subspace-pair functions of ``operators`` among them,
@@ -34,6 +34,13 @@ a subspace's basis, or, for a transition, on the source graph B_F + B_G A
 (:func:`_graph`), whose rows a coordinate target selects.  Between coordinate
 charts d - A' b and the reverse L_r = d_r - A b_r are column gathers
 (:func:`_left`).
+
+The basis check reads the support (:func:`_row_support`).  A basis with at
+most one nonzero in each row, as every decay graph and swap base of
+``restricted`` has, has columns with disjoint supports, so B^H B is diagonal:
+its gap from I is read from its column norms, over its nonzero entries alone,
+with no conjugate copy and no Gram product (:func:`_orthonormality_gap`).  A
+dense basis is turned away on its first row and takes the Gram product.
 """
 
 from __future__ import annotations
@@ -53,25 +60,55 @@ DEFAULT_TOL_EQ = 1e-10
 _ORTHO_TOL = 1e-12
 
 
-def _coordinate_rows(mat: np.ndarray) -> np.ndarray | None:
+def _row_support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row and column of each nonzero of ``mat`` when no row holds two, else ``None``.
+
+    Columns whose nonzeros share no row have disjoint supports, so they are
+    pairwise orthogonal.  A dense matrix is turned away on its first row, before
+    the whole matrix is read; a single column, on itself when it holds two
+    nonzeros, since its Gram product is no dearer than its norm.
+    """
+    if np.count_nonzero(mat[:1] if mat.shape[1] > 1 else mat) > 1:
+        return None
+    rows, cols = np.nonzero(mat != 0)  # in row order, so a row holding two repeats in turn
+    return None if (rows[1:] == rows[:-1]).any() else (rows, cols)
+
+
+def _coordinate_rows(mat: np.ndarray, support) -> np.ndarray | None:
     """Row of each column when every column of ``mat`` is a distinct e_r with entry exactly 1.
 
-    Returns ``None`` for any other matrix; a dense one is turned away on its
-    first column, before the whole matrix is read.  The row mask stands in for
-    ``np.unique``, which would import ``numpy.ma``.
+    Returns ``None`` for any other matrix.  ``support`` is the
+    :func:`_row_support` of ``mat``: with no row holding two nonzeros, k
+    entries equal to 1 that land in every column are distinct e_r.  The row of
+    each column is scattered into a -1 sentinel, which stands in for
+    ``np.unique`` (it would import ``numpy.ma``).
     """
-    n, k = mat.shape
-    if k == 0:
-        return np.zeros(0, dtype=np.intp)
-    if np.count_nonzero(mat[:, 0]) != 1:
+    if support is None:
         return None
-    nonzero = mat != 0
-    rows = nonzero.argmax(axis=0)
-    if np.count_nonzero(nonzero) != k or not (mat[rows, np.arange(k)] == 1).all():
+    rows, cols = support
+    k = mat.shape[1]
+    if rows.size != k or not (mat[rows, cols] == 1).all():
         return None
-    taken = np.zeros(n, dtype=bool)
-    taken[rows] = True
-    return rows if np.count_nonzero(taken) == k else None
+    found = np.full(k, -1, dtype=np.intp)
+    found[cols] = rows
+    return found if (found >= 0).all() else None
+
+
+def _orthonormality_gap(mat: np.ndarray, support) -> float:
+    """|B^H B - I|_F for a finite k-column basis B = ``mat`` with :func:`_row_support` ``support``.
+
+    Columns with disjoint supports make B^H B diagonal, so the gap is the norm
+    of (|b_j|^2 - 1)_j, read from the nonzero entries alone, with no n x k
+    conjugate and no k x k Gram.  Any other basis takes the Gram product.
+    """
+    k = mat.shape[1]
+    if support is None:
+        return float(np.linalg.norm(mat.conj().T @ mat - np.eye(k)))
+    rows, cols = support
+    entries = mat[rows, cols]
+    with np.errstate(over="ignore"):  # a square past the float range reads inf, refused
+        squares = np.bincount(cols, weights=entries.real ** 2 + entries.imag ** 2, minlength=k)
+    return float(np.linalg.norm(squares - 1.0))
 
 
 class Subspace:
@@ -79,10 +116,12 @@ class Subspace:
 
     Equality of subspaces is basis independent: two subspaces coincide when
     their distance |P_F - P_G|_2, read from the basis residual of one off the
-    other, is within ``DEFAULT_TOL_EQ``.  The one basis check is here: a
-    coordinate basis (:func:`_coordinate_rows`) is exactly orthonormal and
-    records the row of each column; any other must be finite with
-    orthonormal columns, else ``ValueError``, and records ``None``.
+    other, is within ``DEFAULT_TOL_EQ``.  The one basis check is here, and it
+    reads the basis's support (:func:`_row_support`): a coordinate basis
+    (:func:`_coordinate_rows`) is exactly orthonormal and records the row of
+    each column; any other must be finite with orthonormal columns, else
+    ``ValueError``, and records ``None``.  Columns on disjoint rows are
+    checked by their norms, any others by their Gram product.
     A coordinate subspace keeps only those rows and its shape: its
     :attr:`basis` is the 0/1 matrix they select, built afresh on each read.
     """
@@ -92,10 +131,11 @@ class Subspace:
         n, k = mat.shape
         if k > n:
             raise DimensionMismatch(f"basis has more columns than ambient dimension: {k} > {n}")
-        self._coord_rows = _coordinate_rows(mat)
-        if self._coord_rows is None:  # a coordinate basis needs no Gram product
+        support = _row_support(mat)
+        self._coord_rows = _coordinate_rows(mat, support)
+        if self._coord_rows is None:  # a coordinate basis needs no check
             _require_finite(mat)
-            if k and np.linalg.norm(mat.conj().T @ mat - np.eye(k)) > _ORTHO_TOL:
+            if k and _orthonormality_gap(mat, support) > _ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
         self._shape = (n, k)
         self._basis = Operator(mat) if self._coord_rows is None else None

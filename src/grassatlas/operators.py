@@ -351,7 +351,10 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
         return Operator(onto_f), Operator(onto_g)
     bf, bg = f.basis.matrix, g.basis.matrix
     inv = np.linalg.solve(np.hstack([bf, bg]), np.eye(n))
-    return Operator(bf @ inv[:kf]), Operator(bg @ inv[kf:])
+    onto_f, onto_g = bf @ inv[:kf], bg @ inv[kf:]
+    onto_f.setflags(write=False)  # so each operator wraps its product, uncopied
+    onto_g.setflags(write=False)
+    return Operator(onto_f), Operator(onto_g)
 
 
 def compactness_tail(family, cutoff: int) -> SingularTail:

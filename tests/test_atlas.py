@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas, bundles, sampling
+from grassatlas import atlas, bundles, restricted, sampling
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
 from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, near_boundary_subspace,
                                  random_chart, random_chart_containing, random_chart_point,
@@ -107,6 +107,64 @@ def test_subspace_rejects_non_finite_basis(value):
             ga.Subspace.from_span(spanning)
     with pytest.raises(ValueError):
         ga.Subspace(np.full((6, 3), value))
+
+
+def _graph_basis(side):
+    """The frozen basis of a decay graph: at most one nonzero in each row."""
+    model = ga.PolarizedModel(side, side)
+    return restricted._graph_point(model, ga.DecayProfile.geometric(0.5), 0, 3)[0].basis.matrix
+
+
+def test_disjoint_support_bases_are_checked_by_their_column_norms():
+    # every graph basis of a ladder, at every reachable virtual dimension, and the
+    # swap family's base have columns on disjoint rows, so B^H B is diagonal
+    bases = [point.w for virtual_dim in range(-2, 3)
+             for _, point in ga.build_truncation_ladder([(4, 4), (8, 8), (16, 16)], 1,
+                                                        ga.DecayProfile.power(1.1), virtual_dim)]
+    bases.append(ga.swap_chart_family(1.5 + 0.5j)(ga.PolarizedModel(8, 8), None)[2])
+    for space in bases:
+        mat = space.basis.matrix
+        support = atlas._row_support(mat)
+        assert support is not None and space._coord_rows is None
+        gap = atlas._orthonormality_gap(mat, support)
+        assert gap <= atlas._ORTHO_TOL
+        assert abs(gap - np.linalg.norm(mat.conj().T @ mat - np.eye(space.dim))) <= 1e-15
+        assert ga.Subspace(mat).basis.matrix is mat
+
+
+@pytest.mark.parametrize("edit", ["scaled-column", "nan-entry", "nan-off-support", "overflow"])
+def test_disjoint_support_basis_is_refused_as_a_dense_one_is(edit):
+    bad = _graph_basis(8).copy()
+    if edit == "scaled-column":
+        bad[:, 2] *= 1.0 + 1e-11  # a gap of about 2e-11, past the 1e-12 bound
+        match = "basis columns are not orthonormal; use Subspace.from_span"
+    else:
+        row, col = {"nan-entry": (2, 2), "nan-off-support": (0, 3), "overflow": (10, 2)}[edit]
+        bad[row, col] = 1e200 if edit == "overflow" else np.nan
+        match = "not orthonormal" if edit == "overflow" else "non-finite"
+    with pytest.raises(ValueError, match=match):
+        ga.Subspace(bad)
+
+
+def test_overlapping_columns_with_a_sparse_first_row_take_the_gram_product():
+    # unit columns that share rows: their norms alone would pass, their Gram refuses
+    bad = np.array([[0.6, 0.0], [0.8, 0.6], [0.0, 0.8], [0.0, 0.0]])
+    assert np.count_nonzero(bad[0]) == 1 and atlas._row_support(bad) is None
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ga.Subspace(bad)
+
+
+def test_disjoint_support_check_forms_no_conjugate_or_gram():
+    # the Gram route peaks at 0.75 MiB here: a 256 x 128 conjugate copy and a 128 x 128 Gram
+    mat = _graph_basis(128)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ga.Subspace(mat)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.nbytes / 2
 
 
 def test_subspace_equality_is_basis_independent():

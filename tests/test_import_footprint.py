@@ -27,10 +27,28 @@ print(" ".join(sys.modules))
 HARNESS = {"grassatlas.verify", "grassatlas.sampling", "grassatlas.serialize", "numpy.ma"}
 
 
-def test_kernel_work_loads_no_harness_module():
+# a cold ``import grassatlas`` is the set-up every benchmark workload times
+COLD_IMPORT = """
+import sys
+import grassatlas
+print(" ".join(sys.modules))
+"""
+
+
+def _loaded(code):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", KERNEL_WORK], check=True, capture_output=True,
+    child = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                            text=True, env=dict(os.environ, PYTHONPATH=path))
-    loaded = set(child.stdout.split())
+    return set(child.stdout.split())
+
+
+def test_kernel_work_loads_no_harness_module():
+    loaded = _loaded(KERNEL_WORK)
     assert "grassatlas.restricted" in loaded
     assert sorted(loaded & HARNESS) == []
+
+
+def test_cold_import_loads_neither_numpy_random_nor_numpy_ma():
+    loaded = _loaded(COLD_IMPORT)
+    assert "grassatlas.atlas" in loaded
+    assert sorted(loaded & {"numpy.random", "numpy.ma"}) == []

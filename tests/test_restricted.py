@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 import grassatlas as ga
 from grassatlas import restricted
-from grassatlas.atlas import _coordinate_rows
 from grassatlas.errors import (DimensionMismatch, LadderMismatch, PredualUnavailable)
 from grassatlas.restricted import PreservationReport, RungResult, _decay_form, _graph_point
 from grassatlas.sampling import polarization_preserving_unitary
@@ -42,8 +41,8 @@ def test_polarized_model_projector_identities():
 @pytest.mark.parametrize("n_minus, n_plus", [(3, 3), (2, 5), (6, 1)])
 def test_polarization_blocks_are_exact_coordinate_slices(n_minus, n_plus):
     m = ga.PolarizedModel(n_minus, n_plus)
-    assert np.array_equal(_coordinate_rows(m.h_minus.basis.matrix), np.arange(n_minus))
-    assert np.array_equal(_coordinate_rows(m.h_plus.basis.matrix), n_minus + np.arange(n_plus))
+    assert np.array_equal(ga.Subspace(m.h_minus.basis.matrix)._coord_rows, np.arange(n_minus))
+    assert np.array_equal(ga.Subspace(m.h_plus.basis.matrix)._coord_rows, n_minus + np.arange(n_plus))
     assert np.array_equal(m.h_plus.complement().basis.matrix, m.h_minus.basis.matrix)
     assert np.array_equal(m.h_minus.complement().basis.matrix, m.h_plus.basis.matrix)
 
@@ -65,7 +64,7 @@ def test_split_chart_on_the_polarization_has_the_solve_route_rows():
 @pytest.mark.parametrize("virtual_dim", [-2, -1, 0, 1, 2])
 def test_zero_profile_centre_complement_matches_the_qr_complement(virtual_dim):
     center, _ = _graph_point(_model(4), ga.DecayProfile.zero(), virtual_dim, 0)
-    assert _coordinate_rows(center.basis.matrix) is not None
+    assert center._coord_rows is not None
     full, _ = np.linalg.qr(center.basis.matrix, mode="complete")
     qr_complement = ga.Subspace(full[:, center.dim:])
     assert center.complement().distance_to(qr_complement) <= 1e-15

@@ -311,6 +311,14 @@ def test_projection_identities_builds_no_chart(monkeypatch):
     assert charts == []
 
 
+def test_schatten_monotonicity_takes_one_svd_per_trial(monkeypatch):
+    # the four norms are read from one spectrum, as SchattenReport turns it into each
+    svds = _counting(monkeypatch, np.linalg, "svd")
+    error = checks._schatten_monotonicity(SuiteConfig(), 0, sampling.derive_rng(42, 3, 0), 8)
+    assert error <= 1e-12
+    assert len(svds) == 1
+
+
 def _log_uniform_at_low(low, high, rng, size=None):
     """``sampling._log_uniform`` held at ``low``; it still takes its draw from ``rng``."""
     rng.uniform(size=size)
