@@ -99,10 +99,15 @@ def _orthonormality_gap(mat: np.ndarray, support) -> float:
 
     Columns with disjoint supports make B^H B diagonal, so the gap is the norm
     of (|b_j|^2 - 1)_j, read from the nonzero entries alone, with no n x k
-    conjugate and no k x k Gram.  Any other basis takes the Gram product.
+    conjugate and no k x k Gram.  Any other basis takes the Gram product, unless
+    an entry's modulus exceeds 1 + ``_ORTHO_TOL``: its column's norm does too,
+    so the gap is past the tolerance, and it reads inf before a product that
+    could overflow to NaN.
     """
     k = mat.shape[1]
     if support is None:
+        if np.abs(mat).max() > 1.0 + _ORTHO_TOL:
+            return math.inf
         return float(np.linalg.norm(mat.conj().T @ mat - np.eye(k)))
     rows, cols = support
     entries = mat[rows, cols]
@@ -135,7 +140,7 @@ class Subspace:
         self._coord_rows = _coordinate_rows(mat, support)
         if self._coord_rows is None:  # a coordinate basis needs no check
             _require_finite(mat)
-            if k and _orthonormality_gap(mat, support) > _ORTHO_TOL:
+            if k and not _orthonormality_gap(mat, support) <= _ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal; use Subspace.from_span")
         self._shape = (n, k)
         self._basis = Operator(mat) if self._coord_rows is None else None
@@ -257,7 +262,7 @@ class ChartId:
         # orthogonal (gap 0).
         gap = (float(_rows_overlap(self.f._coord_rows, self.g._coord_rows, self.ambient_dim))
                if coordinate else np.linalg.norm(self._apply(0, self.g), 2))
-        if gap > DEFAULT_TOL_EQ:
+        if not gap <= DEFAULT_TOL_EQ:
             raise SplitFailure("hilbert flavor requires G to be the orthogonal complement of F")
 
     @classmethod
@@ -320,12 +325,7 @@ class ChartId:
 
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """A subspace in chart coordinates: the F -> G operator whose graph it is.
-
-    The point keeps the record of its last forward transition, target and tol
-    included, so the bundle maps from one point to one target share one evaluation;
-    :func:`transition_base` neither reads nor writes it.
-    """
+    """A subspace in chart coordinates: the F -> G operator whose graph it is."""
 
     chart: ChartId
     coord: Operator
@@ -340,7 +340,6 @@ class ChartPoint:
             # no chart domain holds an infinite graph; the domain bounds read |A|_F
             raise ChartDomainViolation("chart coordinate has non-finite entries")
         object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "_forward", None)
 
 
 class DomainCheck(NamedTuple):
@@ -391,7 +390,7 @@ def _require_domain(chart: ChartId, coord: np.ndarray, tol_domain: float | None,
     if _coordinate_bound(coord) > 2.0 * tol:
         return
     cond = 1.0 / float(np.linalg.norm(_graph(chart, coord), 2))
-    if cond <= tol:
+    if not cond > tol:
         raise _outside(what, cond, tol)
 
 
@@ -488,7 +487,7 @@ def chart_forward_projector(h: Subspace, chart: ChartId,
     crossed = bvp.conj().T @ proj @ bv
     # the compression's singular values are the squared cosines of the principal angles
     cond, tol = float(np.sqrt(_domain_conditioning(compressed))), _domain_tol(tol_domain)
-    if cond <= tol:
+    if not cond > tol:
         raise _outside("subspace is outside the chart domain", cond, tol)
     return ChartPoint(chart, np.linalg.solve(compressed.T, crossed.T).T)
 
@@ -514,18 +513,17 @@ def _slots(chart: ChartId) -> np.ndarray | None:
 def _graph(chart: ChartId, coord: np.ndarray) -> np.ndarray:
     """The graph B_F + B_G A of the chart point (chart, A), not orthonormal.
 
-    On two coordinate bases row r is e_j or A[l], as r is column j of B_F or l
-    of B_G (:func:`_slots`); A's rows are added to zeros, which reads -0 as +0
-    just as the dense sum does, so the rows are the dense ones bit for bit.
+    On two coordinate bases, e_j sits at row ``rows_F[j]`` and A's row l at row
+    ``rows_G[l]``, placed by the bases' recorded rows.  A's rows are added to
+    zeros, which reads -0 as +0 just as the dense sum does, so the rows are the
+    dense ones bit for bit.
     """
-    slots = _slots(chart)
-    if slots is None:
+    rows_f, rows_g = chart.f._coord_rows, chart.g._coord_rows
+    if rows_f is None or rows_g is None:
         return chart.f.basis.matrix + chart.g.basis.matrix @ coord
-    k = chart.f.dim
-    on_f = slots < k
-    graph = np.zeros((slots.size, k), dtype=complex)
-    graph[np.flatnonzero(on_f), slots[on_f]] = 1.0
-    graph[~on_f] += coord[slots[~on_f] - k]
+    graph = np.zeros((chart.ambient_dim, rows_f.size), dtype=complex)
+    graph[rows_f, np.arange(rows_f.size)] = 1.0
+    graph[rows_g] += coord
     return graph
 
 
@@ -551,39 +549,24 @@ def _left(coord: np.ndarray, chart: ChartId, basis: Subspace) -> np.ndarray:
     return left
 
 
-class _Forward(NamedTuple):
-    """What the bundle maps read of a forward transition: A', denom = a + b A and left = d - A' b."""
-
-    coord: np.ndarray
-    denom: np.ndarray
-    left: np.ndarray
-    target: ChartId
-    tol: float
-
-
-def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None) -> _Forward:
-    """The one transition every bundle map evaluates, kept on the source point.
+def _forward_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one transition every bundle map evaluates: (A', denom = a + b A, left = d - A' b).
 
     It is :func:`transition_base` with the top block kept: the target's rows on
     the source graph G = B_F + B_G A give denom = R_F' G = a + b A, and A' solves
     A' denom = R_G' G (:func:`_coordinates`).  ``left`` = d - A' b reads the
-    target's rows on the source's G basis (:func:`_left`).
-
-    The point holds the record of its last (target, tolerance), replaced whole;
-    every input is frozen, so a hit needs no invalidation.  A raise leaves the memo untouched.
+    target's rows on the source's G basis (:func:`_left`).  Nothing is kept:
+    the one reuse, ``pushforward_factors`` then ``pushforward_tensor``, travels
+    on the factor pair.
     """
     tol = _domain_tol(tol_domain)
-    memo = pt._forward
-    if memo is not None and memo.target is target and memo.tol == tol:
-        return memo
     src = pt.chart
     _require_restrictable(src.f, target)
     denom, moved = _coordinates(target, _graph(src, pt.coord.matrix), tol,
                                 "graph leaves the target chart domain")
     denom.setflags(write=False)  # so pushforward_factors wraps it, uncopied
-    fwd = _Forward(moved, denom, _left(moved, target, src.g), target, tol)
-    object.__setattr__(pt, "_forward", fwd)
-    return fwd
+    return moved, denom, _left(moved, target, src.g)
 
 
 def transition_base(pt: ChartPoint, target: ChartId,
@@ -592,9 +575,9 @@ def transition_base(pt: ChartPoint, target: ChartId,
 
     A' = (R_G' G)(R_F' G)^{-1}, the target's coordinate rows R' read on the source
     graph G = B_F + B_G A: :func:`chart_forward` on G, without its QR, by the one
-    solve every chart coordinate takes (:func:`_coordinates`).  It leaves the
-    point's memo alone.  Agrees with ``chart_forward(chart_inverse(pt), target)``
-    up to roundoff.
+    solve every chart coordinate takes (:func:`_coordinates`), and the A' of
+    :func:`_forward_transition` bit for bit.  Agrees with
+    ``chart_forward(chart_inverse(pt), target)`` up to roundoff.
     """
     tol = _domain_tol(tol_domain)
     _require_restrictable(pt.chart.f, target)

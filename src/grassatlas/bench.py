@@ -16,13 +16,15 @@ perturbed k-subspaces.  On the swap pair of the (k, k) polarized model, which is
 the (n - k, k) model at even n, with the point at coordinate t I, it times
 ``chart_forward[coordinate]`` and ``transition_cotangent[coordinate]``: every
 chart row there selects coordinates.
-Every transition call starts from a fresh chart point, so no bundle map is
-served by the transition its point memoized on an earlier call; the
-``pushforward_factors`` row includes that record's left factor, and
-``transition_base`` memoizes nothing.  Every membership and distance call gets
-fresh subspace and model objects, so no state an object kept from an earlier
-call serves a repeat.  Each layer
-runs once untimed, then ``REPEATS`` timed calls, then once more untimed under
+Every transition call starts from a fresh chart point, and a chart point keeps
+nothing, so each call evaluates its own forward transition.  The one reuse is
+the ``pushforward`` row's: its factor pair carries its transition into the
+tensor map.  The ``pushforward_tensor`` row's factors were made at another
+point, so each of its calls takes its own solve, and the ``pushforward_factors``
+row includes the left factor d - A'b of the transition it reads.  Every
+membership and distance call gets fresh subspace and model objects, so no
+state an object kept from an earlier call serves a repeat.  Each layer runs
+once untimed, then ``REPEATS`` timed calls, then once more untimed under
 ``tracemalloc``; the median, interquartile range and minimum in milliseconds,
 and that call's peak of traced memory in MiB (``peak_mb``), go under
 ``columns[LABEL]`` of the output file, next to the numpy and BLAS versions, the
@@ -119,8 +121,8 @@ def _transition_layers(flavor: str, src: ga.ChartId, dst: ga.ChartId,
                        rng: np.random.Generator) -> dict:
     """Transition factories from ``src`` to ``dst``.
 
-    Each call gets a fresh ``ChartPoint``: a point keeps the last forward
-    transition a bundle map made, so repeats on one point would time a memo hit.
+    Each call gets a fresh ``ChartPoint``.  The ``pushforward_tensor`` row's
+    factors were made at another point, so they bring it no transition.
     """
     n, k = src.ambient_dim, src.f.dim
     coord = ga.Operator(POINT_SCALE / math.sqrt(n) * _cgauss(rng, (n - k, k)))

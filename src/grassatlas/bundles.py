@@ -13,12 +13,14 @@ the forward tangent fiber map, derived from it rather than re-evaluated.  That
 inverse is ``X' -> L_r X' S``, so on tensor covectors the transition is the one
 operator pair ``x (x) y -> S x (x) L_r^T y`` and keeps the number of terms.
 
-Every map here reads one forward transition per (point, target chart, domain
-tolerance), made whole at once: A', the denominator and the left factor.  It is
+Every map here is a pure function of its arguments and evaluates one forward
+transition, made whole at once: A', the denominator and the left factor.  It is
 ``atlas.transition_base``'s solve on the source graph with the denominator
-kept.  The source point keeps the last one, so a tangent and cotangent pair, or
-``pushforward_factors`` followed by ``pushforward_tensor``, solves once.
-``atlas.transition_base`` neither reads nor writes it.
+kept.  A chart point keeps nothing, so each map solves once.  The one reuse
+rides on the value passed between two calls: the pair ``pushforward_factors``
+returns carries the transition it was read from, and ``pushforward_tensor``
+takes it instead of solving again when the pair was made at the same point,
+target and tolerance.
 """
 
 from __future__ import annotations
@@ -109,9 +111,9 @@ def transition_tangent(v: TangentVector, target: ChartId,
     in closed form from the product-rule expansion of the solve:
     ``X -> (d - A' b) X (a + b A)^{-1}``, read from the point's forward transition.
     """
-    fwd = atlas._forward_transition(v.at, target, tol_domain)
-    pushed = np.linalg.solve(fwd.denom.T, (fwd.left @ v.direction.matrix).T).T
-    return TangentVector(ChartPoint(target, fwd.coord), pushed)
+    moved, denom, left = atlas._forward_transition(v.at, target, tol_domain)
+    pushed = np.linalg.solve(denom.T, (left @ v.direction.matrix).T).T
+    return TangentVector(ChartPoint(target, moved), pushed)
 
 
 def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | None):
@@ -121,10 +123,10 @@ def _invertible_transition(pt: ChartPoint, target: ChartId, tol_domain: float | 
     margin is 1/|R|_2 = 1/|B_F + B_G A|_2: the point's own chart point
     (chart, A) decides it (:func:`atlas._require_domain`).
     """
-    fwd = atlas._forward_transition(pt, target, tol_domain)
+    transition = atlas._forward_transition(pt, target, tol_domain)
     atlas._require_domain(pt.chart, pt.coord.matrix, tol_domain,
                           "reverse transition leaves the chart domain")
-    return fwd
+    return transition
 
 
 def transition_cotangent(c: Covector, target: ChartId,
@@ -134,12 +136,11 @@ def transition_cotangent(c: Covector, target: ChartId,
     The inverse fiber map is ``X' -> L_r X' S`` with S = a + b A, the forward
     ``denom``, and L_r = (d - A' b)^{-1}, so the trace pairing forces
     ``mu' = S mu L_r``.  The inverse map's
-    domain check reads the point's own coordinate (:func:`_invertible_transition`),
-    and a tangent pushed from the same point to the same chart shares the transition.
+    domain check reads the point's own coordinate (:func:`_invertible_transition`).
     """
-    fwd = _invertible_transition(c.at, target, tol_domain)
-    pushed = np.linalg.solve(fwd.left.T, (fwd.denom @ c.form.matrix).T).T
-    return Covector(ChartPoint(target, fwd.coord), pushed)
+    moved, denom, left = _invertible_transition(c.at, target, tol_domain)
+    pushed = np.linalg.solve(left.T, (denom @ c.form.matrix).T).T
+    return Covector(ChartPoint(target, moved), pushed)
 
 
 def pushforward_factors(pt: ChartPoint, target: ChartId,
@@ -151,11 +152,30 @@ def pushforward_factors(pt: ChartPoint, target: ChartId,
     d - A' b (:func:`atlas._left`), a column gather of A between coordinate charts,
     found without inverting the forward ``left``.  Both are frozen where they are
     made, so the pair wraps them uncopied.  Domain checks as in
-    :func:`transition_cotangent`; consumed by :func:`pushforward_tensor`, which on
-    the same point and chart reuses the transition evaluated here.
+    :func:`transition_cotangent`.  The pair is a tuple that also carries the
+    transition it was read from (:class:`_Factors`), so :func:`pushforward_tensor`
+    given it at the same point, target and tolerance solves nothing again.
     """
-    fwd = _invertible_transition(pt, target, tol_domain)
-    return Operator(fwd.denom), Operator(atlas._left(pt.coord.matrix, pt.chart, target.g))
+    tol = atlas._domain_tol(tol_domain)
+    return _Factors(pt, target, tol, _invertible_transition(pt, target, tol))
+
+
+class _Factors(tuple):
+    """The pair (S, L_r) of :func:`pushforward_factors`, built whole with what it was read from.
+
+    ``made`` is (point, target, tol, transition): the chart point and target
+    chart, the normalized domain tolerance, and the forward transition
+    (A', S, left) whose domains were decided there.  Unpacked, it is the pair.
+    """
+
+    def __new__(cls, pt: ChartPoint, target: ChartId, tol: float, transition):
+        pair = super().__new__(cls, (Operator(transition[1]),
+                                     Operator(atlas._left(pt.coord.matrix, pt.chart, target.g))))
+        pair.made = (pt, target, tol, transition)
+        return pair
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)  # a copy or pickle is a plain pair, which brings no transition
 
 
 def tensor_pushforward_terms(terms: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -178,25 +198,32 @@ def pushforward_tensor(tc: TensorCovector, factors: tuple[Operator, Operator],
     L_r = (d - A' b)^{-1} from the forward record, a route independent of the
     reverse rows ``pushforward_factors`` reads.  One exact identity decides that
     (:func:`_factor_residual`), and a pair off it raises :class:`FactorMismatch`.
-    Domain checks as in :func:`transition_cotangent`; after
-    :func:`pushforward_factors` on the same point and chart, the forward
-    transition is not evaluated again.
+    Domain checks as in :func:`transition_cotangent`.  A pair that
+    :func:`pushforward_factors` made at ``tc.at`` and ``target`` (the same
+    objects) and the same tolerance brings its transition, with both domains
+    decided, and no other is evaluated; any other pair, a plain tuple among
+    them, is checked against a transition evaluated here.
     """
-    fwd = _invertible_transition(tc.at, target, tol_domain)
+    tol = atlas._domain_tol(tol_domain)
+    made = factors.made if isinstance(factors, _Factors) else None
+    if made is not None and made[0] is tc.at and made[1] is target and made[2] == tol:
+        moved, denom, left = made[3]
+    else:
+        moved, denom, left = _invertible_transition(tc.at, target, tol)
     s, t = _factor_pair(factors)
     kf, kg = tc.at.coord.cols, tc.at.coord.rows
     if s.shape != (kf, kf) or t.shape != (kg, kg):
         raise DimensionMismatch(
             f"factors must be ({kf}, {kf}) and ({kg}, {kg}), got {s.shape} and {t.shape}")
     # both routes lose accuracy as the coordinates grow toward a chart boundary
-    bound = 1e-12 * (1.0 + _absmax(tc.at.coord.matrix)) * (1.0 + _absmax(fwd.coord))
+    bound = 1e-12 * (1.0 + _absmax(tc.at.coord.matrix)) * (1.0 + _absmax(moved))
     # on a zero-dimensional fiber every pair of the right shapes realizes the map
-    residual = _factor_residual(s, t, fwd.left, fwd.denom) if kf and kg else 0.0
+    residual = _factor_residual(s, t, left, denom) if kf and kg else 0.0
     if not residual <= bound:
         raise FactorMismatch(
             f"factors deviate from the tangent fiber map by {residual:.3e} relative "
             f"(bound {bound:.1e})", residual=residual, bound=bound)
-    return TensorCovector(ChartPoint(target, fwd.coord), tensor_pushforward_terms(tc.terms, (s, t)))
+    return TensorCovector(ChartPoint(target, moved), tensor_pushforward_terms(tc.terms, (s, t)))
 
 
 def _factor_pair(factors) -> tuple[np.ndarray, np.ndarray]:

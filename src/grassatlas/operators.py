@@ -337,7 +337,7 @@ def oblique_projections(f, g) -> tuple[Operator, Operator]:
     n, kf = f.ambient_dim, f.dim
     if n == 0:
         return Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0)))
-    if cond <= DEFAULT_TOL_SPLIT:
+    if not cond > DEFAULT_TOL_SPLIT:
         raise SplitFailure(f"subspaces are not complementary: conditioning {cond:.3e}",
                            conditioning=cond, tol=DEFAULT_TOL_SPLIT)
     rows_f = f._coord_rows

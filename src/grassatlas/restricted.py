@@ -361,7 +361,7 @@ def _decay_form(k_f: int, k_g: int, profile: DecayProfile, seed: int) -> np.ndar
 
 def _rung(model: PolarizedModel, point: RestrictedPoint, p: float, chart_family: ChartFamily,
           profile: DecayProfile, seed: int, tail_cutoff: int) -> RungResult:
-    """One ladder rung; its chart point, covector and memoized transition die on return."""
+    """One ladder rung; its chart point and covectors die on return."""
     dim = model.ambient_dim
     try:
         src, dst, base = chart_family(model, point)

@@ -1,15 +1,16 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import grassatlas as ga
-from grassatlas import atlas, bundles, restricted, sampling
+from grassatlas import atlas, bundles, operators, restricted, sampling
 from grassatlas.errors import ChartDomainViolation, DimensionMismatch, SplitFailure
 from grassatlas.sampling import (MARGIN_FLOOR, SPLIT_FLOOR, near_boundary_subspace,
                                  random_chart, random_chart_containing, random_chart_point,
@@ -152,6 +153,72 @@ def test_overlapping_columns_with_a_sparse_first_row_take_the_gram_product():
     assert np.count_nonzero(bad[0]) == 1 and atlas._row_support(bad) is None
     with pytest.raises(ValueError, match="not orthonormal"):
         ga.Subspace(bad)
+
+
+_HUGE_BASES = {
+    "square": lambda s: s * np.array([[1.0, 1.0], [1.0, -1.0]]),
+    "rank-one": lambda s: s * np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "tall": lambda s: np.array([[s, 0.5], [0.3, s], [s, s]]),
+}
+
+
+# a dense basis past modulus 1 is refused before its Gram product, which
+# overflows to NaN, and a NaN gap is refused too
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e300])
+@pytest.mark.parametrize("case", sorted(_HUGE_BASES))
+def test_huge_dense_basis_is_refused(case, s, warn):
+    basis = _HUGE_BASES[case](s)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(ValueError, match="basis columns are not orthonormal; use Subspace.from_span"):
+            ga.Subspace(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_scaled_orthonormal_basis_is_refused_without_a_warning(seed, n, s):
+    rng = _rng(seed)
+    k = int(rng.integers(1, n + 1))
+    # the gap of s B is |s^2 - 1| sqrt(k), up to B's own roundoff; 1% clears that
+    assume(abs(s * s - 1.0) * math.sqrt(k) > 1.01 * atlas._ORTHO_TOL)
+    scaled = s * ga.haar_frame(n, k, rng)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ga.Subspace(scaled)
+    assert not caught
+
+
+def _nan(*args, **kwargs):
+    return math.nan
+
+
+# each tolerance decision refuses a NaN with its own error, never passes it
+@pytest.mark.parametrize("decision", ["hilbert-gap", "domain", "projector-domain", "split"])
+def test_a_nan_decision_fails_closed(monkeypatch, decision):
+    rng = _rng(7700)
+    f, g = random_subspace(6, 3, rng), random_subspace(6, 3, rng)
+    if decision == "hilbert-gap":
+        perp = f.complement()
+        monkeypatch.setattr(np.linalg, "norm", _nan)
+        with pytest.raises(SplitFailure, match="hilbert flavor requires"):
+            ga.ChartId(f, perp, flavor="hilbert")
+    elif decision == "domain":
+        chart = ga.ChartId.hilbert(f)
+        monkeypatch.setattr(np.linalg, "norm", _nan)  # the bound and the graph's 2-norm
+        with pytest.raises(ChartDomainViolation, match="outside the chart domain"):
+            ga.chart_forward(f, chart)
+    elif decision == "projector-domain":
+        chart = ga.ChartId.hilbert(f)
+        monkeypatch.setattr(atlas, "_domain_conditioning", _nan)
+        with pytest.raises(ChartDomainViolation, match="outside the chart domain"):
+            ga.chart_forward_projector(f, chart)
+    else:
+        monkeypatch.setattr(operators, "split_conditioning", _nan)
+        with pytest.raises(SplitFailure, match="not complementary"):
+            ga.ChartId(f, g)
 
 
 def test_disjoint_support_check_forms_no_conjugate_or_gram():
@@ -786,17 +853,16 @@ def test_coordinate_record_is_the_dense_block_record_bit_for_bit(monkeypatch, ca
     build = oracles._transition_blocks
     monkeypatch.setattr(oracles, "_transition_blocks",
                         lambda *args: builds.append(1) or build(*args))
-    fwd = atlas._forward_transition(pt, dst, None)
-    left = fwd.left
-    assert fwd.left is left and not builds  # read by index, and made once
+    moved, denom, left = atlas._forward_transition(pt, dst, None)
+    assert not builds  # read by index
     monkeypatch.undo()
     # signed zeros and memory order included: every 0/1 product rounds nothing
-    for got, want in zip((fwd.coord, fwd.denom, left), _dense_record(pt, dst)):
+    for got, want in zip((moved, denom, left), _dense_record(pt, dst)):
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
     mu = _rng(7401).standard_normal(pt.coord.shape[::-1]).astype(complex)
     pushed = ga.transition_cotangent(ga.Covector(pt, mu), dst).form.matrix
-    assert np.array_equal(pushed, np.linalg.solve(left.T, (fwd.denom @ mu).T).T)
+    assert np.array_equal(pushed, np.linalg.solve(left.T, (denom @ mu).T).T)
     # L_r = d_r - A b_r, with b_r and d_r the source rows applied to the target's G
     b_r, d_r = pt.chart._apply(0, dst.g), pt.chart._apply(1, dst.g)
     assert ga.pushforward_factors(pt, dst)[1].matrix.tobytes() == (
@@ -1061,7 +1127,7 @@ def test_coordinate_bound_never_exceeds_the_conditioning(seed, n, rank_one, src_
         assert ga.split_conditioning(src.f, src.g) == pytest.approx(SPLIT_FLOOR, rel=1e-9)
     assert atlas._coordinate_bound(pt.coord.matrix) <= exact * (1.0 + 1e-12)
     # the forward transition: graph denom^{-1} is the graph of A'
-    aprime = atlas._forward_transition(pt, dst, None).coord
+    aprime, _, _ = atlas._forward_transition(pt, dst, None)
     assert atlas._coordinate_bound(aprime) <= _transition_conditioning(pt, dst) * (1.0 + 1e-12)
     # the reverse check: the source chart sees the graph of A through R^{-1}
     graph = src.f.basis.matrix + src.g.basis.matrix @ pt.coord.matrix

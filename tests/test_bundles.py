@@ -531,20 +531,20 @@ def _relative_gap(got, want):
 def test_derived_inverse_data_matches_reverse_blocks(n, k, flavors):
     # the explicit route re-evaluates the transition from the target chart back
     pt, dst = _near_chart_pair(n, k, 900 + n + k, flavors)
-    fwd = atlas._forward_transition(pt, dst, None)
+    aprime, denom, left = atlas._forward_transition(pt, dst, None)
     a_r, b_r, _, d_r = oracles._transition_blocks(dst, pt.chart)
-    m_r = a_r + b_r @ fwd.coord
+    m_r = a_r + b_r @ aprime
     l_r = d_r - pt.coord.matrix @ b_r
-    assert _relative_gap(fwd.denom @ m_r, np.eye(k)) <= 1e-12
-    assert _relative_gap(fwd.left @ l_r, np.eye(n - k)) <= 1e-12
+    assert _relative_gap(denom @ m_r, np.eye(k)) <= 1e-12
+    assert _relative_gap(left @ l_r, np.eye(n - k)) <= 1e-12
     mu = random_fiber_matrix(k, n - k, _rng(n + k))
     moved = ga.transition_cotangent(ga.Covector(pt, mu), dst)
     assert moved.form.shape == (k, n - k)
     assert _relative_gap(moved.form.matrix, np.linalg.solve(m_r, mu) @ l_r) <= 1e-12
     # the pair is S itself and L_r from the reverse rows, a route apart from inv(left)
     factors = ga.pushforward_factors(pt, dst)
-    assert np.array_equal(factors[0].matrix, fwd.denom)
-    assert _relative_gap(factors[1].matrix, np.linalg.inv(fwd.left)) <= 1e-12
+    assert np.array_equal(factors[0].matrix, denom)
+    assert _relative_gap(factors[1].matrix, np.linalg.inv(left)) <= 1e-12
     tc = ga.TensorCovector(pt, ((random_fiber_matrix(k, 1, _rng(1))[:, 0],
                                  random_fiber_matrix(n - k, 1, _rng(2))[:, 0]),))
     pushed = ga.pushforward_tensor(tc, factors, dst)
@@ -625,7 +625,7 @@ def test_inverse_domain_check_decides_on_the_two_norm():
 def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
     pt, dst = _near_chart_pair(8, 3, 970)
     factors = ga.pushforward_factors(pt, dst)
-    # a fresh point holds no memoized transition, so the map must build one itself
+    # factors made at another point bring no transition for this one, so each map builds its own
     fresh = ga.ChartPoint(pt.chart, pt.coord)
     calls = _inverse_maps(fresh, dst)
     calls["pushforward_tensor"] = lambda: ga.pushforward_tensor(
@@ -641,7 +641,7 @@ def test_inverse_maps_evaluate_one_transition(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# the forward transition memoized on its source point
+# the factor pair carries the one transition reuse; a chart point keeps nothing
 
 def _count_calls(monkeypatch, module, name):
     """A list that grows by one on each call of ``module.<name>``, for the rest of the test."""
@@ -656,52 +656,6 @@ def _count_solves(monkeypatch):
     return _count_calls(monkeypatch, atlas, "_coordinates")
 
 
-def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
-    pt, dst = _near_chart_pair(8, 3, 980)
-    rng = _rng(981)
-    x, mu = random_fiber_matrix(5, 3, rng), random_fiber_matrix(3, 5, rng)
-    solves = _count_solves(monkeypatch)
-    tangent = ga.transition_tangent(ga.TangentVector(pt, x), dst)
-    covector = ga.transition_cotangent(ga.Covector(pt, mu), dst)
-    ga.pushforward_tensor(ga.TensorCovector(pt, ()), ga.pushforward_factors(pt, dst), dst)
-    # the default, spelled out
-    ga.transition_tangent(ga.TangentVector(pt, x), dst, tol_domain=ga.DEFAULT_TOL_DOMAIN)
-    assert len(solves) == 1
-    # a hit returns what a fresh evaluation computes, bit for bit
-    fresh = ga.ChartPoint(pt.chart, pt.coord)
-    assert np.array_equal(ga.transition_tangent(ga.TangentVector(fresh, x), dst).direction.matrix,
-                          tangent.direction.matrix)
-    assert np.array_equal(ga.transition_cotangent(ga.Covector(fresh, mu), dst).form.matrix,
-                          covector.form.matrix)
-    assert len(solves) == 2
-
-
-def test_transition_memo_is_keyed_by_target_and_tolerance(monkeypatch):
-    pt, dst = _near_chart_pair(8, 3, 982)
-    twin = ga.ChartId(dst.f, dst.g)  # an equal chart, but another object
-    v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(983)))
-    solves = _count_solves(monkeypatch)
-    for target, tol, total in [(dst, None, 1), (twin, None, 2), (twin, 1e-6, 3),
-                               (twin, 1e-6, 3), (dst, None, 4)]:
-        ga.transition_tangent(v, target, tol)
-        assert len(solves) == total
-
-
-def test_raised_domain_violation_is_not_memoized(monkeypatch):
-    # a hilbert target's conditioning is a cosine, so tol_domain = 1 always raises
-    pt, dst = _near_chart_pair(8, 3, 984, ("split", "hilbert"))
-    v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(985)))
-    solves = _count_solves(monkeypatch)
-    moved = ga.transition_tangent(v, dst)
-    for total in (2, 3):
-        with pytest.raises(ChartDomainViolation):
-            ga.transition_tangent(v, dst, tol_domain=1.0)
-        assert len(solves) == total
-    # the raise left the earlier record in place
-    assert np.array_equal(ga.transition_tangent(v, dst).at.coord.matrix, moved.at.coord.matrix)
-    assert len(solves) == 3
-
-
 def _swap_pair(k, t=1.5 + 0.5j):
     """The split swap pair (H_+, H_-) -> (H_-, H_+) of the (k, k) polarized model, at t I."""
     model = ga.PolarizedModel(k, k)
@@ -710,20 +664,91 @@ def _swap_pair(k, t=1.5 + 0.5j):
     return ga.chart_forward(base, src), dst
 
 
+_PAIRS = ("hilbert", "split", "mixed", "swap")
+
+
+def _pair(name):
+    """A chart point and a target chart: both hilbert, both split, hilbert to split, or the swap."""
+    if name == "swap":
+        return _swap_pair(8)
+    return _near_chart_pair(8, 3, 988, ("hilbert", "split") if name == "mixed" else (name, name))
+
+
+def _tensor(pt):
+    rng = _rng(981)
+    kf, kg = pt.coord.cols, pt.coord.rows
+    return ga.TensorCovector(pt, tuple((random_fiber_matrix(kf, 1, rng)[:, 0],
+                                        random_fiber_matrix(kg, 1, rng)[:, 0]) for _ in range(2)))
+
+
+def _bits(tc):
+    return [tc.at.coord.matrix.tobytes(), *(v.tobytes() for term in tc.terms for v in term)]
+
+
+def test_bundle_maps_on_one_point_share_one_transition(monkeypatch):
+    # the transport op: the pair made at tc.at brings its transition to the tensor map
+    cases = {name: _pair(name) for name in _PAIRS}
+    solves = _count_solves(monkeypatch)
+    for name, (pt, dst) in cases.items():
+        ga.pushforward_tensor(_tensor(pt), ga.pushforward_factors(pt, dst), dst)
+        assert len(solves) == 1, name
+        solves.clear()
+
+
+def test_factor_pair_made_elsewhere_takes_its_own_transition(monkeypatch):
+    # the pair's transition serves only its own point, target and tolerance, as objects
+    cases = {}
+    for name in _PAIRS:
+        pt, dst = _pair(name)
+        factors = ga.pushforward_factors(pt, dst)
+        twin = ga.ChartId(dst.f, dst.g, dst.flavor)  # an equal chart, but another object
+        cases[name] = pt, dst, factors, {
+            "plain tuple": tuple(factors),
+            "pickled": pickle.loads(pickle.dumps(factors)),
+            "equal point": ga.pushforward_factors(ga.ChartPoint(pt.chart, pt.coord), dst),
+            "equal target": ga.pushforward_factors(pt, twin),
+            "another tol": ga.pushforward_factors(pt, dst, tol_domain=1e-6),
+        }
+    solves = _count_solves(monkeypatch)
+    for name, (pt, dst, factors, others) in cases.items():
+        tc = _tensor(pt)
+        want = _bits(ga.pushforward_tensor(tc, factors, dst))
+        solves.clear()
+        for other, pair in others.items():
+            assert _bits(ga.pushforward_tensor(tc, pair, dst)) == want, (name, other)
+            assert len(solves) == 1, (name, other)
+            solves.clear()
+
+
+def test_bundle_maps_leave_the_point_as_built():
+    for name in _PAIRS:
+        pt, dst = _pair(name)
+        x = random_fiber_matrix(pt.coord.rows, pt.coord.cols, _rng(982))
+        ga.transition_tangent(ga.TangentVector(pt, x), dst)
+        ga.transition_cotangent(ga.Covector(pt, x.T), dst)
+        ga.pushforward_tensor(_tensor(pt), ga.pushforward_factors(pt, dst), dst)
+        assert set(vars(pt)) == {"chart", "coord"}, name
+
+
+def test_hilbert_target_refuses_tol_domain_one():
+    # a hilbert target's conditioning is a cosine, so tol_domain = 1 always raises
+    pt, dst = _near_chart_pair(8, 3, 984, ("split", "hilbert"))
+    v = ga.TangentVector(pt, random_fiber_matrix(5, 3, _rng(985)))
+    ga.transition_tangent(v, dst)
+    with pytest.raises(ChartDomainViolation):
+        ga.transition_tangent(v, dst, tol_domain=1.0)
+
+
 # the base transition reads the target's rows on the source graph and keeps nothing
-@pytest.mark.parametrize("pair", ["hilbert", "split", "mixed", "swap"])
+@pytest.mark.parametrize("pair", _PAIRS)
 def test_transition_base_leaves_the_memo_and_builds_no_blocks(monkeypatch, pair):
-    if pair == "swap":
-        pt, dst = _swap_pair(8)
-    else:
-        pt, dst = _near_chart_pair(8, 3, 988, ("hilbert", "split") if pair == "mixed"
-                                   else (pair, pair))
+    pt, dst = _pair(pair)
     builds = _count_calls(monkeypatch, oracles, "_transition_blocks")
     solves = _count_solves(monkeypatch)
     moved = ga.transition_base(pt, dst).coord.matrix
-    assert pt._forward is None and len(solves) == 1
-    # the bundle maps' record takes the same solve on the same graph, so A' agrees exactly
-    assert moved.tobytes() == atlas._forward_transition(pt, dst, None).coord.tobytes()
+    assert len(solves) == 1
+    # the bundle maps' transition takes the same solve on the same graph, so A' agrees exactly
+    assert moved.tobytes() == atlas._forward_transition(pt, dst, None)[0].tobytes()
     assert not builds
     oracle = ga.chart_forward(ga.chart_inverse(pt), dst).coord.matrix
     assert np.abs(moved - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -741,7 +766,8 @@ def test_pushforward_factors_wrap_the_record_and_the_reverse_factor_uncopied(mon
     made = []
     left = atlas._left
     monkeypatch.setattr(atlas, "_left", lambda *args: made.append(left(*args)) or made[-1])
-    s, l_r = ga.pushforward_factors(pt, dst)
-    assert np.shares_memory(s.matrix, pt._forward.denom)
-    assert s.matrix is pt._forward.denom
+    s, l_r = factors = ga.pushforward_factors(pt, dst)
+    _, denom, _ = factors.made[3]
+    assert np.shares_memory(s.matrix, denom)
+    assert s.matrix is denom
     assert l_r.matrix is made[-1]

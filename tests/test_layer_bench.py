@@ -54,14 +54,17 @@ def test_layer_bench_peak_counts_what_the_call_allocates():
 
 
 def test_layer_bench_times_fresh_points(monkeypatch):
-    # a repeat on the warm-up call's point would be a memo hit and solve nothing
-    prepare = bench._layers(8)["transition_tangent[split]"]
+    # each call takes one solve; the tensor row's factors were made at another
+    # point, so they bring no transition for the point it times
+    layers = bench._layers(8)
     solves = []
     solve = atlas._coordinates
     monkeypatch.setattr(atlas, "_coordinates", lambda *args: solves.append(1) or solve(*args))
-    for _ in range(3):
-        prepare()()
-    assert len(solves) == 3
+    for layer in ("transition_tangent[split]", "pushforward_tensor[split]"):
+        for _ in range(3):
+            layers[layer]()()
+        assert len(solves) == 3, layer
+        solves.clear()
 
 
 @pytest.mark.parametrize("argv", [["--n", "8,x"], ["--n", "1"]])
